@@ -17,7 +17,7 @@ from .hurwitz import (HurwitzArg, OmegaSplit, lp_value, reduce_to_unit_interval,
 from .padic import Padic, angle, teichmuller, teichmuller_ext, teichmuller_rational
 from .polynomials import Poly, RationalFunction, parse_rational_function
 from .volkenborn import (PoleData, WaveletExpansion, integral_mahler,
-                         integral_riemann, integral_wavelet, translate_integral,
+                         integral_pole_power, integral_riemann, integral_wavelet, translate_integral,
                          vdp_data, wavelet_coeffs)
 
 __version__ = "0.1.0"

@@ -101,9 +101,7 @@ def lcm_upto(n: int) -> int:
     """lcm(1, ..., n)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    if n == 1:
-        return 1
-    return math.lcm(lcm_upto(n - 1), n)
+    return math.lcm(*range(1, n + 1))
 
 
 def factorial_valuation(n: int, p: int) -> int:

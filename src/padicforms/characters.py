@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,7 +220,10 @@ def char_make(modulus: int, values: dict[int, CharValue] | list) -> DirichletCha
 
 
 def character_from_spec(spec) -> DirichletCharacter:
-    """Accepts "trivial", "quadratic:d", or {"modulus": d, "values": [...]}."""
+    """Accepts "trivial", "quadratic:d", or {"modulus": d, "values": [...]}.
+
+    The dict may also arrive as its JSON text, as the CLI passes it.
+    """
     if isinstance(spec, DirichletCharacter):
         return spec
     if isinstance(spec, str):
@@ -227,8 +231,16 @@ def character_from_spec(spec) -> DirichletCharacter:
             return trivial_character()
         if spec.startswith("quadratic:"):
             return quadratic_character(int(spec.split(":", 1)[1]))
+        if spec.startswith("{"):
+            try:
+                obj = json.loads(spec)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"malformed JSON character {spec!r}: {exc}") from exc
+            return character_from_spec(obj)
         raise DomainError(f"unknown character tag {spec!r}")
     if isinstance(spec, dict):
+        if "modulus" not in spec or "values" not in spec:
+            raise DomainError("a character object needs \"modulus\" and \"values\"")
         modulus = int(spec["modulus"])
         raw = spec["values"]
         values = []

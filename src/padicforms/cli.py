@@ -113,7 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_integrate(args) -> int:
-    f = parse_rational_function(args.expr)
+    try:
+        f = parse_rational_function(args.expr)
+    except ValueError as exc:
+        return _fail("usage", str(exc), EXIT_USAGE)
     if args.engine == "mahler":
         value = integral_mahler(f, args.p, None if f.is_polynomial() else args.prec)
         precision = None if isinstance(value, Fraction) else value.prec
@@ -252,6 +255,8 @@ def _cmd_nesterenko(args) -> int:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "prec", 1) < 1:
+        return _fail("usage", f"--prec must be positive, got {args.prec}", EXIT_USAGE)
     try:
         if args.command == "integrate":
             return _cmd_integrate(args)

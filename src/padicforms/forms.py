@@ -30,7 +30,7 @@ from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
 from .polynomials import Poly, series_inv, series_mul, series_pow, series_trunc
-from .volkenborn import PoleData, integral_mahler, vdp_length
+from .volkenborn import PoleData, integral_mahler, integral_pole_power, vdp_length
 
 Q = Fraction
 
@@ -641,21 +641,9 @@ def per_x_identity(params: FormParameters, n: int, x: Fraction,
         w = Q(rho, i)
         v_w = int(vp(w, pr.p))
         need = max(2, target - v_w)
-        integral = integral_mahler(
-            _power_pole(x, i), pr.p, need,
-            pole_data=[PoleData(location=-x, order=i,
-                                floors=(10 ** 9,) * (i - 1) + (0,))])
+        integral = integral_pole_power(x, i, pr.p, need)
         acc = acc + integral.mul_fraction(w)
     return _identity_report(lhs, acc.at_precision(min(acc.prec, lhs.prec)))
-
-
-def _power_pole(x: Fraction, order: int):
-    x = Fraction(x)
-
-    def f(a):
-        return 1 / (x + a) ** order
-
-    return f
 
 
 # -- Hurwitz-variant forms -----------------------------------------------------------------
@@ -739,10 +727,7 @@ def hurwitz_variant_form(p: int, x: Fraction, s: int,
         w = C * rho * Q(P) ** (i + 1) / i
         v_w = int(vp(w, p))
         need = max(2, target - v_w)
-        integral = integral_mahler(
-            _power_pole(x0, i), p, need,
-            pole_data=[PoleData(location=-x0, order=i,
-                                floors=(10 ** 9,) * (i - 1) + (0,))])
+        integral = integral_pole_power(x0, i, p, need)
         rhs = rhs + integral.mul_fraction(w)
 
     report = _identity_report(lhs, rhs.at_precision(min(rhs.prec, lhs.prec)))

@@ -12,25 +12,11 @@ from .characters import CharValue, DirichletCharacter, chi_padic_data
 from .cyclotomic import CyclotomicElement, PadicEmbedding
 from .errors import DomainError
 from .padic import Padic, angle, phi_qp, qp, teichmuller, teichmuller_ext
-from .polynomials import Poly, RationalFunction
-from .volkenborn import PoleData, integral_mahler
+from .volkenborn import check_hurwitz_domain, integral_pole_power
 
 Q = Fraction
 
 LValue = Union[Fraction, CyclotomicElement, Padic]
-
-
-def check_hurwitz_domain(x: Fraction, p: int) -> int:
-    """Require |x|_p >= q_p; returns h = -vp(x) >= 1 (>= 2 when p = 2)."""
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    v = vp(x, p)
-    need = 2 if p == 2 else 1
-    if v > -need:
-        raise DomainError(
-            f"|x|_p must be at least {qp(p)}: got vp({x}) = {v} at p = {p}")
-    return -int(v)
 
 
 @dataclass(frozen=True)
@@ -83,16 +69,6 @@ class ZetaPosValue:
     twisted: Padic  # omega(x)^(1-s) zeta_p(s, x) = integral/(s-1)
 
 
-def _single_pole_function(x: Fraction, order: int) -> RationalFunction:
-    return RationalFunction(Poly.const(1), Poly([x, 1]) ** order)
-
-
-def _single_pole_data(x: Fraction, order: int, p: int) -> list[PoleData]:
-    big = 10 ** 9
-    floors = [big] * (order - 1) + [0]
-    return [PoleData(location=-x, order=order, floors=tuple(floors))]
-
-
 def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
     """zeta_p(s, x) for integer s >= 2 via the Volkenborn integral.
 
@@ -103,13 +79,12 @@ def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
     check_prime(p)
     if s < 2:
         raise DomainError("need s >= 2 on the positive branch")
+    if precision < 1:
+        raise DomainError("need precision >= 1")
     x = Fraction(x)
-    check_hurwitz_domain(x, p)
     order = s - 1
     guard = int(vp(Q(order), p))
-    f = _single_pole_function(x, order)
-    integral = integral_mahler(f, p, precision + guard,
-                               pole_data=_single_pole_data(x, order, p))
+    integral = integral_pole_power(x, order, p, precision + guard)
     twisted = integral.mul_fraction(Q(1, order))
     omega_pow = teichmuller_ext(x, p, twisted.relative_precision() + 2) ** order
     zeta = omega_pow * twisted
@@ -217,6 +192,8 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     check_prime(p)
     if i == 1:
         raise DomainError("L_p is not defined here at i = 1")
+    if precision < 1:
+        raise DomainError("need precision >= 1")
     if omega_exp is None:
         omega_exp = 1 - i
     data = chi_padic_data(chi, p)
@@ -298,8 +275,7 @@ def _lp_positive(i, chi, p, D, omega_exp, precision, embedding) -> Padic:
             continue
         x = Q(j, D)
         target = precision - v_shift + int(vp(Q(order), p)) + 4
-        integral = integral_mahler(_single_pole_function(x, order), p, target,
-                                   pole_data=_single_pole_data(x, order, p))
+        integral = integral_pole_power(x, order, p, target)
         term = integral.mul_fraction(Q(1, order))
         w = _omega_power_exact(j, e_res, p)
         if w is None:

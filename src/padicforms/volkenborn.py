@@ -1,19 +1,27 @@
-"""Volkenborn integration: Riemann sums, van der Put wavelets, and a certified Mahler engine.
+"""Volkenborn integration: Riemann sums, van der Put wavelets, a certified Mahler
+engine, and the Bernoulli series of a single pole.
 
-The integral of f over Z_p is the limit of p^-n sum_{k < p^n} f(k). Three
+The integral of f over Z_p is the limit of p^-n sum_{k < p^n} f(k). Four
 engines compute it here:
 
 * integral_riemann: the exact level-n partial sum (diagnostic; its error is
   certified only through the constant wavelet tail bound).
 * integral_wavelet: sums a_k p^-l(k) over a truncated wavelet expansion with
   a caller-supplied tail bound.
-* integral_mahler: the production path for rational functions without poles
+* integral_mahler: the general path for rational functions without poles
   in Z_p. It computes Mahler coefficients c_m = (forward differences at 0)
   exactly, sums c_m (-1)^m / (m+1), and certifies the truncation error from
   the pole structure: for a partial-fraction term a/(t - c)^i with
   h = -vp(c) >= 1, the m-th Mahler coefficient has valuation at least
   vp(a) + (m + i) h, so the wavelet tail beyond M is controlled by
   inf_{m > M} (T(m) - l(m)) with T the termwise bound.
+* integral_pole_power: the single pole (x+t)^-k, the integrand of every
+  Hurwitz zeta and L-value at a positive integer. It sums the classical
+  series Int (x+t)^-k dt = sum_j binom(-k, j) B_j x^(-k-j) (Washington,
+  Introduction to Cyclotomic Fields, Thm 5.11). With h = -vp(x) and
+  vp(B_j) >= -1 (von Staudt-Clausen), term j has valuation at least
+  (k+j) h - 1, so stopping at the first J with (k+J) h - 1 >= precision
+  leaves a tail divisible by p^precision.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import INF, check_prime, vp, vp_int
+from .arith import INF, bernoulli_number, check_prime, vp, vp_int
 from .errors import DomainError, PrecisionError
-from .padic import Padic, fraction_mod_pk
+from .padic import Padic, fraction_mod_pk, qp
 from .polynomials import Poly, RationalFunction
 
 Q = Fraction
@@ -382,6 +390,51 @@ def mahler_coefficients(f: Integrand, count: int) -> list[Fraction]:
         out.append(row[0])
         row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
     return out
+
+
+# -- Bernoulli series of a single pole ----------------------------------------------
+
+
+def check_hurwitz_domain(x: Fraction, p: int) -> int:
+    """Require |x|_p >= q_p; returns h = -vp(x) >= 1 (>= 2 when p = 2)."""
+    x = Fraction(x)
+    if x == 0:
+        raise DomainError("x must be nonzero")
+    v = vp(x, p)
+    need = 2 if p == 2 else 1
+    if v > -need:
+        raise DomainError(
+            f"|x|_p must be at least {qp(p)}: got vp({x}) = {v} at p = {p}")
+    return -int(v)
+
+
+def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
+    """Int (x+t)^-k dt over Z_p modulo p^precision, for |x|_p >= q_p and k >= 1.
+
+    Sums binom(-k, j) B_j x^(-k-j) over j < J, the first J with
+    (k+J) h - 1 >= precision, where h = -vp(x). Writing 1/x = p^h y with y a
+    unit, term j is binom(-k, j) (p B_j) p^((k+j) h - 1) y^(k+j), a p-adic
+    integer because p B_j is one; the result is exact modulo p^precision.
+    """
+    check_prime(p)
+    if k < 1:
+        raise DomainError("need k >= 1")
+    if precision < 1:
+        raise DomainError("need precision >= 1")
+    h = check_hurwitz_domain(x, p)
+    x = Fraction(x)
+    mod = p ** precision
+    y = x.denominator // p ** h * pow(x.numerator, -1, mod) % mod
+    total = 0
+    j = 0
+    while (k + j) * h - 1 < precision:
+        if j < 2 or j % 2 == 0:  # B_j = 0 for odd j >= 3
+            pb = fraction_mod_pk(p * bernoulli_number(j), p, precision)
+            term = (math.comb(k + j - 1, j) * pb * pow(y, k + j, mod)
+                    * p ** ((k + j) * h - 1))
+            total += -term if j % 2 else term
+        j += 1
+    return Padic.normalized(p, 0, total, precision)
 
 
 # -- translation formula ------------------------------------------------------------

@@ -68,6 +68,20 @@ def test_lcm_upto():
     assert lcm_upto(10) == 2520
 
 
+def test_lcm_upto_large_cold():
+    # lcm(1..n) = product of q^floor(log_q n) over primes q <= n
+    n = 1200
+    lcm_upto.cache_clear()
+    expected = 1
+    for q in range(2, n + 1):
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            e = 1
+            while q ** (e + 1) <= n:
+                e += 1
+            expected *= q ** e
+    assert lcm_upto(n) == expected
+
+
 def test_factorial_valuation_matches_direct():
     for p in (2, 3, 5):
         for n in (1, 7, 30, 64, 100):

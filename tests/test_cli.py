@@ -64,6 +64,47 @@ def test_integrate_domain_violation_exit3(capsys):
     assert json.loads(err)["error"] == "precondition"
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec", "0"],
+    ["zeta", "--p", "5", "--s", "0", "--x", "1/5", "--prec", "-1"],
+    ["lvalue", "--i", "2", "--p", "3", "--l", "1", "--prec", "0"],
+    ["integrate", "--expr", "(1/5+t)^-1", "--p", "5", "--prec", "-3"],
+])
+def test_nonpositive_prec_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_integrate_parse_error_exit2(capsys):
+    for expr in ("(1/5+t", "t^x", "(1/5+t)%2"):
+        code, out, err = run_cli(capsys, ["integrate", "--expr", expr, "--p", "5"])
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("i,p,prec", [(-1, 3, 12), (-2, 5, 12), (2, 3, 8)])
+def test_json_object_character(capsys, i, p, prec):
+    spec = '{"modulus": 4, "values": ["1","0","-1","0"]}'
+    base = ["lvalue", "--i", str(i), "--p", str(p), "--l", "1", "--prec", str(prec)]
+    code, out, err = run_cli(capsys, base + ["--character", spec])
+    assert code == 0, err
+    code2, out2, _ = run_cli(capsys, base + ["--character", "quadratic:4"])
+    assert code2 == 0
+    doc, doc2 = json.loads(out), json.loads(out2)
+    assert doc["character"] == spec and doc2["character"] == "quadratic:4"
+    del doc["character"], doc2["character"]
+    assert doc == doc2
+
+
+def test_json_object_character_malformed_exit3(capsys):
+    for spec in ('{"modulus": 4', '{"modulus": 4}'):
+        code, out, err = run_cli(capsys, ["lvalue", "--i", "-1", "--p", "3", "--l", "1",
+                                          "--character", spec])
+        assert code == 3 and not out
+        assert json.loads(err)["error"] == "precondition"
+
+
 def test_wavelet_requires_tail(capsys):
     code, _, err = run_cli(capsys, ["integrate", "--expr", "t", "--p", "2",
                                     "--engine", "wavelet"])

@@ -24,6 +24,16 @@ def test_domain_validation():
         zeta_p_pos(1, Q(1, 5), 5, 4)
 
 
+def test_nonpositive_precision_rejected():
+    for precision in (0, -1):
+        with pytest.raises(DomainError):
+            zeta_p_pos(2, Q(1, 5), 5, precision)
+        with pytest.raises(DomainError):
+            lp_value(2, trivial_character(), 5, 1, precision=precision)
+        with pytest.raises(DomainError):
+            lp_value(-1, trivial_character(), 5, 1, precision=precision)
+
+
 def test_zeta_pos_base_value():
     out = zeta_p_pos(2, Q(1, 5), 5, 6)
     assert out.zeta.agrees(Padic.from_fraction(1, 5, 1))

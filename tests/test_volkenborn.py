@@ -3,13 +3,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicforms.arith import bernoulli_poly, vp
+from padicforms.arith import INF, bernoulli_poly, vp
 from padicforms.errors import DomainError
 from padicforms.padic import Padic
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
-from padicforms.volkenborn import (PoleData, integral_mahler, integral_riemann,
-                                   integral_wavelet, mahler_coefficients,
+from padicforms.volkenborn import (PoleData, integral_mahler, integral_pole_power,
+                                   integral_riemann, integral_wavelet, mahler_coefficients,
                                    mahler_error_valuation, rational_wavelet_tail_bound,
                                    translate_integral, vdp_data, vdp_length,
                                    wavelet_coeffs)
@@ -200,3 +202,66 @@ def test_translation_formula_random_rational():
         m = rng.randint(0, 5)
         rep = translate_integral(f, m, p, precision=10)
         assert rep.agrees, (p, m, f)
+
+
+# -- Bernoulli series of a single pole against the Mahler engine --------------------
+
+
+def _mahler_pole_power(x, k, p, precision):
+    """The Mahler engine on (x+t)^-k with single-pole floors: the oracle."""
+    pole = [PoleData(location=-x, order=k, floors=(INF,) * (k - 1) + (0,))]
+    return integral_mahler(lambda a: 1 / (x + a) ** k, p, precision, pole_data=pole)
+
+
+def _pole_point(p, h, a, m):
+    """x = a/p^h + m with a made a unit."""
+    a = a % p ** h or 1
+    if a % p == 0:
+        a += 1
+    return Q(a, p ** h) + m
+
+
+def _assert_same_padic(x, k, p, precision):
+    got = integral_pole_power(x, k, p, precision)
+    want = _mahler_pole_power(x, k, p, precision)
+    assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec), \
+        (x, k, p, precision)
+
+
+def test_pole_power_matches_mahler_random():
+    rng = random.Random(2024)
+    cases = [(2, 2, 1, 0, 1, 1), (3, 1, 1, 0, 1, 1), (7, 1, 3, 2, 60, 300),
+             (2, 2, 3, -2, 60, 300), (5, 1, 2, -1, 1, 300), (3, 3, 5, 1, 60, 1)]
+    for _ in range(100):
+        p = rng.choice((2, 3, 5, 7))
+        hmin = 2 if p == 2 else 1
+        cases.append((p, rng.randint(hmin, hmin + 3), rng.randint(1, 10 ** 4),
+                      rng.randint(-2, 2), rng.randint(1, 60), rng.randint(1, 300)))
+    for p, h, a, m, k, precision in cases:
+        _assert_same_padic(_pole_point(p, h, a, m), k, p, precision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), dh=st.integers(0, 4),
+       a=st.integers(1, 10 ** 6), m=st.integers(-2, 2),
+       k=st.integers(1, 60), precision=st.integers(1, 300))
+def test_pole_power_matches_mahler_property(p, dh, a, m, k, precision):
+    h = (2 if p == 2 else 1) + dh
+    _assert_same_padic(_pole_point(p, h, a, m), k, p, precision)
+
+
+def test_pole_power_simple_value():
+    # Int (1/5 + t)^-1 dt = 5 mod 25, as the Mahler engine reports
+    assert integral_pole_power(Q(1, 5), 1, 5, 6).agrees(Padic.from_fraction(5, 5, 2))
+
+
+def test_pole_power_domain_checks():
+    for x, p in ((Q(0), 5), (Q(1, 2), 2), (Q(5, 2), 2), (Q(3), 3),
+                 (Q(2, 5), 3), (Q(7, 3), 7)):
+        with pytest.raises(DomainError):
+            integral_pole_power(x, 2, p, 10)
+    for precision in (0, -3):
+        with pytest.raises(DomainError):
+            integral_pole_power(Q(1, 5), 2, 5, precision)
+    with pytest.raises(DomainError):
+        integral_pole_power(Q(1, 5), 0, 5, 10)
