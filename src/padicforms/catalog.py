@@ -12,8 +12,9 @@ from typing import Iterator, Optional
 from .characters import DirichletCharacter, character_from_spec
 from .errors import IntegralityError
 from .forms import (FormParameters, build_rn, choose_params,
-                    evaluate_form_identity, hurwitz_params, hurwitz_variant_form,
-                    lambda_form, partial_fractions)
+                    evaluate_form_identity, form_scale, hurwitz_params,
+                    hurwitz_variant_form, lambda_form, partial_fractions,
+                    rho_higher, rho_zero)
 from .verification import (CheckReport, _report, check_chi_congruence,
                            check_fj_integral, check_valuation_formula,
                            growth_bound_check)
@@ -189,20 +190,18 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
 
 
 def check_config_integrality(cfg: RandomConfig) -> CheckReport:
-    """prop-arith style integrality of the scaled rho coefficients of one config."""
-    from .arith import lcm_upto
-    from .forms import rho_higher, rho_zero
+    """prop-arith style integrality of the scaled rho coefficients of one config.
 
+    rho_i is scaled by (s-i)! d_n^(s-i) = form_scale(s-i+1, n), rho_0 by C.
+    """
     t0 = time.monotonic()
     pr, n = cfg.params, cfg.n
     table = partial_fractions(build_rn(pr, n))
-    dn = lcm_upto(n)
     bad = []
     for i in range(1, pr.s + 1):
-        scaled = math.factorial(pr.s - i) * dn ** (pr.s - i) * rho_higher(table, i)
-        if scaled.denominator != 1:
+        if (form_scale(pr.s - i + 1, n) * rho_higher(table, i)).denominator != 1:
             bad.append(("rho", i))
-    c_top = math.factorial(pr.s - 1) * dn ** (pr.s - 1)
+    c_top = form_scale(pr.s, n)
     if cfg.mode == "L":
         xs = [Q(j, pr.D) for j in range(1, pr.D + 1) if math.gcd(j, pr.p) == 1]
     else:

@@ -6,11 +6,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .arith import bernoulli_poly, check_prime, vp, vp_int
 from .cyclotomic import CyclotomicElement, PadicEmbedding, euler_phi
 from .errors import DomainError, EmbeddingError
+from .polynomials import divisors
 
 Q = Fraction
 CharValue = Union[Fraction, CyclotomicElement]
@@ -64,19 +65,15 @@ class DirichletCharacter:
     # -- construction helpers ------------------------------------------------
 
     def _validate(self) -> None:
-        d = self.modulus
-        one = self.value(1)
-        if not _is_one(one):
+        if self.value(1) != 1:
             raise DomainError("character must send 1 to 1")
         units = sorted(self._values)
         for a in units:
             va = self._values[a]
-            if _is_zero_value(va):
+            if va == 0:
                 raise DomainError(f"character vanishes at the unit {a}")
             for b in units:
-                lhs = _mulv(va, self._values[b])
-                rhs = self.value(a * b)
-                if not _eqv(lhs, rhs):
+                if va * self._values[b] != self.value(a * b):
                     raise DomainError(f"table is not multiplicative at ({a}, {b})")
 
     def _compute_order(self) -> int:
@@ -86,20 +83,12 @@ class DirichletCharacter:
         return order
 
     def _compute_conductor(self) -> int:
-        d = self.modulus
-        for f in sorted(_divisors(d)):
-            ok = True
-            for a in self._values:
-                if a % f == 1 % f and not _is_one(self._values[a]):
-                    ok = False
-                    break
-            if ok:
-                return f
-        return d
+        # f = modulus always qualifies: only a = 1 is 1 mod the modulus
+        return next(f for f in divisors(self.modulus)
+                    if all(v == 1 for a, v in self._values.items() if a % f == 1 % f))
 
     def _compute_delta(self) -> int:
-        v = self.value(-1)
-        return 0 if _is_one(v) else 1
+        return 0 if self.value(-1) == 1 else 1
 
     # -- evaluation -------------------------------------------------------------
 
@@ -123,6 +112,15 @@ class DirichletCharacter:
         return f"DirichletCharacter({tag}, order={self.order}, delta={self.delta})"
 
 
+def chi_units(chi: DirichletCharacter, D: int, p: int) -> Iterator[tuple[int, CharValue]]:
+    """(j, chi(j)) for 1 <= j <= D with gcd(j, p) = 1 and chi(j) != 0."""
+    for j in range(1, D + 1):
+        if math.gcd(j, p) == 1:
+            c = chi.value(j)
+            if c != 0:
+                yield j, c
+
+
 def _into_field(v: CharValue, m: int) -> CyclotomicElement:
     if isinstance(v, Fraction):
         return CyclotomicElement.from_rational(v, m)
@@ -138,26 +136,6 @@ def _into_field(v: CharValue, m: int) -> CyclotomicElement:
     raise DomainError(f"cannot lift Q(zeta_{v.m}) into Q(zeta_{m})")
 
 
-def _is_zero_value(v: CharValue) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
-
-
-def _is_one(v: CharValue) -> bool:
-    return v == 1
-
-
-def _mulv(a: CharValue, b: CharValue) -> CharValue:
-    return a * b
-
-
-def _eqv(a: CharValue, b: CharValue) -> bool:
-    if isinstance(a, CyclotomicElement) and isinstance(b, Fraction):
-        return a == b
-    if isinstance(b, CyclotomicElement) and isinstance(a, Fraction):
-        return b == a
-    return a == b
-
-
 def _root_of_unity_order(v: CharValue) -> int:
     if isinstance(v, Fraction):
         if v == 1:
@@ -171,18 +149,6 @@ def _root_of_unity_order(v: CharValue) -> int:
             return e
         acc = acc * v
     raise DomainError("value is not a root of unity")
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # -- builtins -----------------------------------------------------------------
@@ -215,7 +181,7 @@ def char_make(modulus: int, values: dict[int, CharValue] | list) -> DirichletCha
         if len(values) != modulus:
             raise DomainError("value list must have one entry per residue 1..modulus")
         values = {j % modulus: v for j, v in enumerate(values, start=1)
-                  if not _is_zero_value(v)}
+                  if v != 0}
     return DirichletCharacter(modulus, values)
 
 
@@ -267,19 +233,12 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> CharValue:
         raise DomainError("need k >= 1")
     d = chi.modulus
     bk = bernoulli_poly(k)
-    if chi.is_rational_valued():
-        acc = Q(0)
-        for a in range(d):
-            c = chi.value(a)
-            if c:
-                acc += c * bk(Q(a, d))
-        return acc * Q(d) ** (k - 1)
-    acc_c = CyclotomicElement.zero(chi.field_m)
+    acc = Q(0) if chi.is_rational_valued() else CyclotomicElement.zero(chi.field_m)
     for a in range(d):
         c = chi.value(a)
-        if not _is_zero_value(c):
-            acc_c = acc_c + c * bk(Q(a, d))
-    return acc_c * (Q(d) ** (k - 1))
+        if c != 0:
+            acc = acc + c * bk(Q(a, d))
+    return acc * Q(d) ** (k - 1)
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,11 @@ def _cmd_nesterenko(args) -> int:
 
 
 def dispatch(argv: list[str]) -> int:
+    argv = list(argv)
+    if "--expr" in argv[:-1]:
+        # argparse reads a value such as "-t^2" as an option: glue it on
+        at = argv.index("--expr")
+        argv[at:at + 2] = [f"--expr={argv[at + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "prec", 1) < 1:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .arith import (check_prime, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
-from .characters import CharValue, DirichletCharacter, chi_padic_data
+from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import CyclotomicElement, PadicEmbedding, assert_integral, euler_phi
 from .errors import DegreeError, DomainError, PrecisionError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
@@ -233,16 +233,11 @@ class RnFunction:
         valuations; otherwise the integrality bound is used.
         """
         pr = self.params
-        big = 10 ** 9
         if table is not None:
-            out = []
-            for k in range(self.n + 1):
-                floors = tuple(
-                    big if table.r(i, k) == 0 else vp(table.r(i, k), pr.p)
-                    for i in range(1, pr.s + 1))
-                out.append(PoleData(location=-(Fraction(x) + k), order=pr.s,
-                                    floors=floors))
-            return out
+            return [PoleData(location=-(Fraction(x) + k), order=pr.s,
+                             floors=tuple(vp(table.r(i, k), pr.p)
+                                          for i in range(1, pr.s + 1)))
+                    for k in range(self.n + 1)]
         floors = tuple(self.coeff_floor(i) for i in range(1, pr.s + 1))
         return [PoleData(location=-(Fraction(x) + k), order=pr.s, floors=floors)
                 for k in range(self.n + 1)]
@@ -378,27 +373,26 @@ class LinearFormOverK:
         return math.log(h.numerator) - math.log(h.denominator)
 
 
+def form_scale(s: int, n: int) -> int:
+    """C = (s-1)! d_n^(s-1), the factor that makes the forms integral."""
+    return math.factorial(s - 1) * lcm_upto(n) ** (s - 1)
+
+
 def lambda_form(params: FormParameters, table: PartialFractionTable,
                 chi: DirichletCharacter) -> LinearFormOverK:
     """lambda_0 = C sum_j chi(j) rho_(0,j/D), lambda_i = C D^(i+1) rho_i.
 
-    C = (s-1)! d_n^(s-1). Every coefficient must be an algebraic integer;
+    C = form_scale(s, n). Every coefficient must be an algebraic integer;
     violations raise IntegralityError (an implementation bug, not input).
     """
     pr = params
-    C = Q(math.factorial(pr.s - 1) * lcm_upto(table.n) ** (pr.s - 1))
+    C = form_scale(pr.s, table.n)
     lam0: CharValue
     if chi.is_rational_valued():
         lam0 = Q(0)
     else:
         lam0 = CyclotomicElement.zero(chi.field_m)
-    for j in range(1, pr.D + 1):
-        if math.gcd(j, pr.p) != 1:
-            continue
-        c = chi.value(j)
-        if (isinstance(c, Fraction) and c == 0) or \
-           (isinstance(c, CyclotomicElement) and c.is_zero()):
-            continue
+    for j, c in chi_units(chi, pr.D, pr.p):
         scaled = C * rho_zero(table, Q(j, pr.D))
         assert_integral(scaled, f"lambda_0 term at j = {j}")
         lam0 = lam0 + c * scaled
@@ -431,13 +425,7 @@ def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
     if not pr.domain_ok:
         raise DomainError("l too small for integral evaluation at p = 2")
     acc = Padic.zero(pr.p, precision + 2)
-    for j in range(1, pr.D + 1):
-        if math.gcd(j, pr.p) != 1:
-            continue
-        c = chi.value(j)
-        if (isinstance(c, Fraction) and c == 0) or \
-           (isinstance(c, CyclotomicElement) and c.is_zero()):
-            continue
+    for j, c in chi_units(chi, pr.D, pr.p):
         term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
         if isinstance(c, Fraction):
             if c == -1:
@@ -469,23 +457,12 @@ def valuation_formula_rhs(params: FormParameters, n: int,
         if not b.is_rational():
             raise DomainError("irrational head Bernoulli: supply an embedding path")
         b = b.rational_value()
-    nu_b = int(vp(b, p))
-    return (pr.s * factorial_valuation(n, p)
-            + pr.Q * int(vp_int(multinomial_packed(pr.N(n), n), p))
-            + ((n + 1) * pr.s + 1) * pr.l
-            - pr.digits_exp(n)
-            + nu_b)
+    return per_x_valuation_hint(pr, n) + pr.l + int(vp(b, p))
 
 
 def hurwitz_valuation_rhs(params: FormParameters, n: int) -> int:
     """Predicted vp of sum_j integral of R_n(t + (j0 + d j)/D), delta = -2 mode."""
-    pr = params
-    p = pr.p
-    return (pr.s * factorial_valuation(n, p)
-            + pr.Q * int(vp_int(multinomial_packed(pr.N(n), n), p))
-            + (n + 1) * pr.s * pr.l
-            - pr.digits_exp(n)
-            + pr.l - pr.l0)
+    return per_x_valuation_hint(params, n) + params.l - params.l0
 
 
 def per_x_valuation_hint(params: FormParameters, n: int) -> int:
@@ -548,7 +525,7 @@ def evaluate_form_identity(params: FormParameters, n: int,
     rn = rn or build_rn(pr, n)
     table = table or partial_fractions(rn)
     form = lambda_form(pr, table, chi)
-    C = Q(math.factorial(pr.s - 1) * lcm_upto(n) ** (pr.s - 1))
+    C = form_scale(pr.s, n)
     vC = int(vp(C, pr.p))
 
     if pr.hypotheses_hold(n):
@@ -689,7 +666,7 @@ def hurwitz_variant_form(p: int, x: Fraction, s: int,
     pr = params
     rn = build_rn(pr, n)
     table = partial_fractions(rn)
-    C = Q(math.factorial(pr.s - 1) * lcm_upto(n) ** (pr.s - 1))
+    C = form_scale(pr.s, n)
     vC = int(vp(C, p))
     d = x0.denominator
     P = p ** (pr.l - pr.l0)

@@ -72,9 +72,7 @@ def _det_field(rows: list[list[Entry]], field_m: int) -> Entry:
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            e = a[r][col]
-            if (isinstance(e, Fraction) and e != 0) or \
-               (isinstance(e, CyclotomicElement) and not e.is_zero()):
+            if a[r][col] != 0:
                 pivot = r
                 break
         if pivot is None:
@@ -83,36 +81,15 @@ def _det_field(rows: list[list[Entry]], field_m: int) -> Entry:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
         pe = a[col][col]
-        det = _mul(det, pe)
+        det = det * pe
         inv = 1 / pe if isinstance(pe, Fraction) else pe.inverse()
         for r in range(col + 1, n):
-            factor = _mul(a[r][col], inv)
-            if (isinstance(factor, Fraction) and factor == 0) or \
-               (isinstance(factor, CyclotomicElement) and factor.is_zero()):
+            factor = a[r][col] * inv
+            if factor == 0:
                 continue
             for c in range(col, n):
-                a[r][c] = _sub(a[r][c], _mul(factor, a[col][c]))
-    return det if sign == 1 else _neg(det)
-
-
-def _mul(x: Entry, y: Entry) -> Entry:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    if isinstance(x, Fraction):
-        return y * x
-    return x * y
-
-
-def _sub(x: Entry, y: Entry) -> Entry:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x - y
-    if isinstance(x, Fraction):
-        return -(y - x)
-    return x - y
-
-
-def _neg(x: Entry) -> Entry:
-    return -x
+                a[r][c] = a[r][c] - factor * a[col][c]
+    return det if sign == 1 else -det
 
 
 def height_K(M: HeightMatrix) -> Fraction:
@@ -148,8 +125,7 @@ def height_p_valuation(M: HeightMatrix, p: int,
     best = math.inf
     for cols in combinations(range(M.ncols), M.nrows):
         det = _det_field(M.minor(cols), M.field_m)
-        if (isinstance(det, Fraction) and det == 0) or \
-           (isinstance(det, CyclotomicElement) and det.is_zero()):
+        if det == 0:
             continue
         best = min(best, _entry_valuation(det, p, embedding, prec))
     return best

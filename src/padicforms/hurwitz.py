@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import bernoulli_poly, check_prime, vp
-from .characters import CharValue, DirichletCharacter, chi_padic_data
+from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import CyclotomicElement, PadicEmbedding
 from .errors import DomainError
 from .padic import Padic, angle, phi_qp, qp, teichmuller, teichmuller_ext
@@ -216,13 +215,7 @@ def _lp_nonpositive(i, chi, p, D, omega_exp, precision, embedding) -> LValue:
         Q(0) if chi.is_rational_valued() else CyclotomicElement.zero(chi.field_m))
     padic_terms: list[tuple[CharValue, Fraction, int]] = []
     all_exact = True
-    for j in range(1, D + 1):
-        if math.gcd(j, p) != 1:
-            continue
-        c = chi.value(j)
-        if (isinstance(c, Fraction) and c == 0) or \
-           (isinstance(c, CyclotomicElement) and c.is_zero()):
-            continue
+    for j, c in chi_units(chi, D, p):
         b = bn(Q(j, D))
         w = _omega_power_exact(j, e_res, p)
         if w is None:
@@ -266,13 +259,7 @@ def _lp_positive(i, chi, p, D, omega_exp, precision, embedding) -> Padic:
     order = i - 1
     v_shift = -i * int(vp(Q(D), p))  # valuation of D^-i
     acc = Padic.zero(p, precision - v_shift + 4)
-    for j in range(1, D + 1):
-        if math.gcd(j, p) != 1:
-            continue
-        c = chi.value(j)
-        if (isinstance(c, Fraction) and c == 0) or \
-           (isinstance(c, CyclotomicElement) and c.is_zero()):
-            continue
+    for j, c in chi_units(chi, D, p):
         x = Q(j, D)
         target = precision - v_shift + int(vp(Q(order), p)) + 4
         integral = integral_pole_power(x, order, p, target)
@@ -283,12 +270,11 @@ def _lp_positive(i, chi, p, D, omega_exp, precision, embedding) -> Padic:
             term = term * wp
         elif w == -1:
             term = -term
-        cv = c if isinstance(c, Fraction) else None
-        if cv is not None:
-            if cv == -1:
+        if isinstance(c, Fraction):
+            if c == -1:
                 term = -term
-            elif cv != 1:
-                term = term.mul_fraction(cv)
+            elif c != 1:
+                term = term.mul_fraction(c)
         else:
             term = term * _value_to_padic(c, p, term.relative_precision() + 2,
                                           embedding, chi)

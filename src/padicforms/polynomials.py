@@ -361,8 +361,8 @@ def _one_rational_root(prim: Poly) -> Fraction | None:
     if coeffs[0] == 0:
         return Q(0)
     a0, an = abs(coeffs[0]), abs(coeffs[-1])
-    for num in _divisors(a0):
-        for den in _divisors(an):
+    for num in divisors(a0):
+        for den in divisors(an):
             if gcd(num, den) != 1:
                 continue
             for cand in (Q(num, den), Q(-num, den)):
@@ -371,7 +371,8 @@ def _one_rational_root(prim: Poly) -> Fraction | None:
     return None
 
 
-def _divisors(n: int) -> list[int]:
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, in increasing order."""
     out = []
     d = 1
     while d * d <= n:

@@ -13,8 +13,10 @@ engines compute it here:
   exactly, sums c_m (-1)^m / (m+1), and certifies the truncation error from
   the pole structure: for a partial-fraction term a/(t - c)^i with
   h = -vp(c) >= 1, the m-th Mahler coefficient has valuation at least
-  vp(a) + (m + i) h, so the wavelet tail beyond M is controlled by
-  inf_{m > M} (T(m) - l(m)) with T the termwise bound.
+  vp(a) + (m + i) h. With T(m) the least of these bounds, T rises by at
+  least 1 per step and l(m) by at most 1, so the tail beyond M has
+  valuation at least T(M+1) - l(M+1); M is the least value for which
+  that meets the precision.
 * integral_pole_power: the single pole (x+t)^-k, the integrand of every
   Hurwitz zeta and L-value at a positive integer. It sums the classical
   series Int (x+t)^-k dt = sum_j binom(-k, j) B_j x^(-k-j) (Washington,
@@ -135,6 +137,8 @@ def integral_riemann(f: Integrand, p: int, level: int,
         for k in range(count):
             total += _eval_integrand(f, k)
         return total / count
+    if precision < 1:
+        raise DomainError("need precision >= 1")
 
     if isinstance(f, RationalFunction):
         return _riemann_fixed_point(f, p, level, precision)
@@ -237,18 +241,7 @@ class PoleData:
     floors: tuple[Fraction | int, ...]
 
     def height(self, p: int) -> int:
-        h = -vp(self.location, p)
-        if h == INF or h <= 0:
-            raise DomainError(f"pole {self.location} lies in Z_p")
-        return int(h)
-
-
-def _check_pole_domain(poles: Sequence[PoleData], p: int) -> None:
-    for pd in poles:
-        h = pd.height(p)
-        if p == 2 and h < 2:
-            raise DomainError(
-                f"pole {pd.location} has |.|_2 = 2; need valuation <= -2 at p = 2")
+        return check_hurwitz_domain(self.location, p)
 
 
 def _tail_term_bound(poles: Sequence[PoleData], p: int) -> Callable[[int], Fraction | int]:
@@ -267,23 +260,12 @@ def _tail_term_bound(poles: Sequence[PoleData], p: int) -> Callable[[int], Fract
 
 
 def mahler_error_valuation(T: Callable[[int], Fraction | int], p: int, M: int) -> Fraction | int:
-    """inf over m > M of T(m) - l(m), for T increasing with slope >= 1.
+    """inf over m > M of T(m) - l(m), for T a min of lines of integer slope >= 1.
 
-    The scan stops once the value exceeds the running minimum by 1: beyond
-    that point T(m') - l(m') >= value(m) - 1 + (m' - m)(1 - 0.73) can no
-    longer undercut the minimum (l grows by at most log_p between samples).
+    T rises by at least 1 per step while l(m) rises by at most 1, so
+    T - l is nondecreasing and the infimum is its value at M + 1.
     """
-    best = None
-    m = M + 1
-    while True:
-        val = T(m) - vdp_length(m, p)
-        if best is None or val < best:
-            best = val
-        if m >= max(M + 2, 3) and val >= best + 1:
-            return best
-        m += 1
-        if m > M + 200_000:
-            raise PrecisionError("tail scan did not stabilize")
+    return T(M + 1) - vdp_length(M + 1, p)
 
 
 def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
@@ -306,15 +288,16 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
                           "or a callable with explicit pole data")
     if precision is None:
         raise DomainError("precision is required for integrands with poles")
+    if precision < 1:
+        raise DomainError("need precision >= 1")
 
     if pole_data is None:
         poly_part, terms = f.partial_fractions()
-        poles = [PoleData(location=c,
-                          order=len(alphas),
-                          floors=tuple(vp(a, p) if a != 0 else 10 ** 9 for a in alphas))
+        poles = [PoleData(location=c, order=len(alphas),
+                          floors=tuple(vp(a, p) for a in alphas))
                  for c, alphas in terms.items()]
         poly_deg = poly_part.degree()
-        poly_floor = min((vp(c, p) for c in poly_part.coeffs if c != 0), default=None)
+        poly_floor = min((vp(c, p) for c in poly_part.coeffs if c != 0), default=INF)
     else:
         poles = list(pole_data)
         if isinstance(f, RationalFunction):
@@ -322,23 +305,17 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
             if deg is not None and deg >= 0:
                 raise DomainError("pole_data shortcut requires a proper rational function")
         poly_deg = -1
-        poly_floor = None
-    _check_pole_domain(poles, p)
+        poly_floor = INF
 
     T = _tail_term_bound(poles, p)
-    hmin = min(pd.height(p) for pd in poles)
-    v_floor = min(fl + i * pd.height(p)
-                  for pd in poles for i, fl in enumerate(pd.floors, start=1))
-    if poly_floor is not None:
-        v_floor = min(v_floor, poly_floor)
-    v_floor = min(v_floor, 0)
-    v_floor = int(math.floor(v_floor))
+    v_floor = int(math.floor(min(T(0), poly_floor, 0)))
 
-    # choose the truncation point M
+    # the least M meeting precision: the error valuation rises by at most
+    # hmax per step of M, so these jumps never pass it
+    hmax = max(pd.height(p) for pd in poles)
     M = max(1, poly_deg + 1)
-    M = max(M, int(math.ceil((precision - T(0)) / hmin)) + 1)
-    while mahler_error_valuation(T, p, M) < precision:
-        M += max(1, int(math.ceil((precision - mahler_error_valuation(T, p, M)) / hmin)))
+    while (err := mahler_error_valuation(T, p, M)) < precision:
+        M += math.ceil((precision - err) / hmax)
 
     maxw = vdp_length(M + 1, p) + 1
     rel = precision - v_floor + maxw + 2

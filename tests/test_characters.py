@@ -5,7 +5,7 @@ import pytest
 
 from padicforms.arith import vp
 from padicforms.characters import (DirichletCharacter, char_make,
-                                   character_from_spec, chi_padic_data,
+                                   character_from_spec, chi_padic_data, chi_units,
                                    gen_bernoulli, quadratic_character,
                                    trivial_character)
 from padicforms.cyclotomic import CyclotomicElement, euler_phi
@@ -51,6 +51,26 @@ def test_quartic_character_mod_5():
     assert isinstance(b, CyclotomicElement) and not b.is_zero()
     data = chi_padic_data(chi, 13)  # 4 | 13 - 1, embedding resolvable
     assert data.d_prime == 5 and data.l0 == 0
+
+
+def test_chi_units_matches_explicit_loop():
+    i = CyclotomicElement.zeta(4)
+    quartic = char_make(5, {1: CyclotomicElement.one(4), 2: i, 3: -i,
+                            4: CyclotomicElement.from_rational(-1, 4)})
+    for chi in (trivial_character(), quadratic_character(4), quadratic_character(3),
+                quartic):
+        for D in (4, 8, 9, 15):
+            for p in (2, 3):
+                want = []
+                for j in range(1, D + 1):
+                    if math.gcd(j, p) != 1:
+                        continue
+                    c = chi.value(j)
+                    if (isinstance(c, Q) and c == 0) or \
+                       (isinstance(c, CyclotomicElement) and c.is_zero()):
+                        continue
+                    want.append((j, c))
+                assert list(chi_units(chi, D, p)) == want, (chi, D, p)
 
 
 def test_gen_bernoulli_examples():

@@ -83,6 +83,14 @@ def test_integrate_parse_error_exit2(capsys):
         assert json.loads(err)["error"] == "usage"
 
 
+def test_integrate_expr_with_leading_minus(capsys):
+    code, out, err = run_cli(capsys, ["integrate", "--expr", "-t^2", "--p", "5"])
+    assert code == 0, err
+    code2, out2, _ = run_cli(capsys, ["integrate", "--expr=-t^2", "--p", "5"])
+    assert code2 == 0 and out == out2
+    assert json.loads(out)["value"] == {"num": "-1", "den": "6"}
+
+
 @pytest.mark.parametrize("i,p,prec", [(-1, 3, 12), (-2, 5, 12), (2, 3, 8)])
 def test_json_object_character(capsys, i, p, prec):
     spec = '{"modulus": 4, "values": ["1","0","-1","0"]}'

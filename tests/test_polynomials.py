@@ -5,8 +5,9 @@ from fractions import Fraction as Q
 import pytest
 
 from padicforms.errors import NonSplitDenominator
-from padicforms.polynomials import (Poly, RationalFunction, parse_rational_function,
-                                    series_inv, series_mul, series_pow, series_trunc)
+from padicforms.polynomials import (Poly, RationalFunction, divisors,
+                                    parse_rational_function, series_inv, series_mul,
+                                    series_pow, series_trunc)
 
 
 def test_poly_basics():
@@ -138,3 +139,8 @@ def test_parser():
         parse_rational_function("t +")
     with pytest.raises(ValueError):
         parse_rational_function("u + 1")
+
+
+def test_divisors_brute_force():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicforms.arith import INF, bernoulli_poly, vp
@@ -164,12 +164,17 @@ def test_riemann_sum_equals_wavelet_partial():
         assert w.integral_partial() == integral_riemann(f, 3, level)
 
 
-def test_mahler_error_valuation_scan():
-    T = lambda m: 2 * m - 10
-    e = mahler_error_valuation(T, 2, 5)
-    # brute comparison over a wide window
-    brute = min(T(m) - vdp_length(m, 2) for m in range(6, 2000))
-    assert e == brute
+@settings(max_examples=80, deadline=None)
+@given(branches=st.lists(st.tuples(st.one_of(st.integers(-60, 60), st.just(INF)),
+                                   st.integers(1, 5)), min_size=1, max_size=6),
+       p=st.sampled_from((2, 3, 5, 7)), M=st.integers(0, 500))
+@example(branches=[(-10, 2)], p=2, M=5)
+def test_mahler_error_valuation_scan(branches, p, M):
+    # T is a min of lines with integer slopes >= 1, so T - l is nondecreasing
+    # and the closed form must equal the brute minimum over a wide window
+    T = lambda m: min(base + m * h for base, h in branches)
+    brute = min(T(m) - vdp_length(m, p) for m in range(M + 1, M + 2001))
+    assert mahler_error_valuation(T, p, M) == brute
 
 
 def test_translation_formula_examples():
@@ -260,8 +265,13 @@ def test_pole_power_domain_checks():
                  (Q(2, 5), 3), (Q(7, 3), 7)):
         with pytest.raises(DomainError):
             integral_pole_power(x, 2, p, 10)
+    f = parse_rational_function("(1/5+t)^-1")
     for precision in (0, -3):
         with pytest.raises(DomainError):
             integral_pole_power(Q(1, 5), 2, 5, precision)
+        with pytest.raises(DomainError):
+            integral_mahler(f, 5, precision)
+        with pytest.raises(DomainError):
+            integral_riemann(f, 5, 3, precision=precision)
     with pytest.raises(DomainError):
         integral_pole_power(Q(1, 5), 0, 5, 10)
