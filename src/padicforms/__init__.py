@@ -5,19 +5,19 @@ from .arith import (bernoulli_number, bernoulli_poly, binom_padic_data,
 from .characters import (ChiPadicData, DirichletCharacter, char_make,
                          character_from_spec, chi_padic_data, gen_bernoulli,
                          quadratic_character, trivial_character)
-from .cyclotomic import CyclotomicElement, PadicEmbedding, cyclo_norm
-from .errors import (DegreeError, DeltaRuleError, DomainError, EmbeddingError,
-                     IntegralityError, NonSplitDenominator, PrecisionError)
+from .cyclotomic import CyclotomicElement, PadicEmbedding
+from .errors import (DegreeError, DomainError, EmbeddingError, IntegralityError,
+                     NonSplitDenominator, PrecisionError)
 from .forms import (FormParameters, LinearFormOverK, PartialFractionTable,
                     RnFunction, build_rn, choose_params, evaluate_form_identity,
                     hurwitz_params, hurwitz_variant_form, lambda_form,
-                    partial_fractions, per_x_identity, rho_higher, rho_zero)
-from .hurwitz import (HurwitzArg, OmegaSplit, lp_value, reduce_to_unit_interval,
+                    partial_fractions, rho_higher, rho_zero)
+from .hurwitz import (OmegaSplit, lp_value, reduce_to_unit_interval,
                       zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
 from .padic import Padic, angle, teichmuller, teichmuller_ext, teichmuller_rational
 from .polynomials import Poly, RationalFunction, parse_rational_function
 from .volkenborn import (PoleData, WaveletExpansion, integral_mahler,
-                         integral_pole_power, integral_riemann, integral_wavelet, translate_integral,
+                         integral_pole_power, integral_riemann, translate_integral,
                          vdp_data, wavelet_coeffs)
 
 __version__ = "0.1.0"

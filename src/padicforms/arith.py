@@ -144,8 +144,3 @@ def rising_factorial(t: Fraction | int, n: int) -> Fraction:
     for j in range(n):
         acc *= t + j
     return acc
-
-
-def rising_factorial_poly(n: int) -> Poly:
-    """The polynomial t (t+1) ... (t+n-1)."""
-    return Poly.from_roots([-j for j in range(n)])

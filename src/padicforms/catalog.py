@@ -167,7 +167,7 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
             if s * s * (n + 1) > 130_000:  # keep the table work at desk scale
                 continue
             params = choose_params(chi, p, s, l=l)
-            if params.Q * params.N(n) + 2 + params.delta - (n + 1) * s >= -1:
+            if params.rn_degree(n) >= -1:
                 continue
             out.append(RandomConfig(params=params, n=n, mode="L", chi=chi))
         else:
@@ -183,7 +183,7 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
             if s * s * (n + 1) > 130_000:
                 continue
             params, _ = hurwitz_params(x, p, s, l=l0)
-            if params.Q * params.N(n) + params.delta + 2 - (n + 1) * s >= -1:
+            if params.rn_degree(n) >= -1:
                 continue
             out.append(RandomConfig(params=params, n=n, mode="hurwitz", x0=x))
     return out

@@ -25,8 +25,7 @@ from .verification import (check_chi_congruence, check_fj_integral,
                            check_valuation_formula, form_sequence,
                            growth_bound_check, lambert_inequality_check)
 from .heights import dimension_bound, fit_rates
-from .volkenborn import (integral_mahler, integral_riemann, integral_wavelet,
-                         wavelet_coeffs)
+from .volkenborn import integral_mahler, integral_riemann
 
 Q = Fraction
 
@@ -52,13 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="Volkenborn integral of a rational function")
     p_int.add_argument("--expr", required=True)
     p_int.add_argument("--p", type=int, required=True)
-    p_int.add_argument("--engine", choices=["mahler", "riemann", "wavelet"],
-                       default="mahler")
+    p_int.add_argument("--engine", choices=["mahler", "riemann"], default="mahler")
     p_int.add_argument("--prec", type=int, default=12)
     p_int.add_argument("--level", type=int, default=6, help="Riemann level")
-    p_int.add_argument("--depth", type=int, default=4, help="wavelet depth")
-    p_int.add_argument("--tail", type=int, default=None,
-                       help="certified wavelet tail bound")
 
     p_zeta = sub.add_parser("zeta", help="p-adic Hurwitz zeta value")
     p_zeta.add_argument("--p", type=int, required=True)
@@ -120,15 +115,9 @@ def _cmd_integrate(args) -> int:
     if args.engine == "mahler":
         value = integral_mahler(f, args.p, None if f.is_polynomial() else args.prec)
         precision = None if isinstance(value, Fraction) else value.prec
-    elif args.engine == "riemann":
+    else:
         value = integral_riemann(f, args.p, args.level, precision=args.prec)
         precision = value.prec if isinstance(value, Padic) else None
-    else:
-        if args.tail is None:
-            return _fail("precondition", "wavelet engine needs --tail", EXIT_PRECONDITION)
-        w = wavelet_coeffs(lambda t: f(t), args.p, args.depth)
-        value = integral_wavelet(w, args.tail)
-        precision = value.prec
     _emit({"engine": args.engine, "value": value_to_json(value),
            "precision": precision})
     return EXIT_OK

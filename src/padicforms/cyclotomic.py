@@ -230,10 +230,6 @@ class CyclotomicElement:
         return acc
 
 
-def cyclo_norm(x: CyclotomicElement) -> Fraction:
-    return x.norm()
-
-
 class PadicEmbedding:
     """An embedding Q(zeta_m) -> Q_p given by the image of zeta_m.
 
@@ -286,6 +282,27 @@ class PadicEmbedding:
 
     def __repr__(self) -> str:
         return f"PadicEmbedding(p={self.p}, m={self.m}, root={self.root!r})"
+
+
+def value_to_padic(v: CyclotomicElement | Fraction, p: int, prec: int,
+                   embedding: PadicEmbedding | None = None) -> Padic:
+    """v in Q_p modulo p^prec; an irrational v goes through the embedding.
+
+    The embedding defaults to PadicEmbedding.default(p, v.m, prec).
+    """
+    if isinstance(v, CyclotomicElement):
+        if not v.is_rational():
+            return v.embed(embedding or PadicEmbedding.default(p, v.m, prec), prec)
+        v = v.rational_value()
+    return Padic.from_fraction(v, p, prec)
+
+
+def scale_by_value(x: Padic, c: CyclotomicElement | Fraction,
+                   embedding: PadicEmbedding | None = None) -> Padic:
+    """x * c, with c taken into Q_p two digits beyond x's relative precision."""
+    if isinstance(c, Fraction):
+        return x.mul_fraction(c)
+    return x * value_to_padic(c, x.p, x.relative_precision() + 2, embedding)
 
 
 def _mult_order(a: int, p: int) -> int:

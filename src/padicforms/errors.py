@@ -26,9 +26,5 @@ class IntegralityError(ArithmeticError):
     """
 
 
-class DeltaRuleError(ValueError):
-    """A side condition of a wavelet-decay composition rule is unverifiable."""
-
-
 class DegreeError(DomainError):
     """A constructed rational function does not decay fast enough at infinity."""

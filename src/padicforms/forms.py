@@ -24,8 +24,9 @@ from typing import Optional
 from .arith import (check_prime, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import CyclotomicElement, PadicEmbedding, assert_integral, euler_phi
-from .errors import DegreeError, DomainError, PrecisionError
+from .cyclotomic import (CyclotomicElement, PadicEmbedding, assert_integral, euler_phi,
+                         scale_by_value, value_to_padic)
+from .errors import DegreeError, DomainError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
@@ -65,6 +66,10 @@ class FormParameters:
     def N(self, n: int) -> int:
         """Least integer >= D n of the form p^l (p^m - 1)."""
         return self.p ** self.l * (self.p ** self.digits_exp(n) - 1)
+
+    def rn_degree(self, n: int) -> int:
+        """deg R_n = Q N(n) + 2 + delta - (n+1) s."""
+        return self.Q * self.N(n) + 2 + self.delta - (n + 1) * self.s
 
     @property
     def stride(self) -> int:
@@ -173,7 +178,7 @@ class RnFunction:
         if n < 1:
             raise DomainError("need n >= 1")
         N = params.N(n)
-        degree = params.Q * N + 2 + params.delta - (n + 1) * params.s
+        degree = params.rn_degree(n)
         if degree >= -1:
             raise DegreeError(
                 f"R_n degree {degree} >= -1; the series at infinity does not decay")
@@ -190,8 +195,7 @@ class RnFunction:
         raise AttributeError("RnFunction is immutable")
 
     def degree(self) -> int:
-        return (self.params.Q * self.N + 2 + self.params.delta
-                - (self.n + 1) * self.params.s)
+        return self.params.rn_degree(self.n)
 
     def evaluate(self, t: Fraction) -> Fraction:
         """Exact value of R_n(t); raises at the poles."""
@@ -424,19 +428,12 @@ def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
     pr = rn.params
     if not pr.domain_ok:
         raise DomainError("l too small for integral evaluation at p = 2")
+    if embedding is None and not chi.is_rational_valued():
+        embedding = PadicEmbedding.default(pr.p, chi.field_m, precision + 4)
     acc = Padic.zero(pr.p, precision + 2)
     for j, c in chi_units(chi, pr.D, pr.p):
         term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
-        if isinstance(c, Fraction):
-            if c == -1:
-                term = -term
-            elif c != 1:
-                term = term.mul_fraction(c)
-        else:
-            if embedding is None:
-                embedding = PadicEmbedding.default(pr.p, chi.field_m, precision + 4)
-            term = term * c.embed(embedding, term.relative_precision() + 2)
-        acc = acc + term
+        acc = acc + scale_by_value(term, c, embedding)
     return acc.at_precision(min(acc.prec, precision))
 
 
@@ -554,73 +551,17 @@ def evaluate_form_identity(params: FormParameters, n: int,
 
 def _rhs_from_form(form: LinearFormOverK, chi: DirichletCharacter,
                    target: int) -> Padic:
+    """lambda_0 + sum_i lambda_i L_p(i+1, chi omega^-i); lambda_i is rational for i >= 1."""
     pr = form.params
     p = pr.p
-    acc: Padic
-    lam0 = form.coeffs[0]
-    if isinstance(lam0, Fraction):
-        acc = Padic.from_fraction(lam0, p, target)
-    else:
-        emb = PadicEmbedding.default(p, form.field_m, target + 4)
-        acc = lam0.embed(emb, target)
-    for i in range(1, pr.s + 1):
-        lam = form.coeffs[i]
-        if isinstance(lam, Fraction) and lam == 0:
+    acc = value_to_padic(form.coeffs[0], p, target)
+    for i, lam in enumerate(form.coeffs[1:], start=1):
+        if lam == 0:
             continue
-        v_lam = int(vp(lam, p)) if isinstance(lam, Fraction) else 0
-        need = max(2, target - v_lam)
+        need = max(2, target - int(vp(lam, p)))
         value = lp_value(i + 1, chi, p, pr.l, omega_exp=-i, precision=need)
-        if not isinstance(value, Padic):
-            value = Padic.from_fraction(Fraction(value), p, need)
-        if isinstance(lam, Fraction):
-            term = value.mul_fraction(lam)
-        else:
-            emb = PadicEmbedding.default(p, form.field_m, target + 4)
-            term = value * lam.embed(emb, value.relative_precision() + 2)
-        acc = acc + term
+        acc = acc + value.mul_fraction(lam)
     return acc
-
-
-def per_x_identity(params: FormParameters, n: int, x: Fraction,
-                   digits: int = 20,
-                   table: Optional[PartialFractionTable] = None,
-                   rn: Optional[RnFunction] = None) -> IdentityReport:
-    """Check Int R_n(t+x) = rho_(0,x) + sum_i rho_i (1/i) Int (x+t)^(-i).
-
-    Both sides are pure integrals plus exact rationals; the twist by
-    omega(x)^(-i) is absorbed into the untwisted integral of (x+t)^(-i).
-    """
-    pr = params
-    check_hurwitz_domain(x, pr.p)
-    rn = rn or build_rn(pr, n)
-    table = table or partial_fractions(rn)
-    x = Fraction(x)
-
-    target = per_x_valuation_hint(pr, n) + digits + 6
-    lhs = None
-    for attempt in range(4):
-        lhs = integral_rn_shifted(rn, x, target, table)
-        if not lhs.is_zero_at_precision():
-            break
-        target *= 2
-    if lhs.is_zero_at_precision():
-        raise PrecisionError("left side vanished at every attempted precision")
-    nu = int(lhs.valuation())
-    if lhs.prec < nu + digits + 2:
-        target = nu + digits + 2
-        lhs = integral_rn_shifted(rn, x, target, table)
-
-    acc = Padic.from_fraction(rho_zero(table, x), pr.p, target)
-    for i in range(1, pr.s + 1):
-        rho = rho_higher(table, i)
-        if rho == 0:
-            continue
-        w = Q(rho, i)
-        v_w = int(vp(w, pr.p))
-        need = max(2, target - v_w)
-        integral = integral_pole_power(x, i, pr.p, need)
-        acc = acc + integral.mul_fraction(w)
-    return _identity_report(lhs, acc.at_precision(min(acc.prec, lhs.prec)))
 
 
 # -- Hurwitz-variant forms -----------------------------------------------------------------

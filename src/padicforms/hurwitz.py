@@ -8,30 +8,14 @@ from typing import Optional, Union
 
 from .arith import bernoulli_poly, check_prime, vp
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import CyclotomicElement, PadicEmbedding
+from .cyclotomic import CyclotomicElement, PadicEmbedding, scale_by_value, value_to_padic
 from .errors import DomainError
-from .padic import Padic, angle, phi_qp, qp, teichmuller, teichmuller_ext
+from .padic import Padic, angle, phi_qp, teichmuller, teichmuller_ext
 from .volkenborn import check_hurwitz_domain, integral_pole_power
 
 Q = Fraction
 
 LValue = Union[Fraction, CyclotomicElement, Padic]
-
-
-@dataclass(frozen=True)
-class HurwitzArg:
-    """A Hurwitz argument in the p-adic domain |x|_p >= q_p."""
-
-    x: Fraction
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        check_hurwitz_domain(self.x, self.p)
-
-    @property
-    def qp(self) -> int:
-        return qp(self.p)
 
 
 @dataclass(frozen=True)
@@ -232,26 +216,13 @@ def _lp_nonpositive(i, chi, p, D, omega_exp, precision, embedding) -> LValue:
     # mixed path: assemble p-adically at the requested precision
     guard = precision + 6
     acc = Padic.zero(p, guard)
-    acc = acc + _value_to_padic(rational_total, p, guard, embedding, chi)
+    acc = acc + value_to_padic(rational_total, p, guard, embedding)
     for c, b, j in padic_terms:
         w = teichmuller(Q(j), p, guard) ** e_res
         term = w.mul_fraction(b)
-        cv = _value_to_padic(c, p, guard, embedding, chi)
-        acc = acc + term * cv
+        acc = acc + term * value_to_padic(c, p, guard, embedding)
     return acc.mul_fraction(scale).at_precision(
         min(precision, acc.prec + int(vp(scale, p))))
-
-
-def _value_to_padic(v: CharValue, p: int, prec: int,
-                    embedding: Optional[PadicEmbedding],
-                    chi: DirichletCharacter) -> Padic:
-    if isinstance(v, Fraction):
-        return Padic.from_fraction(v, p, prec)
-    if v.is_rational():
-        return Padic.from_fraction(v.rational_value(), p, prec)
-    if embedding is None:
-        embedding = PadicEmbedding.default(p, chi.field_m, prec)
-    return v.embed(embedding, prec)
 
 
 def _lp_positive(i, chi, p, D, omega_exp, precision, embedding) -> Padic:
@@ -270,14 +241,6 @@ def _lp_positive(i, chi, p, D, omega_exp, precision, embedding) -> Padic:
             term = term * wp
         elif w == -1:
             term = -term
-        if isinstance(c, Fraction):
-            if c == -1:
-                term = -term
-            elif c != 1:
-                term = term.mul_fraction(c)
-        else:
-            term = term * _value_to_padic(c, p, term.relative_precision() + 2,
-                                          embedding, chi)
-        acc = acc + term
+        acc = acc + scale_by_value(term, c, embedding)
     out = acc.mul_fraction(Q(1, D) ** i)
     return out.at_precision(min(out.prec, precision))

@@ -308,23 +308,29 @@ class RationalFunction:
     def den_factorization(self) -> tuple[Fraction, dict[Fraction, int]]:
         """Factor the denominator as lc * prod (t - c)^e over rational roots.
 
-        Raises NonSplitDenominator if an irreducible factor of degree > 1
-        remains after all rational roots are removed.
+        Roots are sought in the square-free part P / gcd(P, P'), which is
+        linear for a single pole of any order; each multiplicity is then
+        read by dividing P. Raises NonSplitDenominator if an irreducible
+        factor of degree > 1 remains after all rational roots are removed.
         """
-        content, ints = self.den.content_primitive()
-        prim = Poly(ints)
+        rest = self.den
+        square_free = _primitive(rest.divmod(_monic_gcd(rest, rest.derivative()))[0])
         roots: dict[Fraction, int] = {}
-        while prim.degree() > 0:
-            root = _one_rational_root(prim)
+        while square_free.degree() > 0:
+            if square_free.degree() == 1:
+                root = -square_free[0] / square_free[1]
+            else:
+                root = _one_rational_root(square_free)
             if root is None:
                 raise NonSplitDenominator(
                     "denominator has an irreducible factor of degree > 1 over Q")
-            quot, rem = prim.divmod(Poly([-root, 1]))
-            assert rem.is_zero()
-            roots[root] = roots.get(root, 0) + 1
-            prim = quot
-        lc = content * prim.leading()
-        return lc, roots
+            lin = Poly([-root, 1])
+            square_free = _primitive(square_free.divmod(lin)[0])
+            roots[root] = 0
+            while (division := rest.divmod(lin))[1].is_zero():
+                rest = division[0]
+                roots[root] += 1
+        return self.den.leading(), roots
 
     def partial_fractions(self) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
         """Exact partial fraction decomposition over Q.
@@ -351,6 +357,17 @@ class RationalFunction:
             # coefficient of u^(e-i) is the weight of (t-c)^(-i)
             terms[c] = [expansion[e - i] for i in range(1, e + 1)]
         return poly_part, terms
+
+
+def _primitive(poly: Poly) -> Poly:
+    return Poly(poly.content_primitive()[1])
+
+
+def _monic_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a != 0 and b over Q, by Euclid's algorithm."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.scale(1 / a.leading())
 
 
 def _one_rational_root(prim: Poly) -> Fraction | None:

@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import factorial_valuation, lcm_upto, multinomial_packed, vp, vp_int
+from .arith import multinomial_packed, vp
 from .characters import DirichletCharacter
 from .errors import DomainError, PrecisionError
 from .forms import (FormParameters, PartialFractionTable, RnFunction, build_rn,
-                    chi_weighted_integral_sum, choose_params, integral_rn_shifted,
-                    lambda_form, partial_fractions, rho_higher, rho_zero,
-                    valuation_formula_rhs)
+                    chi_weighted_integral_sum, choose_params, form_scale,
+                    integral_rn_shifted, lambda_form, partial_fractions,
+                    rho_higher, rho_zero, valuation_formula_rhs)
 from .lambertw import Interval, ln_interval
 from .padic import Padic
 
@@ -308,8 +308,7 @@ def form_sequence(params: FormParameters, chi: DirichletCharacter,
         rn = build_rn(pr, n)
         table = partial_fractions(rn)
         form = lambda_form(pr, table, chi)
-        vC = factorial_valuation(pr.s - 1, pr.p) \
-            + (pr.s - 1) * int(vp_int(lcm_upto(n), pr.p))
+        vC = int(vp(form_scale(pr.s, n), pr.p))
         predicted = valuation_formula_rhs(pr, n, chi)
         S = chi_weighted_integral_sum(rn, chi, predicted + margin, table=table)
         if S.is_zero_at_precision():

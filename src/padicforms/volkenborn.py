@@ -1,13 +1,11 @@
-"""Volkenborn integration: Riemann sums, van der Put wavelets, a certified Mahler
-engine, and the Bernoulli series of a single pole.
+"""Volkenborn integration: Riemann sums, a certified Mahler engine, and the
+Bernoulli series of a single pole.
 
-The integral of f over Z_p is the limit of p^-n sum_{k < p^n} f(k). Four
+The integral of f over Z_p is the limit of p^-n sum_{k < p^n} f(k). Three
 engines compute it here:
 
 * integral_riemann: the exact level-n partial sum (diagnostic; its error is
   certified only through the constant wavelet tail bound).
-* integral_wavelet: sums a_k p^-l(k) over a truncated wavelet expansion with
-  a caller-supplied tail bound.
 * integral_mahler: the general path for rational functions without poles
   in Z_p. It computes Mahler coefficients c_m = (forward differences at 0)
   exactly, sums c_m (-1)^m / (m+1), and certifies the truncation error from
@@ -24,6 +22,12 @@ engines compute it here:
   vp(B_j) >= -1 (von Staudt-Clausen), term j has valuation at least
   (k+j) h - 1, so stopping at the first J with (k+J) h - 1 >= precision
   leaves a tail divisible by p^precision.
+
+The van der Put (wavelet) expansion stays as the exact form of a Riemann
+sum: the level-n sum equals the depth-n wavelet partial integral.
+rational_wavelet_tail_bound bounds every wavelet term by one constant,
+(i+1) h - 1, whatever the depth, so it certifies the Riemann sums but
+cannot drive an engine of its own.
 """
 
 from __future__ import annotations
@@ -104,17 +108,6 @@ def wavelet_coeffs(f: Callable[[int], Fraction], p: int, depth: int) -> WaveletE
         _, kminus = vdp_data(k, p)
         coeffs.append(values[k] - values[kminus])
     return WaveletExpansion(p=p, depth=depth, coeffs=tuple(coeffs))
-
-
-def integral_wavelet(w: WaveletExpansion, tail_bound: int) -> Padic:
-    """Integral from a truncated wavelet expansion.
-
-    tail_bound must lower-bound vp(a_k) - l(k) for every k >= p^depth; the
-    returned value is then correct modulo p^tail_bound.
-    """
-    if tail_bound is None:
-        raise DomainError("a certified tail bound is required")
-    return Padic.from_fraction(w.integral_partial(), w.p, tail_bound)
 
 
 # -- Riemann-sum engine ----------------------------------------------------------

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import padicforms
 from padicforms.cli import dispatch
 from padicforms.cyclotomic import CyclotomicElement
 from padicforms.jsonio import (cyclotomic_from_json, cyclotomic_to_json, dumps,
                                rational_from_json, rational_to_json)
 from padicforms.padic import Padic
+from padicforms.volkenborn import integral_pole_power
 
 
 def run_cli(capsys, argv):
@@ -48,13 +54,27 @@ def test_integrate_engines(capsys):
                                     "--engine", "riemann", "--level", "4",
                                     "--prec", "6"])
     assert code == 0
-    code, out, _ = run_cli(capsys, ["integrate", "--expr", "t^2", "--p", "5",
-                                    "--engine", "wavelet", "--depth", "2",
-                                    "--tail", "1"])
-    assert code == 0
     # polynomial via mahler is exact
     code, out, _ = run_cli(capsys, ["integrate", "--expr", "t^2", "--p", "5"])
     assert json.loads(out)["value"] == {"num": "1", "den": "6"}
+
+
+@pytest.mark.parametrize("x, k, p, prec", [
+    (Q(1, 10 ** 24), 1, 2, 8),
+    (Q(1, 10 ** 24), 1, 2, 40),
+    (Q(1, 5), 100, 5, 20),
+], ids=["huge-denominator-prec8", "huge-denominator-prec40", "order-100"])
+def test_integrate_huge_denominator_and_high_order_pole(x, k, p, prec):
+    # a subprocess with a timeout, so that a slow root search fails the test
+    # instead of hanging the suite
+    src = str(Path(padicforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "padicforms.cli", "integrate",
+            "--expr", f"({x}+t)^-{k}", "--p", str(p), "--prec", str(prec)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == integral_pole_power(x, k, p, prec).to_json()
 
 
 def test_integrate_domain_violation_exit3(capsys):
@@ -111,12 +131,6 @@ def test_json_object_character_malformed_exit3(capsys):
                                           "--character", spec])
         assert code == 3 and not out
         assert json.loads(err)["error"] == "precondition"
-
-
-def test_wavelet_requires_tail(capsys):
-    code, _, err = run_cli(capsys, ["integrate", "--expr", "t", "--p", "2",
-                                    "--engine", "wavelet"])
-    assert code == 3 and "tail" in json.loads(err)["detail"]
 
 
 def test_unknown_flag_exit2(capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from padicforms.cyclotomic import (CyclotomicElement, PadicEmbedding,
-                                   cyclotomic_polynomial, euler_phi, resultant)
+                                   cyclotomic_polynomial, euler_phi, resultant,
+                                   scale_by_value, value_to_padic)
 from padicforms.errors import EmbeddingError, IntegralityError
 from padicforms.cyclotomic import assert_integral
 from padicforms.padic import Padic, teichmuller
@@ -102,3 +103,22 @@ def test_assert_integral():
         assert_integral(Q(1, 2), "bad")
     with pytest.raises(IntegralityError):
         assert_integral(CyclotomicElement(4, [Q(1, 3), 0]), "bad")
+
+
+def test_scale_by_value_paths():
+    p = 5
+    emb = PadicEmbedding.default(p, 4, 20)
+    i = CyclotomicElement.zeta(4)
+    for x in (Padic.from_fraction(Q(7, 25), p, 12), Padic.from_fraction(Q(3), p, 9),
+              Padic.zero(p, 6)):
+        assert scale_by_value(x, Q(1)) == x
+        assert scale_by_value(x, Q(-1)) == -x
+        assert scale_by_value(x, Q(2, 5)) == x.mul_fraction(Q(2, 5))
+        # a rational element of Q(i) scales like its rational value
+        assert scale_by_value(x, CyclotomicElement.from_rational(-1, 4)) == -x
+        for c in (i, -i, i + 2):
+            want = x * c.embed(emb, x.relative_precision() + 2)
+            assert scale_by_value(x, c) == want
+            assert scale_by_value(x, c, emb) == want
+    assert value_to_padic(Q(3, 5), p, 4) == Padic.from_fraction(Q(3, 5), p, 4)
+    assert value_to_padic(i, p, 8) == i.embed(emb, 8)

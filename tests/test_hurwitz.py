@@ -4,9 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from padicforms.arith import vp
-from padicforms.characters import quadratic_character, trivial_character, gen_bernoulli
+from padicforms.characters import (char_make, gen_bernoulli, quadratic_character,
+                                   trivial_character)
+from padicforms.cyclotomic import CyclotomicElement, value_to_padic
 from padicforms.errors import DomainError
-from padicforms.hurwitz import (HurwitzArg, lp_value, reduce_to_unit_interval,
+from padicforms.hurwitz import (check_hurwitz_domain, lp_value, reduce_to_unit_interval,
                                 zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
 from padicforms.padic import Padic
 from padicforms.polynomials import Poly, RationalFunction
@@ -14,12 +16,12 @@ from padicforms.volkenborn import integral_riemann
 
 
 def test_domain_validation():
-    HurwitzArg(Q(1, 5), 5)
-    HurwitzArg(Q(3, 4), 2)
+    check_hurwitz_domain(Q(1, 5), 5)
+    check_hurwitz_domain(Q(3, 4), 2)
     with pytest.raises(DomainError):
-        HurwitzArg(Q(1, 2), 2)  # |x|_2 = 2 < 4
+        check_hurwitz_domain(Q(1, 2), 2)  # |x|_2 = 2 < 4
     with pytest.raises(DomainError):
-        HurwitzArg(Q(2, 3), 5)  # |x|_5 = 1
+        check_hurwitz_domain(Q(2, 3), 5)  # |x|_5 = 1
     with pytest.raises(DomainError):
         zeta_p_pos(1, Q(1, 5), 5, 4)
 
@@ -152,3 +154,29 @@ def test_lp_value_irrational_omega_power():
 def test_lp_value_rejects_i_one():
     with pytest.raises(DomainError):
         lp_value(1, trivial_character(), 5, l=1)
+
+
+def _quartic_character():
+    """The order-4 character mod 5 with chi(2) = i."""
+    i = CyclotomicElement.zeta(4)
+    return char_make(5, {1: CyclotomicElement.one(4), 2: i, 3: -i,
+                         4: CyclotomicElement.from_rational(-1, 4)})
+
+
+def test_lp_value_quartic_character_l_stability():
+    # the default embedding sends chi(2) = i to omega(2), so chi = omega there
+    # and each value is also an L-value of the trivial character
+    chi, triv = _quartic_character(), trivial_character()
+    for i, omega_exp, triv_exp in ((2, None, 0), (3, 1, 2), (-1, 1, 2)):
+        a, b, c = (value_to_padic(v, 5, 10) if not isinstance(v, Padic) else v
+                   for v in (lp_value(i, chi, 5, 1, omega_exp=omega_exp, precision=10),
+                             lp_value(i, chi, 5, 2, omega_exp=omega_exp, precision=10),
+                             lp_value(i, triv, 5, 1, omega_exp=triv_exp, precision=10)))
+        assert a.prec == 10 and a == b == c, (i, omega_exp)
+
+
+def test_lp_value_quartic_character_interpolation():
+    # chi(5) = 0, so L_p(1-n, chi omega^n) = -B_(n,chi)/n with no Euler factor
+    chi = _quartic_character()
+    for i in (-1, -2, -3):
+        assert lp_value(i, chi, 5, 1) == -gen_bernoulli(1 - i, chi) / (1 - i)

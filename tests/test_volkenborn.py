@@ -11,7 +11,7 @@ from padicforms.errors import DomainError
 from padicforms.padic import Padic
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
 from padicforms.volkenborn import (PoleData, integral_mahler, integral_pole_power,
-                                   integral_riemann, integral_wavelet, mahler_coefficients,
+                                   integral_riemann, mahler_coefficients,
                                    mahler_error_valuation, rational_wavelet_tail_bound,
                                    translate_integral, vdp_data, vdp_length,
                                    wavelet_coeffs)
@@ -47,17 +47,14 @@ def test_wavelet_coeffs_and_reconstruction():
 
 def test_integral_wavelet():
     w = wavelet_coeffs(lambda t: Q(5, 3), 7, 1)
-    out = integral_wavelet(w, 12)
-    assert out.agrees(Padic.from_fraction(Q(5, 3), 7, 12))
+    assert w.integral_partial() == Q(5, 3)
     # a single basis element chi_k integrates to p^-l(k)
     w5 = wavelet_coeffs(lambda t: Q(1 if t % 8 == 5 else 0), 2, 3)
     assert w5.integral_partial() == Q(1, 8)
-    # truncations of binom(t, 1) = t approach -1/2 with tail bound -1
+    # truncations of binom(t, 1) = t approach -1/2
     for depth in (2, 4, 6):
         w = wavelet_coeffs(lambda t: Q(t), 2, depth)
         assert w.integral_partial() == Q(2 ** depth - 1, 2)  # = -1/2 + 2^depth/2
-        out = integral_wavelet(w, -1)
-        assert out.agrees(Padic.from_fraction(Q(-1, 2), 2, out.prec))
 
 
 def test_integral_riemann_exact_examples():
