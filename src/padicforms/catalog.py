@@ -66,7 +66,7 @@ class InstanceWorkspace:
         return lambda_form(self.params, self.table, self.chi)
 
 
-def run_catalog(digits: int = 20, include_slow: bool = True) -> Iterator[CheckReport]:
+def run_catalog(digits: int = 20) -> Iterator[CheckReport]:
     """Execute every catalog check, sharing tables per instance."""
     for inst in CATALOG:
         ws = InstanceWorkspace(inst)
@@ -94,15 +94,14 @@ def run_catalog(digits: int = 20, include_slow: bool = True) -> Iterator[CheckRe
                 yield check_chi_congruence(pr, n, j, range(64))
         yield growth_bound_check(pr, n, table=ws.table)
         yield integrality_check(ws)
-        if include_slow:
-            t0 = time.monotonic()
-            rep = evaluate_form_identity(pr, n, ws.chi, digits=digits,
-                                         table=ws.table, rn=ws.rn)
-            yield _report("form-identity",
-                          {"key": inst.key, "p": inst.p, "s": inst.s, "n": n},
-                          f">= {digits} significant digits",
-                          f"{rep.relative_digits} digits, agrees: {rep.agrees}",
-                          rep.agrees and rep.relative_digits >= digits, t0)
+        t0 = time.monotonic()
+        rep = evaluate_form_identity(pr, n, ws.chi, digits=digits,
+                                     table=ws.table, rn=ws.rn)
+        yield _report("form-identity",
+                      {"key": inst.key, "p": inst.p, "s": inst.s, "n": n},
+                      f">= {digits} significant digits",
+                      f"{rep.relative_digits} digits, agrees: {rep.agrees}",
+                      rep.agrees and rep.relative_digits >= digits, t0)
     mini = InstanceWorkspace(MINI_DESK)
     yield growth_bound_check(mini.params, MINI_DESK.n, table=mini.table)
     yield integrality_check(mini)

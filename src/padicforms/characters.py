@@ -251,9 +251,7 @@ class ChiPadicData:
     b_head: CharValue
 
 
-def chi_padic_data(chi: DirichletCharacter, p: int,
-                   embedding: PadicEmbedding | None = None,
-                   prec: int = 40) -> ChiPadicData:
+def chi_padic_data(chi: DirichletCharacter, p: int) -> ChiPadicData:
     """Split the conductor at p and set r = floor(vp(B_(2+delta,chi))) + 1."""
     check_prime(p)
     cond = chi.conductor
@@ -267,14 +265,11 @@ def chi_padic_data(chi: DirichletCharacter, p: int,
     elif b.is_rational():
         nu = vp(b.rational_value(), p)
     else:
-        if embedding is None:
-            embedding = PadicEmbedding.default(p, chi.field_m, prec)
-        for attempt in range(3):
-            image = b.embed(embedding, prec * (2 ** attempt))
+        for prec in (40, 80, 160):
+            image = b.embed(PadicEmbedding.default(p, chi.field_m, prec), prec)
             if not image.is_zero_at_precision():
                 nu = image.valuation()
                 break
-            embedding = PadicEmbedding.default(p, chi.field_m, prec * 2 ** (attempt + 1))
         else:
             raise EmbeddingError("could not resolve vp of the head Bernoulli number")
     return ChiPadicData(d_prime=d_prime, l0=l0, r=int(math.floor(nu)) + 1, b_head=b)

@@ -4,8 +4,9 @@ R_n(t) = n!^s * packedmultinomial(N, n)^Q * binom(Dt + N, N)^Q * (Dt)^(2+delta) 
 
 has poles of order s at 0, -1, ..., -n. Its partial fraction coefficients
 r_(i,k) are extracted per pole from a truncated power series of
-R_n(t) (t+k)^s (polynomial shift plus series inversion, never iterated
-symbolic differentiation). The coefficients
+R_n(t) (t+k)^s: a polynomial shift, then each factor's power (negative for
+the cofactor (t)_(n+1) / (t+k)) by one series_pow recurrence, never iterated
+symbolic differentiation. The coefficients
 
     rho_i = i * sum_k r_(i,k)                (independent of any argument x)
     rho_(0,x) = -sum_(i,k) sum_(v<k) i r_(i,k) (v+x)^(-i-1)
@@ -30,7 +31,7 @@ from .errors import DegreeError, DomainError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
-from .polynomials import Poly, series_inv, series_mul, series_pow, series_trunc
+from .polynomials import Poly, series_mul, series_pow, series_trunc
 from .volkenborn import PoleData, integral_mahler, integral_pole_power, vdp_length
 
 Q = Fraction
@@ -109,8 +110,8 @@ class FormParameters:
 
 
 def choose_params(chi: DirichletCharacter, p: int, s: int,
-                  epsilon: Fraction | None = None, l: Optional[int] = None,
-                  embedding: Optional[PadicEmbedding] = None) -> FormParameters:
+                  epsilon: Fraction | None = None,
+                  l: Optional[int] = None) -> FormParameters:
     """Fix (r, l, Q, D) for the L-value family attached to chi at p.
 
     l defaults to the Lambert-W depth, floored at max(1, l0) and at 2 when
@@ -119,7 +120,7 @@ def choose_params(chi: DirichletCharacter, p: int, s: int,
     the result, not enforced here.
     """
     check_prime(p)
-    data = chi_padic_data(chi, p, embedding)
+    data = chi_padic_data(chi, p)
     ell = None
     if epsilon is not None:
         ell = ell_param(s, Q(epsilon), data.d_prime, data.r, p)
@@ -257,8 +258,7 @@ class RnFunction:
             mono = Poly([-pr.D * k, pr.D]) ** self.mono_exp
             out = series_mul(out, series_trunc(mono.coeffs, L), L)
         cof = Poly.from_roots([k - j for j in range(self.n + 1) if j != k])
-        out = series_mul(out, series_pow(series_inv(series_trunc(cof.coeffs, L), L),
-                                         pr.s, L), L)
+        out = series_mul(out, series_pow(cof.coeffs, -pr.s, L), L)
         return out
 
 
@@ -354,7 +354,6 @@ class LinearFormOverK:
     params: FormParameters
     n: int
     field_m: int
-    omega_base: Optional[int] = None  # Hurwitz mode: coefficient i carries omega(j0)^-i
 
     @property
     def s(self) -> int:
@@ -422,14 +421,13 @@ def integral_rn_shifted(rn: RnFunction, x: Fraction, precision: int,
 
 def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
                               precision: int,
-                              embedding: Optional[PadicEmbedding] = None,
                               table: Optional[PartialFractionTable] = None) -> Padic:
     """sum over units j mod D of chi(j) * integral of R_n(t + j/D)."""
     pr = rn.params
     if not pr.domain_ok:
         raise DomainError("l too small for integral evaluation at p = 2")
-    if embedding is None and not chi.is_rational_valued():
-        embedding = PadicEmbedding.default(pr.p, chi.field_m, precision + 4)
+    embedding = (None if chi.is_rational_valued()
+                 else PadicEmbedding.default(pr.p, chi.field_m, precision + 4))
     acc = Padic.zero(pr.p, precision + 2)
     for j, c in chi_units(chi, pr.D, pr.p):
         term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
@@ -579,10 +577,6 @@ class HurwitzFormReport:
     coeffs_rational: tuple[Fraction, ...]  # lambda_i / omega(j0)^(-i)
     omega_rational: Optional[Fraction]     # omega(j0) when rational, else None
     identity: IdentityReport
-
-    def coefficient(self, i: int) -> Fraction:
-        """The rational part of tilde lambda_i (exact when omega(j0) = +-1)."""
-        return self.coeffs_rational[i]
 
 
 def hurwitz_variant_form(p: int, x: Fraction, s: int,

@@ -224,9 +224,6 @@ class RateFit:
     tau_p_hat: float      # slope of -log |Lambda(1, theta)|_p against sigma(n)
     points: tuple
 
-    def dimension_estimate(self) -> float:
-        return self.tau_p_hat / self.tau_hat if self.tau_hat else math.inf
-
 
 def fit_rates(points: Sequence[tuple[int, float, float]], p: int) -> RateFit:
     """points: (sigma, log H_K, vp of Lambda(1, theta)).

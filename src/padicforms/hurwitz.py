@@ -161,8 +161,7 @@ def _omega_power_exact(j: int, e: int, p: int) -> Optional[int]:
 
 
 def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
-             omega_exp: Optional[int] = None, precision: int = 20,
-             embedding: Optional[PadicEmbedding] = None) -> LValue:
+             omega_exp: Optional[int] = None, precision: int = 20) -> LValue:
     """L_p(i, chi * omega^omega_exp) from Hurwitz zeta values at j/D, D = d' p^l.
 
     The default twist omega_exp = 1 - i matches the interpolation branch.
@@ -187,11 +186,11 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     D = data.d_prime * p ** l
 
     if i <= 0:
-        return _lp_nonpositive(i, chi, p, D, omega_exp, precision, embedding)
-    return _lp_positive(i, chi, p, D, omega_exp, precision, embedding)
+        return _lp_nonpositive(i, chi, p, D, omega_exp, precision)
+    return _lp_positive(i, chi, p, D, omega_exp, precision)
 
 
-def _lp_nonpositive(i, chi, p, D, omega_exp, precision, embedding) -> LValue:
+def _lp_nonpositive(i, chi, p, D, omega_exp, precision) -> LValue:
     n = 1 - i
     e_res = (omega_exp - n) % phi_qp(p)
     bn = bernoulli_poly(n)
@@ -215,6 +214,8 @@ def _lp_nonpositive(i, chi, p, D, omega_exp, precision, embedding) -> LValue:
         return out
     # mixed path: assemble p-adically at the requested precision
     guard = precision + 6
+    embedding = (None if chi.is_rational_valued()
+                 else PadicEmbedding.default(p, chi.field_m, guard))
     acc = Padic.zero(p, guard)
     acc = acc + value_to_padic(rational_total, p, guard, embedding)
     for c, b, j in padic_terms:
@@ -225,14 +226,18 @@ def _lp_nonpositive(i, chi, p, D, omega_exp, precision, embedding) -> LValue:
         min(precision, acc.prec + int(vp(scale, p))))
 
 
-def _lp_positive(i, chi, p, D, omega_exp, precision, embedding) -> Padic:
+def _lp_positive(i, chi, p, D, omega_exp, precision) -> Padic:
     e_res = (omega_exp + i - 1) % phi_qp(p)
     order = i - 1
     v_shift = -i * int(vp(Q(D), p))  # valuation of D^-i
+    target = precision - v_shift + int(vp(Q(order), p)) + 4
+    # scale_by_value embeds c two digits beyond a term's relative precision,
+    # which is at most target
+    embedding = (None if chi.is_rational_valued()
+                 else PadicEmbedding.default(p, chi.field_m, target + 2))
     acc = Padic.zero(p, precision - v_shift + 4)
     for j, c in chi_units(chi, D, p):
         x = Q(j, D)
-        target = precision - v_shift + int(vp(Q(order), p)) + 4
         integral = integral_pole_power(x, order, p, target)
         term = integral.mul_fraction(Q(1, order))
         w = _omega_power_exact(j, e_res, p)

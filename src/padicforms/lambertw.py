@@ -1,15 +1,14 @@
-"""Lambert-W based depth selection, with the integer floor certified exactly.
+"""Lambert-W depth selection as an exact integer floor.
 
-The float Newton iteration only proposes a candidate; the floor is then
-proved by comparing the exact rational argument against a e^a at the two
-neighboring integers, using rational upper and lower bounds for logarithms
-(atanh series with an explicit tail bound). Ambiguous comparisons widen
-the series until they resolve.
+W is increasing and W(y) >= a exactly when y >= a e^a, so
+floor(W(y) / (2 ln p)) is the largest k >= 0 with y >= (2k ln p) p^(2k).
+Each comparison is decided exactly with rational upper and lower bounds
+for ln p (atanh series with an explicit tail bound); a comparison the
+bounds leave open widens the series until it resolves. No float enters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,26 +87,8 @@ def _ln_series(x: Fraction, terms: int) -> Interval:
     return Interval(lo, lo + tail)
 
 
-def lambert_w_float(y: float) -> float:
-    """W(y) for y > 0 by Newton iteration in double precision."""
-    if y <= 0:
-        raise DomainError("need y > 0")
-    w = math.log1p(y)
-    if y > math.e:
-        w = math.log(y) - math.log(math.log(y))
-    for _ in range(60):
-        ew = math.exp(w)
-        step = (w * ew - y) / (ew * (w + 1))
-        w -= step
-        if abs(step) < 1e-14 * max(1.0, abs(w)):
-            break
-    return w
-
-
 def _ge_a_exp_a(y: Fraction, k: int, p: int, terms: int) -> bool | None:
-    """Decide y >= (2k ln p) p^(2k); None while the bounds are too loose."""
-    if k <= 0:
-        return True
+    """Decide y >= (2k ln p) p^(2k) for k >= 1; None while the bounds are too loose."""
     lnp = ln_interval(p, terms)
     scale = 2 * k * Q(p) ** (2 * k)
     lo, hi = lnp.lo * scale, lnp.hi * scale
@@ -119,31 +100,23 @@ def _ge_a_exp_a(y: Fraction, k: int, p: int, terms: int) -> bool | None:
 
 
 def ell_param(s: int, epsilon: Fraction, d_prime: int, r: int, p: int) -> int:
-    """floor( W(2 s epsilon / (3 d' p^(r+2))) / (2 ln p) ), certified.
+    """floor( W(y) / (2 ln p) ) with y = 2 s epsilon / (3 d' p^(r+2)), exactly.
 
-    Interprets the outcome as a depth >= 0; raises PrecisionError if the
-    comparison sits exactly on an integer boundary (not attainable for a
-    rational argument in practice).
+    The largest k >= 0 with y >= (2k ln p) p^(2k): k steps up from 0 while
+    the next comparison holds.
     """
     epsilon = Q(epsilon)
     if s < 1 or epsilon <= 0:
         raise DomainError("need s >= 1 and epsilon > 0")
     y = 2 * s * epsilon / (3 * d_prime * Q(p) ** (r + 2))
-    w = lambert_w_float(float(y))
-    guess = max(0, int(w / (2 * math.log(p))))
-    for k in (guess - 1, guess, guess + 1):
-        if k < 0:
-            continue
-        terms = 24
-        while terms <= 3100:
-            low_ok = _ge_a_exp_a(y, k, p, terms)
-            high_ok = _ge_a_exp_a(y, k + 1, p, terms)
-            if low_ok is None or high_ok is None:
-                terms *= 2
-                continue
-            break
+    k, terms = 0, 24
+    while True:
+        above = _ge_a_exp_a(y, k + 1, p, terms)
+        if above is None:
+            terms *= 2
+            if terms > 3100:
+                raise PrecisionError("log bounds did not converge")
+        elif above:
+            k += 1
         else:
-            raise PrecisionError("log bounds did not converge")
-        if low_ok is True and high_ok is False:
             return k
-    raise PrecisionError("Lambert floor sits on an integer boundary")

@@ -192,33 +192,31 @@ def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], L: int) -> list[Fra
 
 
 def series_inv(a: Sequence[Fraction], L: int) -> list[Fraction]:
-    """Multiplicative inverse of a series with a[0] != 0, to length L."""
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no inverse: constant term vanishes")
-    inv0 = 1 / a[0]
-    out = [Q(0)] * L
-    out[0] = inv0
-    for k in range(1, L):
-        acc = Q(0)
-        top = min(k, len(a) - 1)
-        for j in range(1, top + 1):
-            if a[j]:
-                acc += a[j] * out[k - j]
-        out[k] = -inv0 * acc
-    return out
+    """Inverse of a series with a[0] != 0 to length L: series_pow(a, -1, L)."""
+    return series_pow(a, -1, L)
 
 
 def series_pow(a: Sequence[Fraction], e: int, L: int) -> list[Fraction]:
-    if e < 0:
-        return series_pow(series_inv(a, L), -e, L)
-    out = series_trunc([Q(1)], L)
-    base = series_trunc(a, L)
-    while e:
-        if e & 1:
-            out = series_mul(out, base, L)
-        base = series_mul(base, base, L)
-        e >>= 1
-    return out
+    """a^e to length L for any integer e, by one recurrence.
+
+    Write a = u^v b with b[0] != 0. Then g = b^e satisfies b g' = e b' g,
+    so m b[0] g[m] = sum_(k=1..m) ((e+1) k - m) b[k] g[m-k] (Knuth, TAOCP
+    vol. 2, 4.7), and a^e is g shifted by v e. A power of a degree-d
+    polynomial costs O(L d) products. A negative power of a series with
+    a[0] = 0 raises ZeroDivisionError.
+    """
+    if e < 0 and (not a or a[0] == 0):
+        raise ZeroDivisionError("series has no inverse: constant term vanishes")
+    v = next((k for k, c in enumerate(a[:L]) if c), None)
+    if v is None:  # a vanishes to length L, and 0^0 = 1
+        return series_trunc([Q(1)] if e == 0 else [], L)
+    b, shift = a[v:v + L], min(v * e, L)
+    g = [Q(b[0]) ** e]
+    for m in range(1, L - shift):
+        top = min(m, len(b) - 1)
+        acc = sum((((e + 1) * k - m) * b[k] * g[m - k] for k in range(1, top + 1) if b[k]), Q(0))
+        g.append(acc / (m * b[0]))
+    return [Q(0)] * shift + g[:L - shift]
 
 
 # -- rational functions ----------------------------------------------------
@@ -344,16 +342,14 @@ class RationalFunction:
         poly_part, _ = self.num.divmod(self.den)
         terms: dict[Fraction, list[Fraction]] = {}
         for c, e in roots.items():
-            # cofactor lc * prod_{c' != c} (u + (c - c'))^{e'}, expanded in u = t - c
+            # 1 / (lc * prod_{c' != c} (u + c - c')^{e'}), expanded in u = t - c
             L = e
-            cof = series_trunc([lc], L)
+            inv_cof = series_trunc([1 / lc], L)
             for c2, e2 in roots.items():
-                if c2 == c:
-                    continue
-                lin = series_trunc([c - c2, Q(1)], L)
-                cof = series_mul(cof, series_pow(lin, e2, L), L)
+                if c2 != c:
+                    inv_cof = series_mul(inv_cof, series_pow([c - c2, Q(1)], -e2, L), L)
             num_series = series_trunc(self.num.shift(c).coeffs, L)
-            expansion = series_mul(num_series, series_inv(cof, L), L)
+            expansion = series_mul(num_series, inv_cof, L)
             # coefficient of u^(e-i) is the weight of (t-c)^(-i)
             terms[c] = [expansion[e - i] for i in range(1, e + 1)]
         return poly_part, terms

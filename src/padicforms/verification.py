@@ -91,7 +91,7 @@ def check_chi_congruence(params: FormParameters, n: int, j: int,
 
 
 def check_fj_integral(params: FormParameters, n: int, j: int,
-                      margin: int = 6, rn: Optional[RnFunction] = None,
+                      rn: Optional[RnFunction] = None,
                       table: Optional[PartialFractionTable] = None) -> CheckReport:
     """integral of f_j = j^(2+delta) p^(-m) mod p^(-m+l+r).
 
@@ -113,7 +113,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
     v_scale = int(vp(scale, pr.p))
     m = pr.digits_exp(n)
     modulus = -m + pr.l + pr.r
-    target = modulus + margin
+    target = modulus + 6
     integral = integral_rn_shifted(rn, Q(j, pr.D), target + v_scale, table)
     fj_integral = integral.mul_fraction(1 / scale)
     expected = Q(j) ** (2 + pr.delta) * Q(1, pr.p ** m)
@@ -131,7 +131,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
 
 
 def check_valuation_formula(params: FormParameters, n: int,
-                            chi: DirichletCharacter, margin: int = 8,
+                            chi: DirichletCharacter,
                             rn: Optional[RnFunction] = None,
                             table: Optional[PartialFractionTable] = None,
                             sum_cache: Optional[Padic] = None) -> CheckReport:
@@ -149,7 +149,7 @@ def check_valuation_formula(params: FormParameters, n: int,
     observed = None
     attempts = 0
     for attempts in range(3):
-        target = predicted + margin * (2 ** attempts)
+        target = predicted + 8 * 2 ** attempts
         S = sum_cache if (sum_cache is not None and sum_cache.prec >= target) else None
         if S is None:
             S = chi_weighted_integral_sum(rn, chi, target, table=table)
@@ -244,8 +244,7 @@ def _tau_inf_interval(params: FormParameters, field_degree: int, terms: int) -> 
 
 
 def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
-                             epsilon: Fraction, field_degree: int = 1,
-                             max_terms: int = 400) -> CheckReport:
+                             epsilon: Fraction, field_degree: int = 1) -> CheckReport:
     """Rational-interval test of tau_p/tau_inf >= (1-eps) log s / (2 [K:Q] (1+log 2)).
 
     The depth l is the certified Lambert floor for (s, eps). The verdict is
@@ -262,7 +261,7 @@ def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
                          D=params.d_prime * p ** ell)
     status = "undecided"
     terms = 32
-    while terms <= max_terms:
+    while terms <= 400:
         taup = _tau_p_interval(raw, terms)
         tauinf = _tau_inf_interval(raw, field_degree, terms)
         ln2 = ln_interval(2, terms)
@@ -294,7 +293,7 @@ class SequencePoint:
 
 
 def form_sequence(params: FormParameters, chi: DirichletCharacter,
-                  ns: Sequence[int], margin: int = 8) -> list[SequencePoint]:
+                  ns: Sequence[int]) -> list[SequencePoint]:
     """Heights and p-adic valuations of Lambda_n along a sequence of n.
 
     Each n must satisfy the valuation-formula hypotheses so that the
@@ -310,7 +309,7 @@ def form_sequence(params: FormParameters, chi: DirichletCharacter,
         form = lambda_form(pr, table, chi)
         vC = int(vp(form_scale(pr.s, n), pr.p))
         predicted = valuation_formula_rhs(pr, n, chi)
-        S = chi_weighted_integral_sum(rn, chi, predicted + margin, table=table)
+        S = chi_weighted_integral_sum(rn, chi, predicted + 8, table=table)
         if S.is_zero_at_precision():
             raise PrecisionError(f"sum at n = {n} vanished at the predicted precision")
         out.append(SequencePoint(n=n, sigma=n, log_height=form.log_height(),

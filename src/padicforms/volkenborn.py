@@ -1,5 +1,5 @@
-"""Volkenborn integration: Riemann sums, a certified Mahler engine, and the
-Bernoulli series of a single pole.
+"""Volkenborn integration: Riemann sums, a certified Mahler engine, and
+Bernoulli sums for polynomials and single poles.
 
 The integral of f over Z_p is the limit of p^-n sum_{k < p^n} f(k). Three
 engines compute it here:
@@ -7,9 +7,11 @@ engines compute it here:
 * integral_riemann: the exact level-n partial sum (diagnostic; its error is
   certified only through the constant wavelet tail bound).
 * integral_mahler: the general path for rational functions without poles
-  in Z_p. It computes Mahler coefficients c_m = (forward differences at 0)
-  exactly, sums c_m (-1)^m / (m+1), and certifies the truncation error from
-  the pole structure: for a partial-fraction term a/(t - c)^i with
+  in Z_p. A polynomial sum a_k t^k integrates exactly to sum a_k B_k
+  (Int t^k dt = B_k, with B_1 = -1/2). Otherwise it computes Mahler
+  coefficients c_m = (forward differences at 0) exactly, sums
+  c_m (-1)^m / (m+1), and certifies the truncation error from the pole
+  structure: for a partial-fraction term a/(t - c)^i with
   h = -vp(c) >= 1, the m-th Mahler coefficient has valuation at least
   vp(a) + (m + i) h. With T(m) the least of these bounds, T rises by at
   least 1 per step and l(m) by at most 1, so the tail beyond M has
@@ -265,9 +267,9 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
                     pole_data: Optional[Sequence[PoleData]] = None) -> Fraction | Padic:
     """Volkenborn integral via the Mahler expansion.
 
-    Polynomials integrate exactly (an exact Fraction is returned; this is
-    B_n(x) for (x+t)^n). For a proper rational function without poles in
-    Z_p the result is a Padic correct modulo p^precision, with the
+    A polynomial sum a_k t^k integrates exactly to the Fraction sum a_k B_k
+    (this is B_n(x) for (x+t)^n). For a proper rational function without
+    poles in Z_p the result is a Padic correct modulo p^precision, with the
     truncation point chosen from the certified tail bound. pole_data may be
     supplied to avoid recomputing partial fractions (mandatory floors).
     """
@@ -340,16 +342,8 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
 
 
 def _integral_polynomial(poly: Poly) -> Fraction:
-    """Exact integral of a polynomial: finite Mahler sum of c_m (-1)^m/(m+1)."""
-    deg = poly.degree()
-    if deg < 0:
-        return Q(0)
-    row = [poly(a) for a in range(deg + 1)]
-    total = Q(0)
-    for m in range(deg + 1):
-        total += row[0] * Q((-1) ** m, m + 1)
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return total
+    """Exact integral of a polynomial: Int t^k dt = B_k, so sum a_k B_k."""
+    return sum((c * bernoulli_number(k) for k, c in enumerate(poly.coeffs)), Q(0))
 
 
 def mahler_coefficients(f: Integrand, count: int) -> list[Fraction]:

@@ -174,6 +174,15 @@ def test_verify_failing_check_exit1(capsys):
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
+def test_verify_lambert_huge_s(capsys):
+    # the Lambert floor never goes through a float, so s = 10^400 works
+    code, out, err = run_cli(capsys, ["verify", "lambert", "--p", "2",
+                                      "--s", str(10 ** 400), "--epsilon", "1/2"])
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass" and doc["params"]["ell"] == 657
+
+
 def test_verify_all_requires_catalog(capsys):
     code, _, err = run_cli(capsys, ["verify", "all"])
     assert code == 3

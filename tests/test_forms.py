@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicforms.arith import lcm_upto
 from padicforms.characters import quadratic_character, trivial_character
@@ -11,7 +13,7 @@ from padicforms.forms import (build_rn, choose_params, hurwitz_params,
                               hurwitz_variant_form, lambda_form, partial_fractions,
                               per_x_valuation_hint, rho_higher, rho_zero,
                               valuation_formula_rhs)
-from padicforms.lambertw import ell_param
+from padicforms.lambertw import ell_param, ln_interval
 from padicforms.polynomials import Poly, RationalFunction
 
 
@@ -26,6 +28,23 @@ def test_ell_param_examples():
         y = 2 * s * eps / (3 * dp * Q(p) ** (r + 2))
         a_low, a_high = 2 * k * _m.log(p), 2 * (k + 1) * _m.log(p)
         assert a_low * _m.exp(a_low) <= float(y) < a_high * _m.exp(a_high) * 1.000001
+
+
+@settings(max_examples=60, deadline=None)
+@example(s=10 ** 400, epsilon=Q(1, 2), d_prime=1, r=0, p=2)
+@given(s=st.integers(1, 10 ** 60),
+       epsilon=st.fractions(min_value=Q(1, 100), max_value=1, max_denominator=100),
+       d_prime=st.integers(1, 12), r=st.integers(0, 3),
+       p=st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_ell_param_is_the_certified_floor(s, epsilon, d_prime, r, p):
+    # (2k ln p) p^(2k) <= y < (2(k+1) ln p) p^(2(k+1)), with ln p bounded
+    # from above on the left and from below on the right
+    k = ell_param(s, epsilon, d_prime, r, p)
+    y = 2 * s * epsilon / (3 * d_prime * Q(p) ** (r + 2))
+    lnp = ln_interval(p, 200)
+    assert k >= 0
+    assert 2 * k * lnp.hi * Q(p) ** (2 * k) <= y
+    assert y < 2 * (k + 1) * lnp.lo * Q(p) ** (2 * k + 2)
 
 
 def test_choose_params_examples():

@@ -6,7 +6,7 @@ import pytest
 from padicforms.arith import vp
 from padicforms.characters import (char_make, gen_bernoulli, quadratic_character,
                                    trivial_character)
-from padicforms.cyclotomic import CyclotomicElement, value_to_padic
+from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding, value_to_padic
 from padicforms.errors import DomainError
 from padicforms.hurwitz import (check_hurwitz_domain, lp_value, reduce_to_unit_interval,
                                 zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
@@ -173,6 +173,23 @@ def test_lp_value_quartic_character_l_stability():
                              lp_value(i, chi, 5, 2, omega_exp=omega_exp, precision=10),
                              lp_value(i, triv, 5, 1, omega_exp=triv_exp, precision=10)))
         assert a.prec == 10 and a == b == c, (i, omega_exp)
+
+
+def test_lp_value_builds_one_embedding_per_call(monkeypatch):
+    # chi_padic_data builds one embedding and the L-value sum one more
+    builds = []
+    default = PadicEmbedding.default
+
+    def counting(cls, p, m, prec):
+        builds.append(prec)
+        return default(p, m, prec)
+
+    monkeypatch.setattr(PadicEmbedding, "default", classmethod(counting))
+    chi = _quartic_character()
+    for i in (-1, 3):
+        builds.clear()
+        lp_value(i, chi, 5, 3, omega_exp=1, precision=30)
+        assert len(builds) == 2, (i, builds)
 
 
 def test_lp_value_quartic_character_interpolation():

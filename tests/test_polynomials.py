@@ -3,8 +3,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicforms.catalog import MINI_DESK, InstanceWorkspace
 from padicforms.errors import NonSplitDenominator
+from padicforms.forms import build_rn, hurwitz_params, partial_fractions
 from padicforms.polynomials import (Poly, RationalFunction, divisors,
                                     parse_rational_function, series_inv, series_mul,
                                     series_pow, series_trunc)
@@ -58,6 +62,78 @@ def test_series_ops():
     assert series_pow(a, -1, L) == inv
     with pytest.raises(ZeroDivisionError):
         series_inv([Q(0), Q(1)], 4)
+
+
+def _inv_oracle(a, L):
+    """The inverse by its term-by-term recurrence (reference for series_pow)."""
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series has no inverse: constant term vanishes")
+    inv0 = 1 / a[0]
+    out = [Q(0)] * L
+    out[0] = inv0
+    for k in range(1, L):
+        acc = Q(0)
+        top = min(k, len(a) - 1)
+        for j in range(1, top + 1):
+            if a[j]:
+                acc += a[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return out
+
+
+def _pow_oracle(a, e, L):
+    """a^e by repeated squaring, through the inverse for e < 0 (reference)."""
+    if e < 0:
+        return _pow_oracle(_inv_oracle(a, L), -e, L)
+    out = series_trunc([Q(1)], L)
+    base = series_trunc(a, L)
+    while e:
+        if e & 1:
+            out = series_mul(out, base, L)
+        base = series_mul(base, base, L)
+        e >>= 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2),
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=8),
+       st.integers(-8, 12), st.integers(1, 16))
+def test_series_pow_matches_squaring_oracle(zeros, tail, e, L):
+    a = [Q(0)] * zeros + tail
+    if e < 0 and (not a or a[0] == 0):
+        with pytest.raises(ZeroDivisionError):
+            _pow_oracle(a, e, L)
+        with pytest.raises(ZeroDivisionError):
+            series_pow(a, e, L)
+        return
+    assert series_pow(a, e, L) == _pow_oracle(a, e, L)
+    if e == -1:
+        assert series_inv(a, L) == _inv_oracle(a, L)
+
+
+def _oracle_table_rows(rn):
+    """r_(i,k) through the squaring oracle: the series of R_n(t) (t+k)^s per pole."""
+    pr, s = rn.params, rn.params.s
+    cols = []
+    for k in range(rn.n + 1):
+        out = series_trunc([Q(rn.prefactor)], s)
+        out = series_mul(out, _pow_oracle(rn.binom_poly.shift(-k).coeffs, pr.Q, s), s)
+        if rn.mono_exp:
+            mono = Poly([-pr.D * k, pr.D]) ** rn.mono_exp
+            out = series_mul(out, series_trunc(mono.coeffs, s), s)
+        cof = Poly.from_roots([k - j for j in range(rn.n + 1) if j != k])
+        inv = _inv_oracle(series_trunc(cof.coeffs, s), s)
+        out = series_mul(out, _pow_oracle(inv, pr.s, s), s)
+        cols.append([out[s - i] for i in range(1, s + 1)])
+    return tuple(tuple(cols[k][i - 1] for k in range(rn.n + 1)) for i in range(1, s + 1))
+
+
+def test_partial_fraction_tables_match_squaring_oracle():
+    mini = InstanceWorkspace(MINI_DESK)
+    hurwitz, _ = hurwitz_params(Q(2, 3), 3, 22, l=1)
+    for rn in (mini.rn, build_rn(hurwitz, 2)):
+        assert partial_fractions(rn).rows == _oracle_table_rows(rn)
 
 
 def test_rational_function_eval_and_calc():

@@ -105,6 +105,18 @@ def test_mahler_binomial_integrals():
             assert integral_mahler(RationalFunction(b), p) == Q((-1) ** m, m + 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=13),
+       st.sampled_from([2, 3, 5, 7]))
+def test_polynomial_integral_matches_mahler_sum(coeffs, p):
+    # sum a_k B_k against the finite Mahler sum sum c_m (-1)^m / (m+1)
+    poly = Poly(coeffs)
+    cs = mahler_coefficients(poly, poly.degree() + 1)
+    expected = sum((c * Q((-1) ** m, m + 1) for m, c in enumerate(cs)), Q(0))
+    assert integral_mahler(poly, p) == expected
+    assert integral_mahler(RationalFunction(poly), p) == expected
+
+
 def test_mahler_coefficients_oracle():
     # c_m of (x+t)^(-1) is (-1)^m m!/(x)_(m+1)
     x = Q(1, 3)
