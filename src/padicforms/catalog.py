@@ -11,10 +11,10 @@ from typing import Iterator, Optional
 
 from .characters import DirichletCharacter, character_from_spec
 from .errors import IntegralityError
-from .forms import (FormParameters, build_rn, choose_params,
-                    evaluate_form_identity, form_scale, hurwitz_params,
-                    hurwitz_variant_form, lambda_form, partial_fractions,
-                    rho_higher, rho_zero)
+from .forms import (FormParameters, build_rn, choose_params, family_form,
+                    form_identity, form_scale, hurwitz_family, hurwitz_params,
+                    lambda_form, lvalue_family, partial_fractions, rho_higher,
+                    rho_zero)
 from .verification import (CheckReport, _report, check_chi_congruence,
                            check_fj_integral, check_valuation_formula,
                            growth_bound_check)
@@ -53,7 +53,7 @@ MINI_DESK = CatalogInstance(key="p2-mini", character="trivial", p=2, l=1, s=16, 
 
 
 class InstanceWorkspace:
-    """Shared R_n and partial fraction table for one catalog instance."""
+    """Shared R_n, partial fraction table and form family for one catalog instance."""
 
     def __init__(self, inst: CatalogInstance):
         self.instance = inst
@@ -61,9 +61,11 @@ class InstanceWorkspace:
         self.params = inst.params()
         self.rn = build_rn(self.params, inst.n)
         self.table = partial_fractions(self.rn)
+        self.family = (lvalue_family(self.params, self.chi) if inst.hurwitz_x is None
+                       else hurwitz_family(self.params, inst.hurwitz_x))
 
     def form(self):
-        return lambda_form(self.params, self.table, self.chi)
+        return family_form(self.family, self.table)
 
 
 def run_catalog(digits: int = 20) -> Iterator[CheckReport]:
@@ -72,39 +74,35 @@ def run_catalog(digits: int = 20) -> Iterator[CheckReport]:
         ws = InstanceWorkspace(inst)
         pr, n = ws.params, inst.n
         if inst.hurwitz_x is not None:
-            t0 = time.monotonic()
-            rep = hurwitz_variant_form(inst.p, inst.hurwitz_x, inst.s,
-                                       n=n, l=inst.l, digits=digits)
-            yield _report("hurwitz-identity",
-                          {"p": inst.p, "x": str(inst.hurwitz_x), "s": inst.s, "n": n},
-                          f">= {digits} significant digits",
-                          f"{rep.identity.relative_digits} digits, agrees: "
-                          f"{rep.identity.agrees}",
-                          rep.identity.agrees
-                          and rep.identity.relative_digits >= digits, t0)
-            yield growth_bound_check(pr, n, table=ws.table)
-            yield integrality_check(ws)
-            continue
-        yield check_valuation_formula(pr, n, ws.chi, rn=ws.rn, table=ws.table)
-        for j in range(1, pr.D + 1):
-            if math.gcd(j, pr.p) == 1:
-                yield check_fj_integral(pr, n, j, rn=ws.rn, table=ws.table)
-        if inst.key == "p2-trivial":
-            for j in (1, 3, 5):
-                yield check_chi_congruence(pr, n, j, range(64))
+            yield identity_check(ws, digits)
+        else:
+            yield check_valuation_formula(pr, n, ws.chi, rn=ws.rn, table=ws.table)
+            for j in range(1, pr.D + 1):
+                if math.gcd(j, pr.p) == 1:
+                    yield check_fj_integral(pr, n, j, rn=ws.rn, table=ws.table)
+            if inst.key == "p2-trivial":
+                for j in (1, 3, 5):
+                    yield check_chi_congruence(pr, n, j, range(64))
         yield growth_bound_check(pr, n, table=ws.table)
         yield integrality_check(ws)
-        t0 = time.monotonic()
-        rep = evaluate_form_identity(pr, n, ws.chi, digits=digits,
-                                     table=ws.table, rn=ws.rn)
-        yield _report("form-identity",
-                      {"key": inst.key, "p": inst.p, "s": inst.s, "n": n},
-                      f">= {digits} significant digits",
-                      f"{rep.relative_digits} digits, agrees: {rep.agrees}",
-                      rep.agrees and rep.relative_digits >= digits, t0)
+        if inst.hurwitz_x is None:
+            yield identity_check(ws, digits)
     mini = InstanceWorkspace(MINI_DESK)
     yield growth_bound_check(mini.params, MINI_DESK.n, table=mini.table)
     yield integrality_check(mini)
+
+
+def identity_check(ws: InstanceWorkspace, digits: int) -> CheckReport:
+    """The instance's linear-form identity, certified to `digits` significant digits."""
+    t0 = time.monotonic()
+    inst = ws.instance
+    rep = form_identity(ws.family, ws.form(), ws.rn, ws.table, digits)
+    name, head = (("form-identity", {"key": inst.key, "p": inst.p}) if inst.hurwitz_x is None
+                  else ("hurwitz-identity", {"p": inst.p, "x": str(inst.hurwitz_x)}))
+    return _report(name, {**head, "s": inst.s, "n": inst.n},
+                   f">= {digits} significant digits",
+                   f"{rep.relative_digits} digits, agrees: {rep.agrees}",
+                   rep.agrees and rep.relative_digits >= digits, t0)
 
 
 def integrality_check(ws: InstanceWorkspace) -> CheckReport:
@@ -147,6 +145,7 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
     out: list[RandomConfig] = []
     while len(out) < count:
         mode = rng.choice(["L", "L", "L", "hurwitz"])
+        chi = x = None
         if mode == "L":
             p = rng.choice([2, 2, 3])
             character = rng.choice(["trivial", "quadratic:3", "quadratic:4"])
@@ -156,36 +155,28 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
                 l = rng.choice([1, 2]) if p == 2 else 1
             chi = character_from_spec(character)
             n = rng.randint(1, 3)
-            try:
-                probe = choose_params(chi, p, max(2, p - 1), l=l)
-            except Exception:
-                continue
-            min_s = (probe.Q * probe.N(n) + 4 + probe.delta + n) // (n + 1) + 1
-            step = max(1, p - 1)
-            s = _round_up_multiple(min_s, step) + step * rng.randint(0, 1)
-            if s * s * (n + 1) > 130_000:  # keep the table work at desk scale
-                continue
-            params = choose_params(chi, p, s, l=l)
-            if params.rn_degree(n) >= -1:
-                continue
-            out.append(RandomConfig(params=params, n=n, mode="L", chi=chi))
         else:
             p = rng.choice([2, 2, 3, 3, 5])
-            l0 = 2 if p == 2 else 1
-            choices = [j for j in range(1, p ** l0) if math.gcd(j, p) == 1]
-            x = Q(rng.choice(choices), p ** l0)
+            l = 2 if p == 2 else 1
+            x = Q(rng.choice([j for j in range(1, p ** l) if math.gcd(j, p) == 1]), p ** l)
             n = 1 if p == 5 else rng.randint(1, 2)
-            probe, _ = hurwitz_params(x, p, max(2, p - 1), l=l0)
-            min_s = (probe.Q * probe.N(n) + 2 + n) // (n + 1) + 1
-            step = max(1, p - 1)
-            s = _round_up_multiple(min_s, step)
-            if s * s * (n + 1) > 130_000:
-                continue
-            params, _ = hurwitz_params(x, p, s, l=l0)
-            if params.rn_degree(n) >= -1:
-                continue
-            out.append(RandomConfig(params=params, n=n, mode="hurwitz", x0=x))
+        probe = _config_params(chi, x, p, max(2, p - 1), l)
+        min_s = (probe.Q * probe.N(n) + 4 + probe.delta + n) // (n + 1) + 1
+        step = max(1, p - 1)
+        s = _round_up_multiple(min_s, step) + (step * rng.randint(0, 1) if x is None else 0)
+        if s * s * (n + 1) > 130_000:  # keep the table work at desk scale
+            continue
+        params = _config_params(chi, x, p, s, l)
+        if params.rn_degree(n) >= -1:
+            continue
+        out.append(RandomConfig(params=params, n=n, mode=mode, chi=chi, x0=x))
     return out
+
+
+def _config_params(chi: Optional[DirichletCharacter], x: Optional[Fraction], p: int,
+                   s: int, l: int) -> FormParameters:
+    """The L-value parameters of chi, or with chi None the Hurwitz ones at x."""
+    return choose_params(chi, p, s, l=l) if x is None else hurwitz_params(x, p, s, l=l)[0]
 
 
 def check_config_integrality(cfg: RandomConfig) -> CheckReport:
@@ -202,12 +193,10 @@ def check_config_integrality(cfg: RandomConfig) -> CheckReport:
             bad.append(("rho", i))
     c_top = form_scale(pr.s, n)
     if cfg.mode == "L":
-        xs = [Q(j, pr.D) for j in range(1, pr.D + 1) if math.gcd(j, pr.p) == 1]
+        js = [j for j in range(1, pr.D + 1) if math.gcd(j, pr.p) == 1]
     else:
-        d = cfg.x0.denominator
-        P = pr.p ** (pr.l - pr.l0)
-        xs = [Q(cfg.x0.numerator + d * j, pr.D) for j in range(P)]
-    for x in xs:
+        js = [j for j, _ in hurwitz_family(pr, cfg.x0).weights]
+    for x in (Q(j, pr.D) for j in js):
         if (c_top * rho_zero(table, x)).denominator != 1:
             bad.append(("rho0", str(x)))
     if cfg.mode == "L" and cfg.chi is not None:

@@ -11,7 +11,6 @@ from typing import Iterator, Union
 from .arith import bernoulli_poly, check_prime, vp, vp_int
 from .cyclotomic import CyclotomicElement, PadicEmbedding, euler_phi
 from .errors import DomainError, EmbeddingError
-from .polynomials import divisors
 
 Q = Fraction
 CharValue = Union[Fraction, CyclotomicElement]
@@ -84,8 +83,8 @@ class DirichletCharacter:
 
     def _compute_conductor(self) -> int:
         # f = modulus always qualifies: only a = 1 is 1 mod the modulus
-        return next(f for f in divisors(self.modulus)
-                    if all(v == 1 for a, v in self._values.items() if a % f == 1 % f))
+        return next(f for f in range(1, self.modulus + 1) if self.modulus % f == 0
+                    and all(v == 1 for a, v in self._values.items() if a % f == 1 % f))
 
     def _compute_delta(self) -> int:
         return 0 if self.value(-1) == 1 else 1

@@ -15,8 +15,8 @@ from .catalog import (check_config_integrality, random_small_configurations,
                       run_catalog)
 from .characters import character_from_spec
 from .errors import DomainError, PrecisionError
-from .forms import (build_rn, choose_params, evaluate_form_identity,
-                    hurwitz_variant_form, lambda_form, partial_fractions)
+from .forms import (build_rn, choose_params, family_form, form_identity,
+                    hurwitz_variant_form, lvalue_family, partial_fractions)
 from .hurwitz import lp_value, zeta_p_nonpos, zeta_p_pos
 from .jsonio import dumps, rational_to_str, value_to_json
 from .padic import Padic
@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+
+MAX_PREC = 1000       # --prec
+MAX_TERMS = 2 ** 16   # p^--level (Riemann sum terms) and p^--l of lvalue
 
 
 def _emit(obj) -> None:
@@ -157,6 +160,9 @@ def _cmd_lvalue(args) -> int:
 def _cmd_forms_build(args) -> int:
     epsilon = None if args.epsilon is None else Q(args.epsilon)
     if args.hurwitz is not None:
+        if args.skip_identity or args.character != "trivial":
+            return _fail("usage", "--hurwitz takes neither --skip-identity nor "
+                         "a --character", EXIT_USAGE)
         rep = hurwitz_variant_form(args.p, Q(args.hurwitz), args.s,
                                    epsilon=epsilon, n=args.n, l=args.l,
                                    digits=args.digits)
@@ -176,7 +182,8 @@ def _cmd_forms_build(args) -> int:
     params = choose_params(chi, args.p, args.s, epsilon=epsilon, l=args.l)
     rn = build_rn(params, args.n)
     table = partial_fractions(rn)
-    form = lambda_form(params, table, chi)
+    family = lvalue_family(params, chi)
+    form = family_form(family, table)
     out = {
         "mode": "lvalue",
         "parameters": params.to_json(),
@@ -184,9 +191,7 @@ def _cmd_forms_build(args) -> int:
                    else rational_to_str(c) for c in form.coeffs],
     }
     if not args.skip_identity:
-        rep = evaluate_form_identity(params, args.n, chi, digits=args.digits,
-                                     table=table, rn=rn)
-        out["identity"] = rep.to_json()
+        out["identity"] = form_identity(family, form, rn, table, args.digits).to_json()
     _emit(out)
     return EXIT_OK
 
@@ -241,6 +246,23 @@ def _cmd_nesterenko(args) -> int:
     return EXIT_OK
 
 
+def _size_error(args) -> str | None:
+    """Why the request lies outside the CLI's size limits, or None."""
+    prec = getattr(args, "prec", 1)
+    if not 1 <= prec <= MAX_PREC:
+        return f"--prec must lie in 1..{MAX_PREC}, got {prec}"
+    if args.command == "integrate" and args.engine == "riemann":
+        flag, k = "--level", args.level
+    elif args.command == "lvalue":
+        flag, k = "--l", args.l
+    else:
+        return None
+    # for k > 64, p^k > MAX_TERMS at every p >= 2, so p^k is never formed
+    if not 0 <= k <= 64 or args.p ** k > MAX_TERMS:
+        return f"need 0 <= {flag} with p^{flag} <= {MAX_TERMS}, got {args.p}^{k}"
+    return None
+
+
 def dispatch(argv: list[str]) -> int:
     argv = list(argv)
     if "--expr" in argv[:-1]:
@@ -249,8 +271,9 @@ def dispatch(argv: list[str]) -> int:
         argv[at:at + 2] = [f"--expr={argv[at + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "prec", 1) < 1:
-        return _fail("usage", f"--prec must be positive, got {args.prec}", EXIT_USAGE)
+    size_error = _size_error(args)
+    if size_error:
+        return _fail("usage", size_error, EXIT_USAGE)
     try:
         if args.command == "integrate":
             return _cmd_integrate(args)

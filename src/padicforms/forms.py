@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .arith import (check_prime, factorial_valuation, lcm_upto,
+from .arith import (factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import (CyclotomicElement, PadicEmbedding, assert_integral, euler_phi,
@@ -55,10 +55,16 @@ class FormParameters:
     l0: int
     r: int
     l: int
-    Q: int
-    D: int
     epsilon: Optional[Fraction] = None
     ell: Optional[int] = None
+
+    @property
+    def Q(self) -> int:
+        return self.p ** (self.r + self.l + 1)
+
+    @property
+    def D(self) -> int:
+        return self.d_prime * self.p ** self.l
 
     def digits_exp(self, n: int) -> int:
         """m(n) = floor(log_p(d' n)) + 1, the depth of the N(n) construction."""
@@ -112,28 +118,9 @@ class FormParameters:
 def choose_params(chi: DirichletCharacter, p: int, s: int,
                   epsilon: Fraction | None = None,
                   l: Optional[int] = None) -> FormParameters:
-    """Fix (r, l, Q, D) for the L-value family attached to chi at p.
-
-    l defaults to the Lambert-W depth, floored at max(1, l0) and at 2 when
-    p = 2 (the integral domain needs |j/D|_2 >= 4). Explicit l overrides
-    the default; the size and parity hypotheses are reported as flags on
-    the result, not enforced here.
-    """
-    check_prime(p)
+    """Parameters for the L-value family attached to chi at p."""
     data = chi_padic_data(chi, p)
-    ell = None
-    if epsilon is not None:
-        ell = ell_param(s, Q(epsilon), data.d_prime, data.r, p)
-    if l is None:
-        if ell is None:
-            raise DomainError("either epsilon or an explicit l is required")
-        l = max(ell, 1, data.l0, 2 if p == 2 else 1)
-    if l < max(1, data.l0):
-        raise DomainError(f"need l >= max(1, l0) = {max(1, data.l0)}")
-    return FormParameters(
-        p=p, s=s, delta=chi.delta, d_prime=data.d_prime, l0=data.l0,
-        r=data.r, l=l, Q=p ** (data.r + l + 1), D=data.d_prime * p ** l,
-        epsilon=None if epsilon is None else Q(epsilon), ell=ell)
+    return form_params(p, s, chi.delta, data.d_prime, data.l0, data.r, epsilon, l)
 
 
 def hurwitz_params(x: Fraction, p: int, s: int,
@@ -141,30 +128,39 @@ def hurwitz_params(x: Fraction, p: int, s: int,
                    l: Optional[int] = None) -> tuple[FormParameters, int]:
     """Parameters for the Hurwitz-variant family at x = j0/d in (0, 1].
 
-    Returns (parameters, j0). delta = -2 and r = 0; Q = p^(l+1).
+    Returns (parameters, j0). delta = -2 and r = 0, so Q = p^(l+1); d' and
+    l0 are read off d = d' p^l0, and l0 >= 1 in the Hurwitz domain.
     """
-    check_prime(p)
     x = Fraction(x)
     if not 0 < x <= 1:
         raise DomainError("reduce x into (0, 1] first")
     check_hurwitz_domain(x, p)
-    j0, d = x.numerator, x.denominator
+    d = x.denominator
     l0 = int(vp_int(d, p))
-    d_prime = d // p ** l0
+    return form_params(p, s, -2, d // p ** l0, l0, 0, epsilon, l), x.numerator
+
+
+def form_params(p: int, s: int, delta: int, d_prime: int, l0: int, r: int,
+                epsilon: Fraction | None = None,
+                l: Optional[int] = None) -> FormParameters:
+    """Fix the depth l of the family with these data at p.
+
+    l defaults to the Lambert-W depth, floored at max(1, l0) and at 2 when
+    p = 2 (the integral domain needs |j/D|_2 >= 4). Explicit l overrides
+    the default; the size and parity hypotheses are reported as flags on
+    the result, not enforced here.
+    """
     ell = None
     if epsilon is not None:
-        ell = ell_param(s, Q(epsilon), d_prime, 0, p)
+        ell = ell_param(s, Q(epsilon), d_prime, r, p)
     if l is None:
         if ell is None:
             raise DomainError("either epsilon or an explicit l is required")
-        l = max(ell, l0, 2 if p == 2 else 1)
-    if l < l0:
-        raise DomainError(f"need l >= l0 = {l0}")
-    params = FormParameters(
-        p=p, s=s, delta=-2, d_prime=d_prime, l0=l0, r=0, l=l,
-        Q=p ** (l + 1), D=d_prime * p ** l,
-        epsilon=None if epsilon is None else Q(epsilon), ell=ell)
-    return params, j0
+        l = max(ell, 1, l0, 2 if p == 2 else 1)
+    if l < max(1, l0):
+        raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
+    return FormParameters(p=p, s=s, delta=delta, d_prime=d_prime, l0=l0, r=r, l=l,
+                          epsilon=None if epsilon is None else Q(epsilon), ell=ell)
 
 
 # -- the rational functions R_n ------------------------------------------------------
@@ -343,6 +339,62 @@ def rho_zero(table: PartialFractionTable, x: Fraction) -> Fraction:
     return -acc
 
 
+# -- the two families of linear forms -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class FormFamily:
+    """What sets one family of linear forms in R_n apart from the other.
+
+    With weights w_j on the arguments j/D and C = form_scale(s, n), the form
+    is lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i,
+    and its identity reads C sum_j w_j Int R_n(t + j/D) = lambda_0
+    + sum_i lambda_i f_i V_i with f_i = factor(i), V_i = value(i, precision).
+    predicted(n) is the expected vp of the weighted integral sum, or None
+    outside the hypotheses that make it exact.
+    """
+
+    params: FormParameters
+    weights: tuple[tuple[int, CharValue], ...]
+    field_m: int
+    shift: int
+    predicted: Callable[[int], Optional[int]]
+    factor: Callable[[int], Fraction]
+    value: Callable[[int, int], Padic]
+
+
+def lvalue_family(params: FormParameters, chi: DirichletCharacter) -> FormFamily:
+    """chi(j) on the units j mod D; V_i = L_p(i+1, chi omega^-i) and f_i = 1."""
+    pr = params
+    return FormFamily(
+        params=pr, weights=tuple(chi_units(chi, pr.D, pr.p)), field_m=chi.field_m,
+        shift=1,
+        predicted=lambda n: (valuation_formula_rhs(pr, n, chi)
+                             if pr.hypotheses_hold(n) else None),
+        factor=lambda i: Q(1),
+        value=lambda i, prec: lp_value(i + 1, chi, pr.p, pr.l, omega_exp=-i,
+                                       precision=prec))
+
+
+def hurwitz_family(params: FormParameters, x0: Fraction) -> FormFamily:
+    """Weight 1 on the P = p^(l-l0) numerators j = j0 mod d, for x0 = j0/d.
+
+    V_i = Int (x0+t)^(-i) and f_i = P/(i d^i), so that lambda_i f_i =
+    C rho_i P^(i+1)/i. The predicted valuation exceeds the single-integral
+    hint by l - l0; it needs the parity and stride hypotheses only.
+    """
+    pr = params
+    d = x0.denominator
+    P = pr.D // d
+    return FormFamily(
+        params=pr, weights=tuple((j, Q(1)) for j in range(x0.numerator, pr.D + 1, d)),
+        field_m=1, shift=0,
+        predicted=lambda n: (per_x_valuation_hint(pr, n) + pr.l - pr.l0
+                             if pr.parity_ok and (n + 1) % pr.stride == 0 else None),
+        factor=lambda i: Q(P, i * d ** i),
+        value=lambda i, prec: integral_pole_power(x0, i, pr.p, prec))
+
+
 # -- linear forms ------------------------------------------------------------------
 
 
@@ -381,32 +433,34 @@ def form_scale(s: int, n: int) -> int:
     return math.factorial(s - 1) * lcm_upto(n) ** (s - 1)
 
 
-def lambda_form(params: FormParameters, table: PartialFractionTable,
-                chi: DirichletCharacter) -> LinearFormOverK:
-    """lambda_0 = C sum_j chi(j) rho_(0,j/D), lambda_i = C D^(i+1) rho_i.
+def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOverK:
+    """lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i.
 
     C = form_scale(s, n). Every coefficient must be an algebraic integer;
     violations raise IntegralityError (an implementation bug, not input).
     """
-    pr = params
+    pr = family.params
     C = form_scale(pr.s, table.n)
-    lam0: CharValue
-    if chi.is_rational_valued():
-        lam0 = Q(0)
-    else:
-        lam0 = CyclotomicElement.zero(chi.field_m)
-    for j, c in chi_units(chi, pr.D, pr.p):
+    lam0: CharValue = (Q(0) if family.field_m == 1
+                       else CyclotomicElement.zero(family.field_m))
+    for j, w in family.weights:
         scaled = C * rho_zero(table, Q(j, pr.D))
         assert_integral(scaled, f"lambda_0 term at j = {j}")
-        lam0 = lam0 + c * scaled
+        lam0 = lam0 + w * scaled
     assert_integral(lam0, "lambda_0")
     coeffs: list[CharValue] = [lam0]
     for i in range(1, pr.s + 1):
-        lam = C * Q(pr.D) ** (i + 1) * rho_higher(table, i)
+        lam = C * Q(pr.D) ** (i + family.shift) * rho_higher(table, i)
         assert_integral(lam, f"lambda_{i}")
         coeffs.append(lam)
     return LinearFormOverK(coeffs=tuple(coeffs), params=pr, n=table.n,
-                           field_m=chi.field_m)
+                           field_m=family.field_m)
+
+
+def lambda_form(params: FormParameters, table: PartialFractionTable,
+                chi: DirichletCharacter) -> LinearFormOverK:
+    """The L-value form: lambda_0 = C sum_j chi(j) rho_(0,j/D), lambda_i = C D^(i+1) rho_i."""
+    return family_form(lvalue_family(params, chi), table)
 
 
 # -- direct integrals of R_n ----------------------------------------------------------
@@ -419,20 +473,26 @@ def integral_rn_shifted(rn: RnFunction, x: Fraction, precision: int,
                            pole_data=rn.pole_data_shifted(x, table))
 
 
+def weighted_integral_sum(rn: RnFunction, family: FormFamily, precision: int,
+                          table: Optional[PartialFractionTable] = None) -> Padic:
+    """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision."""
+    pr = rn.params
+    if not pr.domain_ok:
+        raise DomainError("l too small for integral evaluation at p = 2")
+    embedding = (None if family.field_m == 1
+                 else PadicEmbedding.default(pr.p, family.field_m, precision + 4))
+    acc = Padic.zero(pr.p, precision + 2)
+    for j, w in family.weights:
+        term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
+        acc = acc + scale_by_value(term, w, embedding)
+    return acc.at_precision(min(acc.prec, precision))
+
+
 def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
                               precision: int,
                               table: Optional[PartialFractionTable] = None) -> Padic:
     """sum over units j mod D of chi(j) * integral of R_n(t + j/D)."""
-    pr = rn.params
-    if not pr.domain_ok:
-        raise DomainError("l too small for integral evaluation at p = 2")
-    embedding = (None if chi.is_rational_valued()
-                 else PadicEmbedding.default(pr.p, chi.field_m, precision + 4))
-    acc = Padic.zero(pr.p, precision + 2)
-    for j, c in chi_units(chi, pr.D, pr.p):
-        term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
-        acc = acc + scale_by_value(term, c, embedding)
-    return acc.at_precision(min(acc.prec, precision))
+    return weighted_integral_sum(rn, lvalue_family(rn.params, chi), precision, table)
 
 
 # -- valuation prediction ---------------------------------------------------------------
@@ -453,11 +513,6 @@ def valuation_formula_rhs(params: FormParameters, n: int,
             raise DomainError("irrational head Bernoulli: supply an embedding path")
         b = b.rational_value()
     return per_x_valuation_hint(pr, n) + pr.l + int(vp(b, p))
-
-
-def hurwitz_valuation_rhs(params: FormParameters, n: int) -> int:
-    """Predicted vp of sum_j integral of R_n(t + (j0 + d j)/D), delta = -2 mode."""
-    return per_x_valuation_hint(params, n) + params.l - params.l0
 
 
 def per_x_valuation_hint(params: FormParameters, n: int) -> int:
@@ -495,44 +550,28 @@ class IdentityReport:
         }
 
 
-def _identity_report(lhs: Padic, rhs: Padic) -> IdentityReport:
-    k = min(lhs.prec, rhs.prec)
-    nu = lhs.valuation()
-    rel = k - nu if nu != math.inf else math.inf
-    return IdentityReport(lhs=lhs, rhs=rhs, modulus_exp=k,
-                          observed_valuation=nu, relative_digits=rel,
-                          agrees=lhs.agrees(rhs, k))
-
-
-def evaluate_form_identity(params: FormParameters, n: int,
-                           chi: DirichletCharacter, digits: int = 20,
-                           table: Optional[PartialFractionTable] = None,
-                           rn: Optional[RnFunction] = None,
-                           lhs_cache: Optional[Padic] = None) -> IdentityReport:
-    """Check C sum_j chi(j) Int R_n(t+j/D) = Lambda(1, L_p(2), ..., L_p(s+1)).
+def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
+                  table: PartialFractionTable, digits: int = 20) -> IdentityReport:
+    """Check C sum_j w_j Int R_n(t+j/D) = lambda_0 + sum_i lambda_i f_i V_i.
 
     The left side integrates R_n directly; the right side goes through the
-    partial fraction table, the lambda coefficients, and lp_value. Agreement
-    is certified to `digits` significant p-digits beyond the observed
-    valuation of the left side.
+    partial fraction table and the family's values V_i. Agreement is
+    certified to `digits` significant p-digits beyond the observed
+    valuation of the left side: the target precision starts from the
+    predicted valuation and is raised until the left side reaches it.
     """
-    pr = params
-    rn = rn or build_rn(pr, n)
-    table = table or partial_fractions(rn)
-    form = lambda_form(pr, table, chi)
-    C = form_scale(pr.s, n)
-    vC = int(vp(C, pr.p))
-
-    if pr.hypotheses_hold(n):
-        target = valuation_formula_rhs(pr, n, chi) + vC + digits + 4
+    pr = family.params
+    p = pr.p
+    C = form_scale(pr.s, rn.n)
+    vC = int(vp(C, p))
+    predicted = family.predicted(rn.n)
+    if predicted is not None:
+        target = predicted + vC + digits + 4
     else:
-        target = per_x_valuation_hint(pr, n) + vC + digits + 8
+        target = per_x_valuation_hint(pr, rn.n) + vC + digits + 8
 
-    for attempt in range(4):
-        lhs_sum = lhs_cache if (lhs_cache is not None
-                                and lhs_cache.prec >= target - vC) else None
-        if lhs_sum is None:
-            lhs_sum = chi_weighted_integral_sum(rn, chi, target - vC, table=table)
+    for _ in range(4):
+        lhs_sum = weighted_integral_sum(rn, family, target - vC, table)
         lhs = lhs_sum.mul_fraction(C).at_precision(
             min(lhs_sum.prec + vC, target))
         if not lhs.is_zero_at_precision():
@@ -542,24 +581,30 @@ def evaluate_form_identity(params: FormParameters, n: int,
             target = needed
         else:
             target *= 2
-        lhs_cache = None
-    rhs = _rhs_from_form(form, chi, target)
-    return _identity_report(lhs, rhs.at_precision(min(rhs.prec, lhs.prec)))
 
-
-def _rhs_from_form(form: LinearFormOverK, chi: DirichletCharacter,
-                   target: int) -> Padic:
-    """lambda_0 + sum_i lambda_i L_p(i+1, chi omega^-i); lambda_i is rational for i >= 1."""
-    pr = form.params
-    p = pr.p
-    acc = value_to_padic(form.coeffs[0], p, target)
+    rhs = value_to_padic(form.coeffs[0], p, target)
     for i, lam in enumerate(form.coeffs[1:], start=1):
         if lam == 0:
             continue
-        need = max(2, target - int(vp(lam, p)))
-        value = lp_value(i + 1, chi, p, pr.l, omega_exp=-i, precision=need)
-        acc = acc + value.mul_fraction(lam)
-    return acc
+        w = lam * family.factor(i)
+        rhs = rhs + family.value(i, max(2, target - int(vp(w, p)))).mul_fraction(w)
+    k = min(lhs.prec, rhs.prec)
+    nu = lhs.valuation()
+    return IdentityReport(lhs=lhs, rhs=rhs.at_precision(k), modulus_exp=k,
+                          observed_valuation=nu,
+                          relative_digits=k - nu if nu != math.inf else math.inf,
+                          agrees=lhs.agrees(rhs, k))
+
+
+def evaluate_form_identity(params: FormParameters, n: int,
+                           chi: DirichletCharacter, digits: int = 20,
+                           table: Optional[PartialFractionTable] = None,
+                           rn: Optional[RnFunction] = None) -> IdentityReport:
+    """Check C sum_j chi(j) Int R_n(t+j/D) = Lambda(1, L_p(2), ..., L_p(s+1))."""
+    rn = rn or build_rn(params, n)
+    table = table or partial_fractions(rn)
+    family = lvalue_family(params, chi)
+    return form_identity(family, family_form(family, table), rn, table, digits)
 
 
 # -- Hurwitz-variant forms -----------------------------------------------------------------
@@ -584,67 +629,19 @@ def hurwitz_variant_form(p: int, x: Fraction, s: int,
                          l: Optional[int] = None, digits: int = 20) -> HurwitzFormReport:
     """Linear form in Hurwitz zeta values at x, with its integral identity.
 
-    x is first shifted into (0, 1] (corrections recorded); the form lives
-    at x0 = j0/d. Sums run over the p^(l-l0) translates (j0 + d j)/D. The
-    identity is verified in the exact form
-
-        C sum_j Int R_n(t + (j0+dj)/D)
-            = tilde_lambda_0 + sum_i C rho_i P^(i+1) (1/i) Int (x0+t)^(-i),
-
-    whose coefficients agree with tilde_lambda_i = C rho_i omega(j0)^(-i) D^i
-    after the Teichmuller factor of x0 is folded back in.
+    x is first shifted into (0, 1] (corrections recorded); the form is the
+    hurwitz_family form at x0 = j0/d. Its coefficients agree with
+    tilde_lambda_i = C rho_i omega(j0)^(-i) D^i once the Teichmuller factor
+    of x0 is folded back in.
     """
-    x = Fraction(x)
-    check_hurwitz_domain(x, p)
     x0, corrections = reduce_to_unit_interval(x, p)
     params, j0 = hurwitz_params(x0, p, s, epsilon, l)
-    pr = params
-    rn = build_rn(pr, n)
+    rn = build_rn(params, n)
     table = partial_fractions(rn)
-    C = form_scale(pr.s, n)
-    vC = int(vp(C, p))
-    d = x0.denominator
-    P = p ** (pr.l - pr.l0)
-
-    # reported coefficients: rational parts of tilde lambda_i
-    coeffs = [Q(0)]
-    lam0 = Q(0)
-    for j in range(P):
-        arg = Q(j0 + d * j, pr.D)
-        scaled = C * rho_zero(table, arg)
-        assert_integral(scaled, f"tilde lambda_0 term at j = {j}")
-        lam0 += scaled
-    coeffs[0] = lam0
-    for i in range(1, pr.s + 1):
-        lam = C * rho_higher(table, i) * Q(pr.D) ** i
-        assert_integral(lam, f"tilde lambda_{i}")
-        coeffs.append(lam)
-
-    if pr.parity_ok and (n + 1) % pr.stride == 0:
-        target = hurwitz_valuation_rhs(pr, n) + vC + digits + 4
-    else:
-        target = per_x_valuation_hint(pr, n) + vC + digits + 8
-
-    acc = Padic.zero(p, target + 2)
-    for j in range(P):
-        arg = Q(j0 + d * j, pr.D)
-        acc = acc + integral_rn_shifted(rn, arg, target - vC, table)
-    lhs = acc.mul_fraction(C).at_precision(min(acc.prec + vC, target))
-
-    rhs = Padic.from_fraction(lam0, p, target)
-    for i in range(1, pr.s + 1):
-        rho = rho_higher(table, i)
-        if rho == 0:
-            continue
-        w = C * rho * Q(P) ** (i + 1) / i
-        v_w = int(vp(w, p))
-        need = max(2, target - v_w)
-        integral = integral_pole_power(x0, i, p, need)
-        rhs = rhs + integral.mul_fraction(w)
-
-    report = _identity_report(lhs, rhs.at_precision(min(rhs.prec, lhs.prec)))
+    family = hurwitz_family(params, x0)
+    form = family_form(family, table)
     return HurwitzFormReport(
-        params=pr, n=n, j0=j0, x_reduced=x0, corrections=tuple(corrections),
-        coeffs_rational=tuple(coeffs),
+        params=params, n=n, j0=j0, x_reduced=x0, corrections=tuple(corrections),
+        coeffs_rational=form.coeffs,
         omega_rational=teichmuller_rational(Q(j0), p),
-        identity=report)
+        identity=form_identity(family, form, rn, table, digits))

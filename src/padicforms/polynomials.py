@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import NonSplitDenominator
@@ -306,28 +307,23 @@ class RationalFunction:
     def den_factorization(self) -> tuple[Fraction, dict[Fraction, int]]:
         """Factor the denominator as lc * prod (t - c)^e over rational roots.
 
-        Roots are sought in the square-free part P / gcd(P, P'), which is
-        linear for a single pole of any order; each multiplicity is then
-        read by dividing P. Raises NonSplitDenominator if an irreducible
-        factor of degree > 1 remains after all rational roots are removed.
+        Roots are sought in the square-free part P / gcd(P, P'); each
+        multiplicity is then read by dividing P. Raises NonSplitDenominator
+        if an irreducible factor of degree > 1 remains after all rational
+        roots are removed.
         """
         rest = self.den
         square_free = _primitive(rest.divmod(_monic_gcd(rest, rest.derivative()))[0])
         roots: dict[Fraction, int] = {}
-        while square_free.degree() > 0:
-            if square_free.degree() == 1:
-                root = -square_free[0] / square_free[1]
-            else:
-                root = _one_rational_root(square_free)
-            if root is None:
-                raise NonSplitDenominator(
-                    "denominator has an irreducible factor of degree > 1 over Q")
+        for root in _rational_roots(square_free):
             lin = Poly([-root, 1])
-            square_free = _primitive(square_free.divmod(lin)[0])
             roots[root] = 0
             while (division := rest.divmod(lin))[1].is_zero():
                 rest = division[0]
                 roots[root] += 1
+        if rest.degree() > 0:
+            raise NonSplitDenominator(
+                "denominator has an irreducible factor of degree > 1 over Q")
         return self.den.leading(), roots
 
     def partial_fractions(self) -> tuple[Poly, dict[Fraction, list[Fraction]]]:
@@ -366,38 +362,42 @@ def _monic_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.leading())
 
 
-def _one_rational_root(prim: Poly) -> Fraction | None:
-    """A rational root of a primitive integer polynomial, or None."""
-    from math import gcd
+def _rational_roots(prim: Poly) -> list[Fraction]:
+    """The rational roots of a square-free primitive integer polynomial P.
 
-    coeffs = [int(c) for c in prim.coeffs]
-    if coeffs[0] == 0:
-        return Q(0)
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-    for num in divisors(a0):
-        for den in divisors(an):
-            if gcd(num, den) != 1:
-                continue
-            for cand in (Q(num, den), Q(-num, den)):
-                if prim(cand) == 0:
-                    return cand
-    return None
+    A root x = a/b in lowest terms has a | a0 and b | an, so y = an x is an
+    integer with |y| <= |a0 an|. Take the least prime q that divides neither
+    an nor P' at a root of P mod q, Hensel-lift each root r of P mod q to a
+    modulus M > 2 |a0 an|, read y as the symmetric residue of an r, and
+    confirm y/an exactly. Sorted by (|numerator|, denominator, sign).
+    """
+    from .arith import is_prime  # arith imports this module
 
-
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, in increasing order."""
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    roots = []
+    if prim[0] == 0:  # square-free, so t divides P once
+        roots.append(Q(0))
+        prim = Poly(prim.coeffs[1:])
+    deriv = prim.derivative()
+    a0, an = int(prim[0]), int(prim.leading())
+    for q in filter(is_prime, count(2)):
+        mod_roots = [r for r in range(q) if prim(r) % q == 0]
+        if an % q and all(deriv(r) % q for r in mod_roots):
+            break
+    for r in mod_roots:
+        mod = q
+        while mod <= 2 * abs(a0 * an):
+            mod *= mod
+            r = (r - int(prim(r)) * pow(int(deriv(r)), -1, mod)) % mod
+        y = an * r % mod
+        x = Q(y - mod if 2 * y > mod else y, an)
+        if prim(x) == 0:
+            roots.append(x)
+    return sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
 
 
 # -- expression parser -----------------------------------------------------
+
+MAX_POWER_DEGREE = 500  # bound on |e| max(1, deg base) for each power base^e
 
 
 def parse_rational_function(text: str) -> RationalFunction:
@@ -448,6 +448,8 @@ def parse_rational_function(text: str) -> RationalFunction:
             e = take()
             if not isinstance(e, int):
                 raise ValueError("exponent must be an integer")
+            if e * max(1, node.num.degree(), node.den.degree()) > MAX_POWER_DEGREE:
+                raise ValueError(f"a power may have degree at most {MAX_POWER_DEGREE}")
             node = node ** (-e if neg else e)
         return node
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -133,8 +133,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
 def check_valuation_formula(params: FormParameters, n: int,
                             chi: DirichletCharacter,
                             rn: Optional[RnFunction] = None,
-                            table: Optional[PartialFractionTable] = None,
-                            sum_cache: Optional[Padic] = None) -> CheckReport:
+                            table: Optional[PartialFractionTable] = None) -> CheckReport:
     """vp of sum_j chi(j) Int R_n(t + j/D) equals the closed formula exactly."""
     t0 = time.monotonic()
     pr = params
@@ -149,14 +148,11 @@ def check_valuation_formula(params: FormParameters, n: int,
     observed = None
     attempts = 0
     for attempts in range(3):
-        target = predicted + 8 * 2 ** attempts
-        S = sum_cache if (sum_cache is not None and sum_cache.prec >= target) else None
-        if S is None:
-            S = chi_weighted_integral_sum(rn, chi, target, table=table)
+        S = chi_weighted_integral_sum(rn, chi, predicted + 8 * 2 ** attempts,
+                                      table=table)
         if not S.is_zero_at_precision():
             observed = int(S.valuation())
             break
-        sum_cache = None
     if observed is None:
         raise PrecisionError("sum vanished beyond every attempted precision")
     return _report("valuation-formula",
@@ -184,17 +180,16 @@ def tau_p(params: FormParameters) -> float:
     return pr.s * math.log(pr.p) * (pr.l + Fraction(1, pr.p - 1))
 
 
-def tau_infinity(params: FormParameters, field_degree: int = 1) -> float:
+def tau_infinity(params: FormParameters) -> float:
     pr = params
-    return field_degree * (pr.s * math.log(2)
-                           + pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l)
-                           * math.log(pr.d_prime * pr.p ** (1 + pr.l))
-                           + pr.s)
+    return (pr.s * math.log(2)
+            + pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l)
+            * math.log(pr.d_prime * pr.p ** (1 + pr.l))
+            + pr.s)
 
 
 def growth_bound_check(params: FormParameters, n: int,
-                       table: Optional[PartialFractionTable] = None,
-                       field_degree: int = 1) -> CheckReport:
+                       table: Optional[PartialFractionTable] = None) -> CheckReport:
     """Every |r_(i,k)| sits below the explicit finite-n bound (exact comparison)."""
     t0 = time.monotonic()
     pr = params
@@ -212,7 +207,7 @@ def growth_bound_check(params: FormParameters, n: int,
         "asymptotic_rate": pr.p * pr.Q * pr.D * math.log(pr.p * pr.D)
         + pr.s * math.log(2),
         "tau_p": tau_p(pr),
-        "tau_infinity": tau_infinity(pr, field_degree),
+        "tau_infinity": tau_infinity(pr),
     }
     return _report("growth-bound",
                    {"p": pr.p, "s": pr.s, "l": pr.l, "n": n},
@@ -234,19 +229,20 @@ def _tau_p_interval(params: FormParameters, terms: int) -> Interval:
     return lnp.scale(pr.s * (Q(pr.l) + Q(1, pr.p - 1)))
 
 
-def _tau_inf_interval(params: FormParameters, field_degree: int, terms: int) -> Interval:
+def _tau_inf_interval(params: FormParameters, terms: int) -> Interval:
     pr = params
     ln2 = ln_interval(2, terms)
     lnbig = ln_interval(pr.d_prime * pr.p ** (1 + pr.l), terms)
     big = lnbig.scale(pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l))
-    total = ln2.scale(pr.s) + big + Interval.point(pr.s)
-    return total.scale(field_degree)
+    return ln2.scale(pr.s) + big + Interval.point(pr.s)
 
 
 def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
-                             epsilon: Fraction, field_degree: int = 1) -> CheckReport:
-    """Rational-interval test of tau_p/tau_inf >= (1-eps) log s / (2 [K:Q] (1+log 2)).
+                             epsilon: Fraction) -> CheckReport:
+    """Rational-interval test of tau_p/tau_inf >= (1-eps) log s / (2 (1+log 2)).
 
+    tau_inf is taken over Q: a field degree [K:Q] would scale both sides
+    alike and leave the verdict unchanged.
     The depth l is the certified Lambert floor for (s, eps). The verdict is
     True only when the inequality is certified; an uncertifiable comparison
     reports 'undecided' in the detail and verdict False.
@@ -255,18 +251,15 @@ def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
     epsilon = Q(epsilon)
     params = choose_params(chi, p, s, epsilon=epsilon, l=None)
     ell = params.ell if params.ell is not None else params.l
-    raw = FormParameters(p=p, s=s, delta=params.delta, d_prime=params.d_prime,
-                         l0=params.l0, r=params.r, l=ell,
-                         Q=p ** (params.r + ell + 1),
-                         D=params.d_prime * p ** ell)
+    raw = replace(params, l=ell)
     status = "undecided"
     terms = 32
     while terms <= 400:
         taup = _tau_p_interval(raw, terms)
-        tauinf = _tau_inf_interval(raw, field_degree, terms)
+        tauinf = _tau_inf_interval(raw, terms)
         ln2 = ln_interval(2, terms)
         lns = ln_interval(s, terms)
-        lhs = taup * (Interval.point(2 * field_degree) * (Interval.point(1) + ln2))
+        lhs = taup * (Interval.point(2) * (Interval.point(1) + ln2))
         rhs = lns.scale(1 - epsilon) * tauinf
         if lhs.certainly_ge(rhs):
             status = "holds"
@@ -296,8 +289,8 @@ def form_sequence(params: FormParameters, chi: DirichletCharacter,
                   ns: Sequence[int]) -> list[SequencePoint]:
     """Heights and p-adic valuations of Lambda_n along a sequence of n.
 
-    Each n must satisfy the valuation-formula hypotheses so that the
-    target precision can be chosen from the prediction.
+    Each n must satisfy the valuation-formula hypotheses; the valuation of
+    the weighted integral sum is the one check_valuation_formula observes.
     """
     pr = params
     out = []
@@ -306,12 +299,8 @@ def form_sequence(params: FormParameters, chi: DirichletCharacter,
             raise DomainError(f"n = {n} breaks the valuation hypotheses")
         rn = build_rn(pr, n)
         table = partial_fractions(rn)
-        form = lambda_form(pr, table, chi)
-        vC = int(vp(form_scale(pr.s, n), pr.p))
-        predicted = valuation_formula_rhs(pr, n, chi)
-        S = chi_weighted_integral_sum(rn, chi, predicted + 8, table=table)
-        if S.is_zero_at_precision():
-            raise PrecisionError(f"sum at n = {n} vanished at the predicted precision")
-        out.append(SequencePoint(n=n, sigma=n, log_height=form.log_height(),
-                                 nu_lambda=int(S.valuation()) + vC))
+        nu = int(check_valuation_formula(pr, n, chi, rn=rn, table=table).observed)
+        out.append(SequencePoint(n=n, sigma=n,
+                                 log_height=lambda_form(pr, table, chi).log_height(),
+                                 nu_lambda=nu + int(vp(form_scale(pr.s, n), pr.p))))
     return out

@@ -1,19 +1,16 @@
-"""Shared fixtures: catalog workspaces and high-precision integral sums are
-built once per session because several test modules exercise the same desk
-instances."""
+"""Shared fixtures: catalog workspaces are built once per session because
+several test modules exercise the same desk instances."""
 
 from __future__ import annotations
 
 import pytest
 
 from padicforms.catalog import CATALOG, MINI_DESK, InstanceWorkspace
-from padicforms.forms import chi_weighted_integral_sum
 
 
 class DeskCache:
     def __init__(self):
         self._workspaces = {}
-        self._sums = {}
         self._instances = {inst.key: inst for inst in CATALOG + (MINI_DESK,)}
 
     def instance(self, key):
@@ -23,16 +20,6 @@ class DeskCache:
         if key not in self._workspaces:
             self._workspaces[key] = InstanceWorkspace(self._instances[key])
         return self._workspaces[key]
-
-    def weighted_sum(self, key, precision):
-        """sum_j chi(j) Int R_n(t + j/D) at >= the requested precision."""
-        ws = self.workspace(key)
-        cached = self._sums.get(key)
-        if cached is None or cached.prec < precision:
-            cached = chi_weighted_integral_sum(ws.rn, ws.chi, precision,
-                                               table=ws.table)
-            self._sums[key] = cached
-        return cached
 
 
 @pytest.fixture(scope="session")

@@ -65,16 +65,69 @@ def test_integrate_engines(capsys):
     (Q(1, 5), 100, 5, 20),
 ], ids=["huge-denominator-prec8", "huge-denominator-prec40", "order-100"])
 def test_integrate_huge_denominator_and_high_order_pole(x, k, p, prec):
-    # a subprocess with a timeout, so that a slow root search fails the test
-    # instead of hanging the suite
+    proc = run_cli_subprocess(["integrate", "--expr", f"({x}+t)^-{k}",
+                               "--p", str(p), "--prec", str(prec)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == integral_pole_power(x, k, p, prec).to_json()
+
+
+def run_cli_subprocess(argv, timeout=60):
+    """The CLI in a subprocess with a timeout, so that a slow request fails
+    its test instead of hanging the suite."""
     src = str(Path(padicforms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "padicforms.cli", "integrate",
-            "--expr", f"({x}+t)^-{k}", "--p", str(p), "--prec", str(prec)]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, "-m", "padicforms.cli"] + argv,
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("prec", [8, 40])
+def test_integrate_two_poles_one_with_huge_denominator(prec):
+    # the square-free denominator has two roots, so the rational root search
+    # runs; 1/((x1+t)(x2+t)) = ((x1+t)^-1 - (x2+t)^-1)/(x2 - x1)
+    x1, x2, p = Q(1, 10 ** 24), Q(1, 4), 2
+    proc = run_cli_subprocess(["integrate", "--expr", f"({x1}+t)^-1*({x2}+t)^-1",
+                               "--p", str(p), "--prec", str(prec)], timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["value"] == integral_pole_power(x, k, p, prec).to_json()
+    want = (integral_pole_power(x1, 1, p, prec) - integral_pole_power(x2, 1, p, prec)) \
+        .mul_fraction(1 / (x2 - x1)).at_precision(prec)
+    assert json.loads(proc.stdout)["value"] == want.to_json()
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--expr", "t^5000000", "--p", "2"],
+    ["integrate", "--expr", "(1/5+t)^-1", "--p", "5", "--engine", "riemann",
+     "--level", "14", "--prec", "4"],
+    ["integrate", "--expr", "(1/5+t)^-1", "--p", "5", "--engine", "riemann",
+     "--level", "-1", "--prec", "4"],
+    ["lvalue", "--i", "2", "--p", "2", "--l", "26", "--prec", "4"],
+    ["lvalue", "--i", "2", "--p", "2", "--l", str(10 ** 30), "--prec", "4"],
+    ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec", "3000000"],
+], ids=["exponent", "riemann-level", "negative-level", "lvalue-l", "lvalue-huge-l",
+        "prec"])
+def test_size_limits_exit2(argv):
+    proc = run_cli_subprocess(argv, timeout=30)
+    assert proc.returncode == 2 and not proc.stdout, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "usage"
+
+
+def test_size_limits_sit_at_their_bounds():
+    from padicforms.cli import MAX_PREC, MAX_TERMS, _size_error, build_parser
+
+    def error(argv):
+        return _size_error(build_parser().parse_args(argv))
+
+    riemann = ["integrate", "--expr", "(1/4+t)^-1", "--p", "2", "--engine", "riemann"]
+    assert MAX_TERMS == 2 ** 16
+    assert error(riemann + ["--level", "16"]) is None
+    assert error(riemann + ["--level", "17"]) is not None
+    assert error(["lvalue", "--i", "2", "--p", "2", "--l", "16"]) is None
+    assert error(["lvalue", "--i", "2", "--p", "2", "--l", "17"]) is not None
+    # the Mahler engine never reads --level
+    assert error(["integrate", "--expr", "(1/7919+t)^-1", "--p", "7919"]) is None
+    zeta = ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec"]
+    assert error(zeta + [str(MAX_PREC)]) is None
+    assert error(zeta + [str(MAX_PREC + 1)]) is not None
 
 
 def test_integrate_domain_violation_exit3(capsys):
@@ -156,6 +209,15 @@ def test_forms_build_hurwitz(capsys):
     doc = json.loads(out)
     assert doc["x_reduced"] == "1/4" and len(doc["corrections"]) == 2
     assert doc["identity"]["agrees"] is True
+
+
+@pytest.mark.parametrize("extra", [["--skip-identity"], ["--character", "quadratic:4"],
+                                   ["--skip-identity", "--character", "quadratic:4"]])
+def test_forms_build_hurwitz_rejects_flags_it_cannot_honour(capsys, extra):
+    code, out, err = run_cli(capsys, ["forms", "build", "--hurwitz", "1/4", "--p", "2",
+                                      "--s", "18", "--n", "1", "--l", "2"] + extra)
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_verify_single_checks(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from padicforms.arith import lcm_upto
 from padicforms.characters import quadratic_character, trivial_character
 from padicforms.errors import DegreeError, DomainError, IntegralityError
-from padicforms.forms import (build_rn, choose_params, hurwitz_params,
-                              hurwitz_variant_form, lambda_form, partial_fractions,
-                              per_x_valuation_hint, rho_higher, rho_zero,
-                              valuation_formula_rhs)
+from padicforms.forms import (build_rn, choose_params, family_form, form_scale,
+                              hurwitz_family, hurwitz_params, hurwitz_variant_form,
+                              lambda_form, partial_fractions, per_x_valuation_hint,
+                              rho_higher, rho_zero, valuation_formula_rhs)
 from padicforms.lambertw import ell_param, ln_interval
 from padicforms.polynomials import Poly, RationalFunction
 
@@ -59,6 +60,43 @@ def test_choose_params_examples():
     assert auto.ell == 1 and auto.l == 2
     with pytest.raises(DomainError):
         choose_params(quadratic_character(4), 2, 64, l=1)  # l < l0
+
+
+def test_form_parameters_derive_q_and_d():
+    pr = choose_params(quadratic_character(4), 2, 64, l=2)
+    assert not {"Q", "D"} & {f.name for f in dataclasses.fields(pr)}
+    deeper = dataclasses.replace(pr, l=3)
+    assert (deeper.Q, deeper.D) == (2 ** (pr.r + 4), pr.d_prime * 8)
+    hw, _ = hurwitz_params(Q(1, 4), 2, 64, l=3)
+    assert (hw.r, hw.Q, hw.D) == (0, 16, 8)
+
+
+@pytest.mark.parametrize("x, p, l", [(Q(1, 4), 2, 2), (Q(3, 4), 2, 3), (Q(1, 3), 3, 1),
+                                     (Q(2, 9), 3, 3), (Q(4, 5), 5, 2)])
+def test_hurwitz_family_weights_the_translates_of_x0(x, p, l):
+    # the numerators are the units j = j0 mod d up to D, each with weight 1
+    pr, j0 = hurwitz_params(x, p, 30, l=l)
+    d = x.denominator
+    family = hurwitz_family(pr, x)
+    assert [j for j, _ in family.weights] == [j0 + d * k for k in range(p ** (l - pr.l0))]
+    assert [j for j, _ in family.weights] == [j for j in range(1, pr.D + 1)
+                                              if math.gcd(j, p) == 1 and j % d == j0]
+    assert all(w == 1 for _, w in family.weights)
+
+
+def test_hurwitz_family_form_and_right_side_weights():
+    # tilde lambda_i = C rho_i D^i, and lambda_i f_i = C rho_i P^(i+1)/i
+    x = Q(3, 4)
+    pr, j0 = hurwitz_params(x, 2, 66, l=3)
+    table = partial_fractions(build_rn(pr, 1))
+    family = hurwitz_family(pr, x)
+    form = family_form(family, table)
+    C, P = form_scale(pr.s, 1), 2 ** (pr.l - pr.l0)
+    assert form.coeffs[0] == sum(C * rho_zero(table, Q(j0 + 4 * k, pr.D)) for k in range(P))
+    for i in range(1, pr.s + 1):
+        rho = rho_higher(table, i)
+        assert form.coeffs[i] == C * rho * pr.D ** i
+        assert form.coeffs[i] * family.factor(i) == C * rho * Q(P) ** (i + 1) / i
 
 
 def test_build_rn_closed_form():

@@ -1,7 +1,9 @@
-"""Source hygiene: every module is reachable from the package or the CLI, and
-no module imports a name it never uses."""
+"""Source hygiene: every module is reachable from the package or the CLI, no
+module imports a name it never uses, and every function the benchmark traces
+still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import padicforms
@@ -45,3 +47,29 @@ def test_no_module_has_an_unused_import():
     unused = {name: _unused_imports(tree) for name, tree in MODULES.items()
               if name != "__init__"}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_constant(name):
+    """A literal module-level constant of perfbench/spans.py, read without importing it."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {SPANS}")
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # spans.install looks each "<module>.<function>" up in padicforms.<module>;
+    # the padic.* metrics come from microbenchmarks, not from a function
+    names = {metric.rsplit(".", 1)[0] for metric, _ in _spans_constant("LAYER_METRICS")
+             if not metric.startswith("padic.")}
+    names |= set(_spans_constant("LEAF_FUNCTIONS"))
+    missing = []
+    for name in sorted(names):
+        module, func = name.split(".")
+        if not callable(getattr(importlib.import_module("padicforms." + module), func, None)):
+            missing.append(name)
+    assert len(names) > 20 and missing == []

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from padicforms.catalog import MINI_DESK, InstanceWorkspace
 from padicforms.errors import NonSplitDenominator
 from padicforms.forms import build_rn, hurwitz_params, partial_fractions
-from padicforms.polynomials import (Poly, RationalFunction, divisors,
-                                    parse_rational_function, series_inv, series_mul,
-                                    series_pow, series_trunc)
+from padicforms.polynomials import (MAX_POWER_DEGREE, Poly, RationalFunction,
+                                    _rational_roots, parse_rational_function, series_inv,
+                                    series_mul, series_pow, series_trunc)
 
 
 def test_poly_basics():
@@ -215,6 +215,73 @@ def test_parser():
         parse_rational_function("t +")
     with pytest.raises(ValueError):
         parse_rational_function("u + 1")
+
+
+def test_parser_caps_the_degree_of_a_power():
+    assert parse_rational_function(f"t^{MAX_POWER_DEGREE}")(1) == 1
+    assert parse_rational_function("(1/5+t)^-100")(0) == 5 ** 100
+    for text in (f"t^{MAX_POWER_DEGREE + 1}", "t^5000000", "(t^2)^300",
+                 "(1/5+t)^-501", "2^100000000000"):
+        with pytest.raises(ValueError):
+            parse_rational_function(text)
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, in increasing order."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _divisor_search_roots(prim):
+    """Every rational root of a primitive integer polynomial, by trial of
+    each num/den with num | a0 and den | an (the old search; the oracle)."""
+    coeffs = [int(c) for c in prim.coeffs]
+    roots = [Q(0)] if coeffs[0] == 0 else []
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+
+    def vanishes(num, den):  # den^deg P(num/den) = 0, in integers
+        return sum(c * num ** k * den ** (len(coeffs) - 1 - k)
+                   for k, c in enumerate(coeffs)) == 0
+
+    for num in divisors(abs(coeffs[0])):
+        for den in divisors(abs(coeffs[-1])):
+            if math.gcd(num, den) == 1:
+                roots.extend(Q(a, den) for a in (num, -num) if vanishes(a, den))
+    return roots
+
+
+_small_rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(_small_rationals, min_size=1, max_size=5, unique=True),
+       mults=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       quadratic=st.sampled_from([None, (2, 0, -1), (1, 1, 1), (5, 0, 3)]))
+def test_rational_roots_match_divisor_search(roots, mults, quadratic):
+    den = Poly.from_roots(roots)
+    if quadratic is not None:
+        den = den * Poly(list(reversed(quadratic)))
+    prim = Poly(den.content_primitive()[1])
+    assert _rational_roots(prim) == _divisor_search_roots(prim) \
+        == sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+    full = Poly.const(1)
+    for root, m in zip(roots, mults):
+        full = full * Poly.from_roots([root]) ** m
+    if quadratic is None:
+        _, found = RationalFunction(Poly([1]), full.scale(Q(3, 7))).den_factorization()
+        assert found == dict(zip(roots, mults))
+    else:
+        with pytest.raises(NonSplitDenominator):
+            RationalFunction(Poly([1]), full * Poly(list(reversed(quadratic)))) \
+                .den_factorization()
 
 
 def test_divisors_brute_force():

@@ -55,8 +55,7 @@ def test_fj_integral_p3(desk):
 
 def test_valuation_formula_desk_p3(desk):
     ws = desk.workspace("p3-trivial")
-    rep = check_valuation_formula(ws.params, 2, ws.chi, rn=ws.rn,
-                                  sum_cache=desk.weighted_sum("p3-trivial", 271))
+    rep = check_valuation_formula(ws.params, 2, ws.chi, rn=ws.rn, table=ws.table)
     assert rep.verdict and rep.expected == rep.observed == "263"
 
 
