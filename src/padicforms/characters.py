@@ -1,4 +1,8 @@
-"""Dirichlet characters with exact values, parity, conductor, and twisted Bernoulli numbers."""
+"""Dirichlet characters with exact values, parity, conductor, and twisted Bernoulli numbers.
+
+Values lie in K = Q(chi), as Fractions or CyclotomicElements (0 is the Fraction 0);
+their norms, p-adic valuations and images in Q_p come from `cyclotomic`.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .arith import bernoulli_poly, check_prime, vp, vp_int
-from .cyclotomic import CyclotomicElement, PadicEmbedding, euler_phi
-from .errors import DomainError, EmbeddingError
+from .arith import bernoulli_poly, check_prime, vp_int
+from .cyclotomic import CyclotomicElement, euler_phi, padic_valuation
+from .errors import DomainError
 
 Q = Fraction
 CharValue = Union[Fraction, CyclotomicElement]
@@ -44,11 +48,7 @@ class DirichletCharacter:
                 field_m = math.lcm(field_m, v.m)
             table[key] = v
         if field_m > 1:
-            table = {
-                j: (v if isinstance(v, CyclotomicElement) and v.m == field_m
-                    else _into_field(v, field_m))
-                for j, v in table.items()
-            }
+            table = {j: _into_field(v, field_m) for j, v in table.items()}
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "field_m", field_m)
         object.__setattr__(self, "_values", table)
@@ -100,7 +100,7 @@ class DirichletCharacter:
             return Q(1)
         j %= self.modulus
         if math.gcd(j, self.modulus) != 1:
-            return Q(0) if self.field_m == 1 else CyclotomicElement.zero(self.field_m)
+            return Q(0)
         return self._values[j]
 
     def __call__(self, j: int) -> CharValue:
@@ -127,7 +127,7 @@ def _into_field(v: CharValue, m: int) -> CyclotomicElement:
         return v
     if m % v.m == 0:
         # zeta_{v.m} = zeta_m^(m / v.m)
-        lift = CyclotomicElement.zero(m)
+        lift = Q(0)
         step = CyclotomicElement.zeta(m, m // v.m)
         for k in reversed(range(len(v.coords))):
             lift = lift * step + v.coords[k]
@@ -232,7 +232,7 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> CharValue:
         raise DomainError("need k >= 1")
     d = chi.modulus
     bk = bernoulli_poly(k)
-    acc = Q(0) if chi.is_rational_valued() else CyclotomicElement.zero(chi.field_m)
+    acc: CharValue = Q(0)
     for a in range(d):
         c = chi.value(a)
         if c != 0:
@@ -242,33 +242,23 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> CharValue:
 
 @dataclass(frozen=True)
 class ChiPadicData:
-    """Conductor split d = d' p^l0 and the valuation offset r at p."""
+    """Conductor split d = d' p^l0, vp(B_(2+delta,chi)) and the offset r = that + 1."""
 
     d_prime: int
     l0: int
     r: int
     b_head: CharValue
+    b_valuation: int
 
 
 def chi_padic_data(chi: DirichletCharacter, p: int) -> ChiPadicData:
-    """Split the conductor at p and set r = floor(vp(B_(2+delta,chi))) + 1."""
+    """Split the conductor at p and read vp(B_(2+delta,chi)) under the default embedding."""
     check_prime(p)
     cond = chi.conductor
     l0 = int(vp_int(cond, p)) if cond > 1 else 0
     d_prime = cond // p ** l0
     b = gen_bernoulli(2 + chi.delta, chi)
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise DomainError("B_(2+delta) vanishes; parity contract violated")
-        nu = vp(b, p)
-    elif b.is_rational():
-        nu = vp(b.rational_value(), p)
-    else:
-        for prec in (40, 80, 160):
-            image = b.embed(PadicEmbedding.default(p, chi.field_m, prec), prec)
-            if not image.is_zero_at_precision():
-                nu = image.valuation()
-                break
-        else:
-            raise EmbeddingError("could not resolve vp of the head Bernoulli number")
-    return ChiPadicData(d_prime=d_prime, l0=l0, r=int(math.floor(nu)) + 1, b_head=b)
+    if b == 0:
+        raise DomainError("B_(2+delta) vanishes; parity contract violated")
+    nu = int(padic_valuation(b, p))
+    return ChiPadicData(d_prime=d_prime, l0=l0, r=nu + 1, b_head=b, b_valuation=nu)

@@ -8,6 +8,7 @@ domain violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-MAX_PREC = 1000       # --prec
-MAX_TERMS = 2 ** 16   # p^--level (Riemann sum terms) and p^--l of lvalue
+MAX_PREC = 1000       # --prec, --digits, --count and the unit shifts of --hurwitz
+MAX_TERMS = 2 ** 16   # p^--level (Riemann sum terms) and p^--l
+MAX_TABLE = 2 ** 18   # s^2 (n+1) of forms build and of the SIZED_CHECKS
+SIZED_CHECKS = ("chi-congruence", "fj-integral", "valuation", "growth", "rate-fit")
 
 
 def _emit(obj) -> None:
@@ -248,12 +251,20 @@ def _cmd_nesterenko(args) -> int:
 
 def _size_error(args) -> str | None:
     """Why the request lies outside the CLI's size limits, or None."""
-    prec = getattr(args, "prec", 1)
-    if not 1 <= prec <= MAX_PREC:
-        return f"--prec must lie in 1..{MAX_PREC}, got {prec}"
+    for flag in ("prec", "digits", "count"):
+        value = getattr(args, flag, 1)
+        if not 1 <= value <= MAX_PREC:
+            return f"--{flag} must lie in 1..{MAX_PREC}, got {value}"
+    check = getattr(args, "check", None)
+    sized = args.command == "forms" or check in SIZED_CHECKS
+    if getattr(args, "hurwitz", None) and abs(math.ceil(Q(args.hurwitz)) - 1) > MAX_PREC:
+        return f"--hurwitz {args.hurwitz} needs over {MAX_PREC} unit shifts into (0, 1]"
+    ns = args.ns.split(",") if check == "rate-fit" else [getattr(args, "n", 0)]
+    if sized and any(args.s ** 2 * (int(n) + 1) > MAX_TABLE for n in ns):
+        return f"need s^2 (n+1) <= {MAX_TABLE} at --s {args.s} for every --n (--ns)"
     if args.command == "integrate" and args.engine == "riemann":
         flag, k = "--level", args.level
-    elif args.command == "lvalue":
+    elif args.command == "lvalue" or sized and args.l is not None:
         flag, k = "--l", args.l
     else:
         return None
@@ -271,10 +282,10 @@ def dispatch(argv: list[str]) -> int:
         argv[at:at + 2] = [f"--expr={argv[at + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
-    size_error = _size_error(args)
-    if size_error:
-        return _fail("usage", size_error, EXIT_USAGE)
     try:
+        size_error = _size_error(args)
+        if size_error:
+            return _fail("usage", size_error, EXIT_USAGE)
         if args.command == "integrate":
             return _cmd_integrate(args)
         if args.command == "zeta":

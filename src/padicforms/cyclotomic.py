@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import check_prime
-from .errors import DomainError, EmbeddingError, IntegralityError
+from .arith import check_prime, vp, vp_int
+from .errors import DomainError, EmbeddingError, IntegralityError, PrecisionError
 from .padic import Padic, teichmuller
 from .polynomials import Poly, as_fraction
 
@@ -96,10 +97,6 @@ class CyclotomicElement:
         _, red = mono.divmod(cyclotomic_polynomial(m))
         coords = [red[i] for i in range(phi)]
         return cls(m, coords)
-
-    @classmethod
-    def zero(cls, m: int) -> CyclotomicElement:
-        return cls.from_rational(0, m)
 
     @classmethod
     def one(cls, m: int) -> CyclotomicElement:
@@ -288,13 +285,59 @@ def value_to_padic(v: CyclotomicElement | Fraction, p: int, prec: int,
                    embedding: PadicEmbedding | None = None) -> Padic:
     """v in Q_p modulo p^prec; an irrational v goes through the embedding.
 
-    The embedding defaults to PadicEmbedding.default(p, v.m, prec).
+    The embedding defaults to PadicEmbedding.default(p, v.m, prec). The
+    integral c v (see _clear_denominators) is embedded at prec + vp(c) and
+    divided by c, so the result keeps all prec digits.
     """
     if isinstance(v, CyclotomicElement):
         if not v.is_rational():
-            return v.embed(embedding or PadicEmbedding.default(p, v.m, prec), prec)
+            c, cv = _clear_denominators(v)
+            extra = int(vp_int(c, p))
+            image = cv.embed(embedding or PadicEmbedding.default(p, v.m, prec + extra),
+                             prec + extra)
+            return image.mul_fraction(Q(1, c))
         v = v.rational_value()
     return Padic.from_fraction(v, p, prec)
+
+
+def padic_valuation(x: CyclotomicElement | Fraction, p: int,
+                    embedding: PadicEmbedding | None = None) -> int | float:
+    """vp of x in Q_p (math.inf at 0); an irrational x goes through the embedding.
+
+    The embedding defaults to PadicEmbedding.default, as in value_to_padic.
+    The precision is read off in closed form: c x lies in Z[zeta_m], and p
+    splits completely in Q(zeta_m) when m | p - 1 (Washington, Introduction
+    to Cyclotomic Fields, Thm 2.13). So the images of c x under the phi(m)
+    embeddings into Q_p are p-adic integers whose valuations add up to
+    vp(N(c x)), and vp(c x) <= vp(N(c x)). One embedding at precision
+    vp(N(c x)) + 1 therefore reads vp(c x) exactly.
+    """
+    if isinstance(x, CyclotomicElement):
+        if x.is_rational():
+            return vp(x.rational_value(), p)
+    else:
+        return vp(x, p)
+    c, cx = _clear_denominators(x)
+    prec = int(vp(cx.norm(), p)) + 1
+    if embedding is None:
+        embedding = PadicEmbedding.default(p, x.m, prec)
+    elif embedding.root.prec < prec:
+        raise PrecisionError(f"embedding root known to p^{embedding.root.prec}, "
+                             f"reading the valuation needs p^{prec}")
+    return cx.embed(embedding, prec).valuation() - vp_int(c, p)
+
+
+def abs_norm(x: CyclotomicElement | Fraction, m: int) -> Fraction:
+    """|N_(K/Q)(x)| for x in K = Q(zeta_m)."""
+    if isinstance(x, CyclotomicElement):
+        return abs(x.norm())
+    return abs(x) ** euler_phi(m)
+
+
+def _clear_denominators(x: CyclotomicElement) -> tuple[int, CyclotomicElement]:
+    """(c, c x) with c the lcm of the coordinate denominators, so c x is in Z[zeta_m]."""
+    c = math.lcm(*(q.denominator for q in x.coords))
+    return c, x * c
 
 
 def scale_by_value(x: Padic, c: CyclotomicElement | Fraction,

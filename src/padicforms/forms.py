@@ -25,8 +25,8 @@ from typing import Callable, Optional
 from .arith import (factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import (CyclotomicElement, PadicEmbedding, assert_integral, euler_phi,
-                         scale_by_value, value_to_padic)
+from .cyclotomic import (PadicEmbedding, abs_norm, assert_integral, scale_by_value,
+                         value_to_padic)
 from .errors import DegreeError, DomainError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
@@ -214,33 +214,16 @@ class RnFunction:
 
         return f
 
-    def coeff_floor(self, i: int) -> int:
-        """A priori lower bound for vp of every r_(i,k).
-
-        (s-i)! d_n^(s-i) r_(i,k) is an integer for this family (checked by
-        the integrality sweeps), so vp(r_(i,k)) is bounded below by
-        -vp((s-i)!) - (s-i) vp(d_n). Exact per-coefficient valuations from
-        a computed table supersede this bound wherever one is available.
-        """
-        pr = self.params
-        return -(factorial_valuation(pr.s - i, pr.p)
-                 + (pr.s - i) * int(vp_int(lcm_upto(self.n), pr.p)))
-
     def pole_data_shifted(self, x: Fraction,
-                          table: Optional["PartialFractionTable"] = None) -> list[PoleData]:
+                          table: "PartialFractionTable") -> list[PoleData]:
         """Pole data of t -> R_n(t + x) for the Mahler engine.
 
-        With a partial fraction table the floors are the exact coefficient
-        valuations; otherwise the integrality bound is used.
+        The floors are the exact valuations of the coefficients r_(i,k).
         """
         pr = self.params
-        if table is not None:
-            return [PoleData(location=-(Fraction(x) + k), order=pr.s,
-                             floors=tuple(vp(table.r(i, k), pr.p)
-                                          for i in range(1, pr.s + 1)))
-                    for k in range(self.n + 1)]
-        floors = tuple(self.coeff_floor(i) for i in range(1, pr.s + 1))
-        return [PoleData(location=-(Fraction(x) + k), order=pr.s, floors=floors)
+        return [PoleData(location=-(Fraction(x) + k), order=pr.s,
+                         floors=tuple(vp(table.r(i, k), pr.p)
+                                      for i in range(1, pr.s + 1)))
                 for k in range(self.n + 1)]
 
     def series_at_pole(self, k: int, length: int) -> list[Fraction]:
@@ -413,15 +396,7 @@ class LinearFormOverK:
 
     def height(self) -> Fraction:
         """H_K: maximum absolute norm of the coefficients."""
-        deg = euler_phi(self.field_m)
-        best = Q(0)
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                val = abs(c) ** deg
-            else:
-                val = abs(c.norm())
-            best = max(best, val)
-        return best
+        return max(abs_norm(c, self.field_m) for c in self.coeffs)
 
     def log_height(self) -> float:
         h = self.height()
@@ -441,8 +416,7 @@ def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOv
     """
     pr = family.params
     C = form_scale(pr.s, table.n)
-    lam0: CharValue = (Q(0) if family.field_m == 1
-                       else CyclotomicElement.zero(family.field_m))
+    lam0: CharValue = Q(0)
     for j, w in family.weights:
         scaled = C * rho_zero(table, Q(j, pr.D))
         assert_integral(scaled, f"lambda_0 term at j = {j}")
@@ -467,14 +441,14 @@ def lambda_form(params: FormParameters, table: PartialFractionTable,
 
 
 def integral_rn_shifted(rn: RnFunction, x: Fraction, precision: int,
-                        table: Optional[PartialFractionTable] = None) -> Padic:
+                        table: PartialFractionTable) -> Padic:
     """Volkenborn integral of t -> R_n(t + x), certified mod p^precision."""
     return integral_mahler(rn.shifted(x), rn.params.p, precision,
                            pole_data=rn.pole_data_shifted(x, table))
 
 
 def weighted_integral_sum(rn: RnFunction, family: FormFamily, precision: int,
-                          table: Optional[PartialFractionTable] = None) -> Padic:
+                          table: PartialFractionTable) -> Padic:
     """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision."""
     pr = rn.params
     if not pr.domain_ok:
@@ -492,7 +466,8 @@ def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
                               precision: int,
                               table: Optional[PartialFractionTable] = None) -> Padic:
     """sum over units j mod D of chi(j) * integral of R_n(t + j/D)."""
-    return weighted_integral_sum(rn, lvalue_family(rn.params, chi), precision, table)
+    return weighted_integral_sum(rn, lvalue_family(rn.params, chi), precision,
+                                 table or partial_fractions(rn))
 
 
 # -- valuation prediction ---------------------------------------------------------------
@@ -502,17 +477,11 @@ def valuation_formula_rhs(params: FormParameters, n: int,
                           chi: DirichletCharacter) -> int:
     """Predicted vp of sum_j chi(j) * integral of R_n(t + j/D).
 
-    s vp(n!) + Q vp(packed multinomial) + ((n+1)s + 1) l - m(n) + vp(B_(2+delta,chi)).
+    s vp(n!) + Q vp(packed multinomial) + ((n+1)s + 1) l - m(n) + vp(B_(2+delta,chi)),
+    the last under the default embedding of K = Q(chi).
     """
-    pr = params
-    p = pr.p
-    data = chi_padic_data(chi, p)
-    b = data.b_head
-    if isinstance(b, CyclotomicElement):
-        if not b.is_rational():
-            raise DomainError("irrational head Bernoulli: supply an embedding path")
-        b = b.rational_value()
-    return per_x_valuation_hint(pr, n) + pr.l + int(vp(b, p))
+    return (per_x_valuation_hint(params, n) + params.l
+            + chi_padic_data(chi, params.p).b_valuation)
 
 
 def per_x_valuation_hint(params: FormParameters, n: int) -> int:

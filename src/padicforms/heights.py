@@ -1,4 +1,8 @@
-"""Heights of matrices over a cyclotomic field, p-adic variants, and the dimension ratio."""
+"""Heights of matrices over a cyclotomic field, p-adic variants, and the dimension ratio.
+
+Norms, p-adic valuations and images in Q_p of the entries come from `cyclotomic`,
+through the given embedding or, by default, PadicEmbedding.default as there.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .cyclotomic import CyclotomicElement, PadicEmbedding, euler_phi
-from .errors import DomainError, PrecisionError
+from .cyclotomic import (CyclotomicElement, PadicEmbedding, abs_norm, padic_valuation,
+                         value_to_padic)
+from .errors import DomainError
 from .padic import Padic
 
 Q = Fraction
@@ -57,13 +62,7 @@ class HeightMatrix:
         return [[row[j] for j in cols] for row in self.entries]
 
 
-def _field_norm_abs(x: Entry, field_m: int) -> Fraction:
-    if isinstance(x, Fraction):
-        return abs(x) ** euler_phi(field_m)
-    return abs(x.norm())
-
-
-def _det_field(rows: list[list[Entry]], field_m: int) -> Entry:
+def _det_field(rows: list[list[Entry]]) -> Entry:
     """Determinant by Gaussian elimination over the field K."""
     n = len(rows)
     a = [list(r) for r in rows]
@@ -76,7 +75,7 @@ def _det_field(rows: list[list[Entry]], field_m: int) -> Entry:
                 pivot = r
                 break
         if pivot is None:
-            return Q(0) if field_m == 1 else CyclotomicElement.zero(field_m)
+            return Q(0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
@@ -96,38 +95,20 @@ def height_K(M: HeightMatrix) -> Fraction:
     """H_K(M): the maximum absolute norm over all maximal minors."""
     best = Q(0)
     for cols in combinations(range(M.ncols), M.nrows):
-        det = _det_field(M.minor(cols), M.field_m)
-        best = max(best, _field_norm_abs(det, M.field_m))
+        det = _det_field(M.minor(cols))
+        best = max(best, abs_norm(det, M.field_m))
     return best
 
 
-def _entry_valuation(x: Entry, p: int, embedding: Optional[PadicEmbedding],
-                     prec: int) -> Fraction | float:
-    from .arith import vp
-
-    if isinstance(x, Fraction):
-        return vp(x, p)
-    if x.is_rational():
-        return vp(x.rational_value(), p)
-    if embedding is None:
-        raise DomainError("an embedding is required for irrational entries")
-    for attempt in range(3):
-        image = x.embed(embedding, prec * (2 ** attempt))
-        if not image.is_zero_at_precision():
-            return image.valuation()
-    raise PrecisionError("could not resolve a p-adic valuation of a nonzero entry")
-
-
 def height_p_valuation(M: HeightMatrix, p: int,
-                       embedding: Optional[PadicEmbedding] = None,
-                       prec: int = 48) -> Fraction | float:
+                       embedding: Optional[PadicEmbedding] = None) -> Fraction | float:
     """min over maximal minors of vp(det); H_p(M) = p^(-result)."""
     best = math.inf
     for cols in combinations(range(M.ncols), M.nrows):
-        det = _det_field(M.minor(cols), M.field_m)
+        det = _det_field(M.minor(cols))
         if det == 0:
             continue
-        best = min(best, _entry_valuation(det, p, embedding, prec))
+        best = min(best, padic_valuation(det, p, embedding))
     return best
 
 
@@ -166,17 +147,6 @@ def _padic_det(rows: list[list[Padic]], p: int) -> Padic:
     return (-acc) if sign < 0 else acc
 
 
-def _embed_entry(x: Entry, p: int, embedding: Optional[PadicEmbedding],
-                 prec: int) -> Padic:
-    if isinstance(x, Fraction):
-        return Padic.from_fraction(x, p, prec)
-    if x.is_rational():
-        return Padic.from_fraction(x.rational_value(), p, prec)
-    if embedding is None:
-        raise DomainError("an embedding is required for irrational entries")
-    return x.embed(embedding, prec)
-
-
 def delta_p_valuation(M: HeightMatrix, xi: Sequence[Padic], p: int,
                       embedding: Optional[PadicEmbedding] = None,
                       prec: int = 48) -> Fraction | float:
@@ -187,7 +157,7 @@ def delta_p_valuation(M: HeightMatrix, xi: Sequence[Padic], p: int,
     """
     if len(xi) != M.ncols:
         raise DomainError("xi must have one entry per column")
-    emb_rows = [[_embed_entry(e, p, embedding, prec) for e in row]
+    emb_rows = [[value_to_padic(e, p, prec, embedding) for e in row]
                 for row in M.entries]
     prod = []
     for row in emb_rows:

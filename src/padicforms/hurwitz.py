@@ -194,8 +194,7 @@ def _lp_nonpositive(i, chi, p, D, omega_exp, precision) -> LValue:
     n = 1 - i
     e_res = (omega_exp - n) % phi_qp(p)
     bn = bernoulli_poly(n)
-    rational_total: Fraction | CyclotomicElement = (
-        Q(0) if chi.is_rational_valued() else CyclotomicElement.zero(chi.field_m))
+    rational_total: CharValue = Q(0)
     padic_terms: list[tuple[CharValue, Fraction, int]] = []
     all_exact = True
     for j, c in chi_units(chi, D, p):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import multinomial_packed, vp
+from .arith import binom_padic_data, multinomial_packed, vp
 from .characters import DirichletCharacter
 from .errors import DomainError, PrecisionError
 from .forms import (FormParameters, PartialFractionTable, RnFunction, build_rn,
@@ -75,7 +75,7 @@ def check_chi_congruence(params: FormParameters, n: int, j: int,
     N = pr.N(n)
     failures = []
     for x in xs:
-        lhs = math.comb(N + pr.D * x + j, N) % pr.p
+        lhs = binom_padic_data(N + pr.D * x + j, N, pr.p)[1]  # Lucas' theorem
         rhs = characteristic_Xjn(params, n, j, x)
         if lhs != rhs % pr.p:
             failures.append((x, lhs, rhs))
@@ -107,6 +107,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
     if math.gcd(j, pr.p) != 1:
         raise DomainError("j must be prime to p")
     rn = rn or build_rn(pr, n)
+    table = table or partial_fractions(rn)
     scale = Q(math.factorial(n) ** pr.s
               * multinomial_packed(rn.N, n) ** pr.Q
               * Q(pr.D) ** (pr.s * (n + 1)))
@@ -144,6 +145,7 @@ def check_valuation_formula(params: FormParameters, n: int,
     if not pr.size_ok:
         raise DomainError(f"s = {pr.s} below p Q D = {pr.pQD}")
     rn = rn or build_rn(pr, n)
+    table = table or partial_fractions(rn)
     predicted = valuation_formula_rhs(pr, n, chi)
     observed = None
     attempts = 0

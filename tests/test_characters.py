@@ -8,7 +8,7 @@ from padicforms.characters import (DirichletCharacter, char_make,
                                    character_from_spec, chi_padic_data, chi_units,
                                    gen_bernoulli, quadratic_character,
                                    trivial_character)
-from padicforms.cyclotomic import CyclotomicElement, euler_phi
+from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding, euler_phi
 from padicforms.errors import DomainError
 
 
@@ -51,6 +51,13 @@ def test_quartic_character_mod_5():
     assert isinstance(b, CyclotomicElement) and not b.is_zero()
     data = chi_padic_data(chi, 13)  # 4 | 13 - 1, embedding resolvable
     assert data.d_prime == 5 and data.l0 == 0
+    # vp(B_(3,chi)) under the default embedding, against a 200-digit image
+    for p, d_prime, l0, nu in ((5, 1, 1, -1), (13, 5, 0, 0)):
+        data = chi_padic_data(chi, p)
+        deep = b.embed(PadicEmbedding.default(p, 4, 200), 200)
+        assert (data.d_prime, data.l0, data.b_valuation, data.r) == \
+            (d_prime, l0, deep.valuation(), deep.valuation() + 1) == \
+            (d_prime, l0, nu, nu + 1)
 
 
 def test_chi_units_matches_explicit_loop():

@@ -103,16 +103,36 @@ def test_integrate_two_poles_one_with_huge_denominator(prec):
     ["lvalue", "--i", "2", "--p", "2", "--l", "26", "--prec", "4"],
     ["lvalue", "--i", "2", "--p", "2", "--l", str(10 ** 30), "--prec", "4"],
     ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec", "3000000"],
+    ["forms", "build", "--hurwitz", "100000000001/4", "--p", "2", "--s", "18",
+     "--n", "1", "--l", "2"],
+    ["forms", "build", "--p", "2", "--s", "20000", "--n", "1", "--l", "2",
+     "--skip-identity"],
+    ["forms", "build", "--p", "2", "--s", "64", "--n", "1", "--l", str(10 ** 30)],
+    ["verify", "rate-fit", "--p", "3", "--s", "82", "--l", "1", "--ns", "2,5,100000"],
+    ["verify", "chi-congruence", "--p", "2", "--s", "1", "--l", "2", "--n", str(10 ** 9)],
+    ["verify", "integrality", "--count", "1000000"],
+    ["verify", "all", "--catalog", "--digits", "1000000"],
 ], ids=["exponent", "riemann-level", "negative-level", "lvalue-l", "lvalue-huge-l",
-        "prec"])
+        "prec", "hurwitz-shifts", "forms-s", "forms-huge-l", "rate-fit-ns",
+        "chi-congruence-n", "count", "digits"])
 def test_size_limits_exit2(argv):
     proc = run_cli_subprocess(argv, timeout=30)
     assert proc.returncode == 2 and not proc.stdout, proc.stderr
     assert json.loads(proc.stderr)["error"] == "usage"
 
 
+def test_chi_congruence_at_the_size_caps_answers_at_once():
+    # s^2 (n+1) and p^l at their caps give N(n) near 2^34; the residue of
+    # binom(N + D x + j, N) mod p comes digit by digit (Lucas' theorem)
+    proc = run_cli_subprocess(["verify", "chi-congruence", "--p", "2", "--s", "1",
+                               "--l", "16", "--n", str(2 ** 18 - 1), "--j", "3"],
+                              timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
 def test_size_limits_sit_at_their_bounds():
-    from padicforms.cli import MAX_PREC, MAX_TERMS, _size_error, build_parser
+    from padicforms.cli import MAX_PREC, MAX_TABLE, MAX_TERMS, _size_error, build_parser
 
     def error(argv):
         return _size_error(build_parser().parse_args(argv))
@@ -128,6 +148,31 @@ def test_size_limits_sit_at_their_bounds():
     zeta = ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec"]
     assert error(zeta + [str(MAX_PREC)]) is None
     assert error(zeta + [str(MAX_PREC + 1)]) is not None
+    # forms and verify: s^2 (n+1) <= MAX_TABLE for --n and every --ns entry
+    assert MAX_TABLE == 2 ** 18 == 256 ** 2 * 4
+    build = ["forms", "build", "--p", "2", "--s", "256", "--l", "2", "--n"]
+    assert error(build + ["3"]) is None
+    assert error(build + ["4"]) is not None
+    rate = ["verify", "rate-fit", "--p", "3", "--s", "256", "--l", "1", "--ns"]
+    assert error(rate + ["1,3"]) is None
+    assert error(rate + ["1,4,3"]) is not None
+    assert error(["verify", "valuation", "--s", "256", "--n", "4"]) is not None
+    # lambert and integrality read neither --s nor --n
+    assert error(["verify", "lambert", "--s", str(10 ** 400), "--n", "4"]) is None
+    # --digits and --count lie in 1..MAX_PREC; --hurwitz X needs |ceil(X) - 1| shifts
+    for flag in ("--digits", "--count"):
+        assert error(["verify", "all", "--catalog", flag, str(MAX_PREC)]) is None
+        assert error(["verify", "all", "--catalog", flag, str(MAX_PREC + 1)]) is not None
+        assert error(["verify", "all", "--catalog", flag, "0"]) is not None
+    hurwitz = ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--l", "2",
+               "--hurwitz"]
+    for x in ("1001", "-999", "4001/4"):
+        assert error(hurwitz + [x]) is None, x
+    for x in ("1002", "-1000", "4005/4"):
+        assert error(hurwitz + [x]) is not None, x
+    # forms and verify cap --l as lvalue does
+    assert error(build[:-1] + ["--n", "1", "--l", "16"]) is None
+    assert error(build[:-1] + ["--n", "1", "--l", "17"]) is not None
 
 
 def test_integrate_domain_violation_exit3(capsys):

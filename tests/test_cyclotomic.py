@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicforms.cyclotomic import (CyclotomicElement, PadicEmbedding,
-                                   cyclotomic_polynomial, euler_phi, resultant,
-                                   scale_by_value, value_to_padic)
-from padicforms.errors import EmbeddingError, IntegralityError
+from padicforms.cyclotomic import (CyclotomicElement, PadicEmbedding, abs_norm,
+                                   cyclotomic_polynomial, euler_phi, padic_valuation,
+                                   resultant, scale_by_value, value_to_padic)
+from padicforms.errors import EmbeddingError, IntegralityError, PrecisionError
 from padicforms.cyclotomic import assert_integral
 from padicforms.padic import Padic, teichmuller
 from padicforms.polynomials import Poly
@@ -122,3 +125,60 @@ def test_scale_by_value_paths():
             assert scale_by_value(x, c, emb) == want
     assert value_to_padic(Q(3, 5), p, 4) == Padic.from_fraction(Q(3, 5), p, 4)
     assert value_to_padic(i, p, 8) == i.embed(emb, 8)
+
+
+def test_value_to_padic_keeps_every_requested_digit():
+    # p in the coordinate denominators used to cost two digits of precision
+    x = CyclotomicElement(4, [Q(1, 5), Q(1, 25)])
+    deep = x.embed(PadicEmbedding.default(5, 4, 60), 60)
+    for prec in (5, 10, 20):
+        got = value_to_padic(x, 5, prec)
+        assert got.prec == prec and got == deep.at_precision(prec), prec
+
+
+# (p, m) with m | p - 1, so that p splits completely in Q(zeta_m)
+SPLIT_PAIRS = [(5, 4), (13, 4), (7, 3), (7, 6), (13, 12), (11, 5), (31, 10)]
+
+
+@st.composite
+def _split_elements(draw):
+    """(p, x): x = y (g - zeta)^k / p^j with g = zeta's image mod p, so vp(x) varies."""
+    p, m = draw(st.sampled_from(SPLIT_PAIRS))
+    coord = st.builds(Q, st.integers(-60, 60), st.integers(1, 3 * p))
+    y = CyclotomicElement(m, draw(st.lists(coord, min_size=euler_phi(m),
+                                           max_size=euler_phi(m))))
+    g = PadicEmbedding.default(p, m, 1).root.unit
+    pi = CyclotomicElement.from_rational(g, m) - CyclotomicElement.zeta(m)
+    x = y * pi ** draw(st.integers(0, 6)) * Q(1, p ** draw(st.integers(0, 2)))
+    return p, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_elements())
+def test_padic_valuation_matches_a_deep_embedding(case):
+    p, x = case
+    got = padic_valuation(x, p)
+    if x.is_zero():
+        assert got == math.inf
+        return
+    deep = x.embed(PadicEmbedding.default(p, x.m, 400), 400)
+    assert not deep.is_zero_at_precision() and got == deep.valuation()
+
+
+def test_padic_valuation_rational_and_coarse_embedding():
+    assert padic_valuation(Q(50, 3), 5) == 2
+    assert padic_valuation(CyclotomicElement.from_rational(Q(3, 25), 4), 5) == -2
+    pi = 2 - CyclotomicElement.zeta(4)   # zeta -> omega(2) = 2 mod 5
+    assert padic_valuation(pi ** 5, 5) == 5
+    # reading vp((2 - i)^5) needs the root to p^6 (vp of the norm 5^5, plus 1)
+    assert padic_valuation(pi ** 5, 5, PadicEmbedding.default(5, 4, 6)) == 5
+    with pytest.raises(PrecisionError):
+        padic_valuation(pi ** 5, 5, PadicEmbedding.default(5, 4, 5))
+
+
+def test_abs_norm():
+    i4 = CyclotomicElement.zeta(4)
+    assert abs_norm(Q(-3, 2), 4) == Q(9, 4)
+    assert abs_norm(Q(-3, 2), 1) == Q(3, 2)
+    assert abs_norm(1 + i4, 4) == 2
+    assert abs_norm(-(2 + i4), 4) == 5

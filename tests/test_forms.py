@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicforms.arith import lcm_upto
-from padicforms.characters import quadratic_character, trivial_character
+from padicforms.characters import (char_make, gen_bernoulli, quadratic_character,
+                                   trivial_character)
+from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding
 from padicforms.errors import DegreeError, DomainError, IntegralityError
 from padicforms.forms import (build_rn, choose_params, family_form, form_scale,
                               hurwitz_family, hurwitz_params, hurwitz_variant_form,
@@ -219,6 +221,19 @@ def test_valuation_formula_rhs_frozen(desk):
     pr3 = desk.workspace("p3-trivial").params
     assert valuation_formula_rhs(pr3, 2, triv) == 263
     assert per_x_valuation_hint(pr2, 3) == 622
+
+
+@pytest.mark.parametrize("p, s, l, n, want", [(5, 628, 1, 4, 3239), (13, 24, 1, 1, 26412)])
+def test_valuation_formula_rhs_quartic_character(p, s, l, n, want):
+    # B_(3,chi) of the order-4 character mod 5 is irrational; its valuation
+    # under the default embedding is read from a 200-digit image
+    i = CyclotomicElement.zeta(4)
+    chi = char_make(5, {1: CyclotomicElement.one(4), 2: i, 3: -i,
+                        4: CyclotomicElement.from_rational(-1, 4)})
+    head = gen_bernoulli(3, chi).embed(PadicEmbedding.default(p, 4, 200), 200)
+    pr = choose_params(chi, p, s, l=l)
+    assert valuation_formula_rhs(pr, n, chi) == \
+        per_x_valuation_hint(pr, n) + l + head.valuation() == want
 
 
 def test_hurwitz_variant_with_shift_reduction():

@@ -146,6 +146,22 @@ def test_delta_p_append_product_rule():
         assert combined == hpM + dL
 
 
+def test_height_p_valuation_over_Qi_default_embedding():
+    # the default embedding at p = 5 sends i to omega(2) = 2 mod 5, so 2 - i has
+    # valuation 1 (its norm is 5) and 2 + i is a unit
+    i4 = CyclotomicElement.zeta(4)
+    pi, unit = 2 - i4, 2 + i4
+    M = HeightMatrix([[pi ** 3 * unit, 0], [0, Q(1, 5)]], field_m=4)
+    assert height_p_valuation(M, 5) == 2
+    assert height_p_valuation(HeightMatrix([[pi, 25]], field_m=4), 5) == 1
+    assert height_p_valuation(HeightMatrix([[unit, 25]], field_m=4), 5) == 0
+    emb = PadicEmbedding.default(5, 4, 40)
+    assert height_p_valuation(M, 5, emb) == 2
+    # Delta_p takes the same default embedding as value_to_padic
+    xi = [Padic.from_fraction(Q(1), 5, 20), Padic.from_fraction(Q(5), 5, 20)]
+    assert delta_p_valuation(M, xi, 5) == delta_p_valuation(M, xi, 5, emb) == 2
+
+
 def test_dimension_bound():
     assert dimension_bound(1, 1, 0) == Q(1, 2)
     assert dimension_bound(Q(7), Q(3), Q(3)) == Q(3, 7)

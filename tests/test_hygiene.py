@@ -73,3 +73,13 @@ def test_every_function_the_benchmark_traces_exists():
         if not callable(getattr(importlib.import_module("padicforms." + module), func, None)):
             missing.append(name)
     assert len(names) > 20 and missing == []
+
+
+def test_only_cyclotomic_embeds_field_elements():
+    # values of K = Q(chi) enter Q_p through cyclotomic.value_to_padic,
+    # scale_by_value and padic_valuation, never through .embed elsewhere
+    callers = sorted(name for name, tree in MODULES.items() if name != "cyclotomic"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "embed")
+    assert callers == []
