@@ -21,7 +21,7 @@ from .forms import (build_rn, choose_params, family_form, form_identity,
 from .hurwitz import lp_value, zeta_p_nonpos, zeta_p_pos
 from .jsonio import dumps, rational_to_str, value_to_json
 from .padic import Padic
-from .polynomials import parse_rational_function
+from .polynomials import MAX_POWER_DEGREE, parse_rational_function
 from .verification import (check_chi_congruence, check_fj_integral,
                            check_valuation_formula, form_sequence,
                            growth_bound_check, lambert_inequality_check)
@@ -255,6 +255,12 @@ def _size_error(args) -> str | None:
         value = getattr(args, flag, 1)
         if not 1 <= value <= MAX_PREC:
             return f"--{flag} must lie in 1..{MAX_PREC}, got {value}"
+    if args.command in ("zeta", "lvalue"):
+        # the nonpositive branch builds the Bernoulli polynomial B_(1-s), B_(1-i)
+        flag, k = ("--s", args.s) if args.command == "zeta" else ("--i", args.i)
+        if 1 - k > MAX_POWER_DEGREE:
+            return (f"need {flag} >= {1 - MAX_POWER_DEGREE}: the Bernoulli index "
+                    f"1 - {flag[2:]} is at most {MAX_POWER_DEGREE}, got {k}")
     check = getattr(args, "check", None)
     sized = args.command == "forms" or check in SIZED_CHECKS
     if getattr(args, "hurwitz", None) and abs(math.ceil(Q(args.hurwitz)) - 1) > MAX_PREC:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 from .arith import check_prime, vp, vp_int
-from .errors import DomainError, EmbeddingError, IntegralityError, PrecisionError
-from .padic import Padic, teichmuller
+from .errors import DomainError, EmbeddingError, IntegralityError
+from .padic import Padic, phi_qp, qp, teichmuller
 from .polynomials import Poly, as_fraction
 
 Q = Fraction
@@ -213,11 +214,11 @@ class CyclotomicElement:
         return resultant(cyclotomic_polynomial(self.m), self.as_poly())
 
     def embed(self, embedding: PadicEmbedding, prec: int) -> Padic:
-        """Image under the embedding sending zeta_m to embedding.root."""
+        """Image modulo p^prec under the embedding sending zeta_m to embedding.root(prec)."""
         if self.m != embedding.m:
             raise EmbeddingError(
                 f"element lives in Q(zeta_{self.m}) but embedding fixes zeta_{embedding.m}")
-        root = embedding.root.at_precision(min(prec, embedding.root.prec))
+        root = embedding.root(prec)
         acc = Padic.zero(embedding.p, prec)
         for c in reversed(self.coords):
             acc = acc * root
@@ -227,65 +228,54 @@ class CyclotomicElement:
         return acc
 
 
+@dataclass(frozen=True)
 class PadicEmbedding:
-    """An embedding Q(zeta_m) -> Q_p given by the image of zeta_m.
+    """The embedding Q(zeta_m) -> Q_p sending zeta_m to the Teichmuller lift of g.
 
-    Requires m | p - 1 (for odd p) or m | 2 (for p = 2), so the image
-    is a Teichmuller root of unity in Z_p.
+    g is a residue of order exactly m mod q_p (p, or 4 when p = 2), so the
+    image is the root of unity fixed by its residue (Washington, Introduction
+    to Cyclotomic Fields, Ch. 5) and is known to any precision.
     """
 
-    __slots__ = ("p", "m", "root")
+    p: int
+    m: int
+    g: int
 
-    def __init__(self, p: int, m: int, root: Padic):
-        check_prime(p)
-        limit = 2 if p == 2 else p - 1
-        if limit % m != 0:
-            raise EmbeddingError(f"no {m}-th roots of unity in Z_{p}: need m | {limit}")
-        if root.p != p:
-            raise EmbeddingError("root image lives at the wrong prime")
-        one = Padic.from_fraction(1, p, root.prec)
-        if not (root ** m).agrees(one.at_precision(min(root.prec, (root ** m).prec))):
-            raise EmbeddingError("root image is not an m-th root of unity at precision")
-        for q in _prime_divisors(m):
-            power = root ** (m // q)
-            if power.agrees(one.at_precision(min(one.prec, power.prec))):
-                raise EmbeddingError("root image is not primitive at precision")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "root", root)
+    def __post_init__(self):
+        check_prime(self.p)
+        q = qp(self.p)
+        if math.gcd(self.g, q) != 1 or _mult_order(self.g, q) != self.m:
+            raise EmbeddingError(f"{self.g} does not have order {self.m} mod {q}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicEmbedding is immutable")
+    def root(self, prec: int) -> Padic:
+        """The image of zeta_m modulo p^prec, truncated from the deepest lift so far."""
+        lift = _LIFTS.get((self.p, self.g))
+        if lift is None or lift.prec < prec:
+            lift = _LIFTS[(self.p, self.g)] = teichmuller(self.g, self.p, prec)
+        return lift.at_precision(prec)
 
     @classmethod
-    def default(cls, p: int, m: int, prec: int) -> PadicEmbedding:
-        """Teichmuller lift of the smallest positive primitive m-th root mod p."""
+    @lru_cache(maxsize=None)
+    def default(cls, p: int, m: int) -> PadicEmbedding:
+        """zeta_m goes to the Teichmuller lift of the least positive g of order m."""
         check_prime(p)
-        limit = 2 if p == 2 else p - 1
-        if limit % m != 0:
-            raise EmbeddingError(f"no {m}-th roots of unity in Z_{p}: need m | {limit}")
-        if m == 1:
-            return cls(p, 1, Padic.from_fraction(1, p, prec))
-        g = None
-        for cand in range(2, p) if p > 2 else [p - 1]:
-            if _mult_order(cand, p) == m:
-                g = cand
-                break
-        if p == 2 and m == 2:
-            g = 3  # -1 mod 4
-        if g is None:
-            raise EmbeddingError(f"no element of order {m} mod {p}")
-        return cls(p, m, teichmuller(g, p, prec))
+        if m < 1 or phi_qp(p) % m != 0:
+            raise EmbeddingError(f"no {m}-th roots of unity in Z_{p}: need m | {phi_qp(p)}")
+        q = qp(p)
+        return cls(p, m, next(g for g in range(1, q)
+                              if math.gcd(g, q) == 1 and _mult_order(g, q) == m))
 
-    def __repr__(self) -> str:
-        return f"PadicEmbedding(p={self.p}, m={self.m}, root={self.root!r})"
+
+# (p, g) -> the deepest Teichmuller lift of g so far; a memo of a pure map,
+# since the lift modulo p^k is the deeper lift truncated
+_LIFTS: dict[tuple[int, int], Padic] = {}
 
 
 def value_to_padic(v: CyclotomicElement | Fraction, p: int, prec: int,
                    embedding: PadicEmbedding | None = None) -> Padic:
     """v in Q_p modulo p^prec; an irrational v goes through the embedding.
 
-    The embedding defaults to PadicEmbedding.default(p, v.m, prec). The
+    The embedding defaults to PadicEmbedding.default(p, v.m). The
     integral c v (see _clear_denominators) is embedded at prec + vp(c) and
     divided by c, so the result keeps all prec digits.
     """
@@ -293,8 +283,7 @@ def value_to_padic(v: CyclotomicElement | Fraction, p: int, prec: int,
         if not v.is_rational():
             c, cv = _clear_denominators(v)
             extra = int(vp_int(c, p))
-            image = cv.embed(embedding or PadicEmbedding.default(p, v.m, prec + extra),
-                             prec + extra)
+            image = cv.embed(embedding or PadicEmbedding.default(p, v.m), prec + extra)
             return image.mul_fraction(Q(1, c))
         v = v.rational_value()
     return Padic.from_fraction(v, p, prec)
@@ -319,12 +308,8 @@ def padic_valuation(x: CyclotomicElement | Fraction, p: int,
         return vp(x, p)
     c, cx = _clear_denominators(x)
     prec = int(vp(cx.norm(), p)) + 1
-    if embedding is None:
-        embedding = PadicEmbedding.default(p, x.m, prec)
-    elif embedding.root.prec < prec:
-        raise PrecisionError(f"embedding root known to p^{embedding.root.prec}, "
-                             f"reading the valuation needs p^{prec}")
-    return cx.embed(embedding, prec).valuation() - vp_int(c, p)
+    image = cx.embed(embedding or PadicEmbedding.default(p, x.m), prec)
+    return image.valuation() - vp_int(c, p)
 
 
 def abs_norm(x: CyclotomicElement | Fraction, m: int) -> Fraction:
@@ -348,28 +333,13 @@ def scale_by_value(x: Padic, c: CyclotomicElement | Fraction,
     return x * value_to_padic(c, x.p, x.relative_precision() + 2, embedding)
 
 
-def _mult_order(a: int, p: int) -> int:
-    k, x = 1, a % p
+def _mult_order(a: int, q: int) -> int:
+    """Order of the unit a mod q."""
+    k, x = 1, a % q
     while x != 1:
-        x = x * a % p
+        x = x * a % q
         k += 1
-        if k > p:
-            raise ArithmeticError("order computation ran away")
     return k
-
-
-def _prime_divisors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def assert_integral(x: CyclotomicElement | Fraction, context: str) -> None:

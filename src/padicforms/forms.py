@@ -25,8 +25,7 @@ from typing import Callable, Optional
 from .arith import (factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import (PadicEmbedding, abs_norm, assert_integral, scale_by_value,
-                         value_to_padic)
+from .cyclotomic import abs_norm, assert_integral, scale_by_value, value_to_padic
 from .errors import DegreeError, DomainError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
@@ -453,12 +452,10 @@ def weighted_integral_sum(rn: RnFunction, family: FormFamily, precision: int,
     pr = rn.params
     if not pr.domain_ok:
         raise DomainError("l too small for integral evaluation at p = 2")
-    embedding = (None if family.field_m == 1
-                 else PadicEmbedding.default(pr.p, family.field_m, precision + 4))
     acc = Padic.zero(pr.p, precision + 2)
     for j, w in family.weights:
         term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
-        acc = acc + scale_by_value(term, w, embedding)
+        acc = acc + scale_by_value(term, w)
     return acc.at_precision(min(acc.prec, precision))
 
 

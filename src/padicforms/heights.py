@@ -1,7 +1,8 @@
 """Heights of matrices over a cyclotomic field, p-adic variants, and the dimension ratio.
 
 Norms, p-adic valuations and images in Q_p of the entries come from `cyclotomic`,
-through the given embedding or, by default, PadicEmbedding.default as there.
+through the given embedding or, by default, PadicEmbedding.default(p, m). That
+embedding is exact and shared, so a matrix lifts its root of unity once.
 """
 
 from __future__ import annotations

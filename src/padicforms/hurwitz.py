@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 from .arith import bernoulli_poly, check_prime, vp
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import CyclotomicElement, PadicEmbedding, scale_by_value, value_to_padic
+from .cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
 from .errors import DomainError
 from .padic import Padic, angle, phi_qp, teichmuller, teichmuller_ext
 from .volkenborn import check_hurwitz_domain, integral_pole_power
@@ -56,8 +56,9 @@ def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
     """zeta_p(s, x) for integer s >= 2 via the Volkenborn integral.
 
     twisted = integral of (x+t)^(1-s) divided by s-1; zeta multiplies back
-    the Teichmuller power omega(x)^(s-1). Both carry >= precision p-digits
-    (absolute for twisted, relative accounting for the valuation of zeta).
+    the Teichmuller power omega(x)^(s-1), of valuation -(s-1)h with
+    h = -vp(x). So twisted is known modulo p^(precision + (s-1)h) and zeta
+    modulo p^precision.
     """
     check_prime(p)
     if s < 2:
@@ -67,7 +68,8 @@ def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
     x = Fraction(x)
     order = s - 1
     guard = int(vp(Q(order), p))
-    integral = integral_pole_power(x, order, p, precision + guard)
+    h = check_hurwitz_domain(x, p)
+    integral = integral_pole_power(x, order, p, precision + guard + order * h)
     twisted = integral.mul_fraction(Q(1, order))
     omega_pow = teichmuller_ext(x, p, twisted.relative_precision() + 2) ** order
     zeta = omega_pow * twisted
@@ -213,14 +215,12 @@ def _lp_nonpositive(i, chi, p, D, omega_exp, precision) -> LValue:
         return out
     # mixed path: assemble p-adically at the requested precision
     guard = precision + 6
-    embedding = (None if chi.is_rational_valued()
-                 else PadicEmbedding.default(p, chi.field_m, guard))
     acc = Padic.zero(p, guard)
-    acc = acc + value_to_padic(rational_total, p, guard, embedding)
+    acc = acc + value_to_padic(rational_total, p, guard)
     for c, b, j in padic_terms:
         w = teichmuller(Q(j), p, guard) ** e_res
         term = w.mul_fraction(b)
-        acc = acc + term * value_to_padic(c, p, guard, embedding)
+        acc = acc + term * value_to_padic(c, p, guard)
     return acc.mul_fraction(scale).at_precision(
         min(precision, acc.prec + int(vp(scale, p))))
 
@@ -230,10 +230,6 @@ def _lp_positive(i, chi, p, D, omega_exp, precision) -> Padic:
     order = i - 1
     v_shift = -i * int(vp(Q(D), p))  # valuation of D^-i
     target = precision - v_shift + int(vp(Q(order), p)) + 4
-    # scale_by_value embeds c two digits beyond a term's relative precision,
-    # which is at most target
-    embedding = (None if chi.is_rational_valued()
-                 else PadicEmbedding.default(p, chi.field_m, target + 2))
     acc = Padic.zero(p, precision - v_shift + 4)
     for j, c in chi_units(chi, D, p):
         x = Q(j, D)
@@ -245,6 +241,6 @@ def _lp_positive(i, chi, p, D, omega_exp, precision) -> Padic:
             term = term * wp
         elif w == -1:
             term = -term
-        acc = acc + scale_by_value(term, c, embedding)
+        acc = acc + scale_by_value(term, c)
     out = acc.mul_fraction(Q(1, D) ** i)
     return out.at_precision(min(out.prec, precision))

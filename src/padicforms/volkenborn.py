@@ -377,8 +377,10 @@ def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
 
     Sums binom(-k, j) B_j x^(-k-j) over j < J, the first J with
     (k+J) h - 1 >= precision, where h = -vp(x). Writing 1/x = p^h y with y a
-    unit, term j is binom(-k, j) (p B_j) p^((k+j) h - 1) y^(k+j), a p-adic
-    integer because p B_j is one; the result is exact modulo p^precision.
+    unit, term j is p^(kh-1) y^k * binom(-k, j) (p B_j) (p^h y)^j. The
+    cofactors of p^(kh-1) y^k are p-adic integers, because p B_j is one, so
+    summing them modulo p^(precision - kh + 1) makes the result exact modulo
+    p^precision.
     """
     check_prime(p)
     if k < 1:
@@ -387,18 +389,20 @@ def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
         raise DomainError("need precision >= 1")
     h = check_hurwitz_domain(x, p)
     x = Fraction(x)
-    mod = p ** precision
+    rel = precision - (k * h - 1)
+    if rel < 1:
+        return Padic.zero(p, precision)
+    mod = p ** rel
     y = x.denominator // p ** h * pow(x.numerator, -1, mod) % mod
     total = 0
     j = 0
-    while (k + j) * h - 1 < precision:
+    while j * h < rel:
         if j < 2 or j % 2 == 0:  # B_j = 0 for odd j >= 3
-            pb = fraction_mod_pk(p * bernoulli_number(j), p, precision)
-            term = (math.comb(k + j - 1, j) * pb * pow(y, k + j, mod)
-                    * p ** ((k + j) * h - 1))
+            pb = fraction_mod_pk(p * bernoulli_number(j), p, rel)
+            term = math.comb(k + j - 1, j) * pb * pow(y, j, mod) * p ** (j * h)
             total += -term if j % 2 else term
         j += 1
-    return Padic.normalized(p, 0, total, precision)
+    return Padic.normalized(p, k * h - 1, total * pow(y, k, mod), precision)
 
 
 # -- translation formula ------------------------------------------------------------

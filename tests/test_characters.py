@@ -54,7 +54,7 @@ def test_quartic_character_mod_5():
     # vp(B_(3,chi)) under the default embedding, against a 200-digit image
     for p, d_prime, l0, nu in ((5, 1, 1, -1), (13, 5, 0, 0)):
         data = chi_padic_data(chi, p)
-        deep = b.embed(PadicEmbedding.default(p, 4, 200), 200)
+        deep = b.embed(PadicEmbedding.default(p, 4), 200)
         assert (data.d_prime, data.l0, data.b_valuation, data.r) == \
             (d_prime, l0, deep.valuation(), deep.valuation() + 1) == \
             (d_prime, l0, nu, nu + 1)

@@ -112,9 +112,12 @@ def test_integrate_two_poles_one_with_huge_denominator(prec):
     ["verify", "chi-congruence", "--p", "2", "--s", "1", "--l", "2", "--n", str(10 ** 9)],
     ["verify", "integrality", "--count", "1000000"],
     ["verify", "all", "--catalog", "--digits", "1000000"],
+    ["zeta", "--p", "5", "--s", "-3000", "--x", "1/5"],
+    ["lvalue", "--i", "-3000", "--p", "5", "--l", "1"],
 ], ids=["exponent", "riemann-level", "negative-level", "lvalue-l", "lvalue-huge-l",
         "prec", "hurwitz-shifts", "forms-s", "forms-huge-l", "rate-fit-ns",
-        "chi-congruence-n", "count", "digits"])
+        "chi-congruence-n", "count", "digits", "zeta-bernoulli-index",
+        "lvalue-bernoulli-index"])
 def test_size_limits_exit2(argv):
     proc = run_cli_subprocess(argv, timeout=30)
     assert proc.returncode == 2 and not proc.stdout, proc.stderr
@@ -133,6 +136,7 @@ def test_chi_congruence_at_the_size_caps_answers_at_once():
 
 def test_size_limits_sit_at_their_bounds():
     from padicforms.cli import MAX_PREC, MAX_TABLE, MAX_TERMS, _size_error, build_parser
+    from padicforms.polynomials import MAX_POWER_DEGREE
 
     def error(argv):
         return _size_error(build_parser().parse_args(argv))
@@ -173,6 +177,33 @@ def test_size_limits_sit_at_their_bounds():
     # forms and verify cap --l as lvalue does
     assert error(build[:-1] + ["--n", "1", "--l", "16"]) is None
     assert error(build[:-1] + ["--n", "1", "--l", "17"]) is not None
+    # the nonpositive branch admits the Bernoulli index 1 - s (1 - i) up to
+    # MAX_POWER_DEGREE; the positive branch takes any s (i)
+    assert MAX_POWER_DEGREE == 500
+    for argv in (["zeta", "--p", "5", "--x", "1/5", "--s"],
+                 ["lvalue", "--p", "5", "--l", "1", "--i"]):
+        assert error(argv + ["-499"]) is None
+        assert error(argv + ["-500"]) is not None
+        assert error(argv + [str(10 ** 6)]) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--p", "5", "--s", "-499", "--x", "1/5"],
+    ["lvalue", "--i", "-499", "--p", "5", "--l", "1"],
+], ids=["zeta", "lvalue"])
+def test_nonpositive_branch_at_the_bernoulli_cap_answers_in_time(argv):
+    proc = run_cli_subprocess(argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("s, x, prec", [(3000, "1/5", 8), (8, "1/25", 6), (10 ** 6, "1/5", 8)])
+def test_zeta_far_positive_argument_keeps_its_precision(s, x, prec):
+    # vp(omega(x)^(s-1)) = (s-1) vp(x), which the integral's precision must cover;
+    # the integral is p^((s-1)h - 1) times a unit, and only the unit's digits are summed
+    proc = run_cli_subprocess(["zeta", "--p", "5", "--s", str(s), "--x", x,
+                               "--prec", str(prec)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["zeta"]["prec"] == prec
 
 
 def test_integrate_domain_violation_exit3(capsys):

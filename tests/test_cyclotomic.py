@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from padicforms.cyclotomic import (CyclotomicElement, PadicEmbedding, abs_norm,
                                    cyclotomic_polynomial, euler_phi, padic_valuation,
                                    resultant, scale_by_value, value_to_padic)
-from padicforms.errors import EmbeddingError, IntegralityError, PrecisionError
+from padicforms.errors import EmbeddingError, IntegralityError
 from padicforms.cyclotomic import assert_integral
 from padicforms.padic import Padic, teichmuller
 from padicforms.polynomials import Poly
@@ -73,8 +73,9 @@ def test_zeta_powers():
 
 
 def test_embedding_default_and_embed():
-    emb = PadicEmbedding.default(5, 4, 6)
-    assert emb.root.agrees(teichmuller(2, 5, 6))  # omega(2) is a primitive 4th root
+    emb = PadicEmbedding.default(5, 4)
+    assert emb.g == 2  # omega(2) is a primitive 4th root
+    assert emb.root(6) == teichmuller(2, 5, 6) and emb.root(3) == teichmuller(2, 5, 3)
     i4 = CyclotomicElement.zeta(4)
     img = i4.embed(emb, 2)
     assert (img.val, img.unit % 25) == (0, 7)  # = 7 mod 25
@@ -89,14 +90,17 @@ def test_embedding_default_and_embed():
 
 def test_embedding_requires_roots_of_unity():
     with pytest.raises(EmbeddingError):
-        PadicEmbedding.default(5, 3, 6)  # 3 does not divide 5 - 1
+        PadicEmbedding.default(5, 3)  # 3 does not divide 5 - 1
     with pytest.raises(EmbeddingError):
-        PadicEmbedding(7, 3, Padic.from_fraction(2, 7, 6))  # 2 is not a cube root
+        PadicEmbedding(7, 3, 3)  # 3 has order 6 mod 7, so omega(3) is no cube root
 
 
 def test_embedding_p2():
-    emb = PadicEmbedding.default(2, 2, 5)
-    assert emb.root.agrees(Padic.from_fraction(-1, 2, 5))
+    emb = PadicEmbedding.default(2, 2)
+    assert emb.g == 3 and emb.root(5) == Padic.from_fraction(-1, 2, 5)
+    assert PadicEmbedding(2, 2, 7).root(5) == emb.root(5)  # 7 = 3 mod q_2 = 4
+    with pytest.raises(EmbeddingError):
+        PadicEmbedding(2, 2, 5)  # 5 = 1 mod 4 has order 1
 
 
 def test_assert_integral():
@@ -110,7 +114,7 @@ def test_assert_integral():
 
 def test_scale_by_value_paths():
     p = 5
-    emb = PadicEmbedding.default(p, 4, 20)
+    emb = PadicEmbedding.default(p, 4)
     i = CyclotomicElement.zeta(4)
     for x in (Padic.from_fraction(Q(7, 25), p, 12), Padic.from_fraction(Q(3), p, 9),
               Padic.zero(p, 6)):
@@ -130,7 +134,7 @@ def test_scale_by_value_paths():
 def test_value_to_padic_keeps_every_requested_digit():
     # p in the coordinate denominators used to cost two digits of precision
     x = CyclotomicElement(4, [Q(1, 5), Q(1, 25)])
-    deep = x.embed(PadicEmbedding.default(5, 4, 60), 60)
+    deep = x.embed(PadicEmbedding.default(5, 4), 60)
     for prec in (5, 10, 20):
         got = value_to_padic(x, 5, prec)
         assert got.prec == prec and got == deep.at_precision(prec), prec
@@ -140,6 +144,39 @@ def test_value_to_padic_keeps_every_requested_digit():
 SPLIT_PAIRS = [(5, 4), (13, 4), (7, 3), (7, 6), (13, 12), (11, 5), (31, 10)]
 
 
+def _horner(x, root):
+    """x at zeta = root by Horner's rule over the power-basis coordinates."""
+    acc = Padic.zero(root.p, root.prec)
+    for c in reversed(x.coords):
+        acc = acc * root + Padic.from_fraction(c, root.p, root.prec)
+    return acc
+
+
+def _order(g, p):
+    return next((k for k in range(1, p) if pow(g, k, p) == 1), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPLIT_PAIRS), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_every_embedding_is_a_ring_homomorphism_given_by_its_root(pair, prec, rng):
+    # zeta_m may go to omega(g) for any g of order m; teichmuller(g, p, prec)
+    # lifts that root directly and is the oracle
+    p, m = pair
+    for g in range(2 * p):
+        if _order(g, p) != m:
+            with pytest.raises(EmbeddingError):
+                PadicEmbedding(p, m, g)
+            continue
+        emb = PadicEmbedding(p, m, g)
+        root = teichmuller(g, p, prec)
+        assert emb.root(prec) == root
+        x, y = _random_element(rng, m), _random_element(rng, m)
+        ex, ey = x.embed(emb, prec), y.embed(emb, prec)
+        assert ex == _horner(x, root)
+        assert (x * y).embed(emb, prec).agrees(ex * ey, prec)
+        assert (x + y).embed(emb, prec).agrees(ex + ey, prec)
+
+
 @st.composite
 def _split_elements(draw):
     """(p, x): x = y (g - zeta)^k / p^j with g = zeta's image mod p, so vp(x) varies."""
@@ -147,7 +184,7 @@ def _split_elements(draw):
     coord = st.builds(Q, st.integers(-60, 60), st.integers(1, 3 * p))
     y = CyclotomicElement(m, draw(st.lists(coord, min_size=euler_phi(m),
                                            max_size=euler_phi(m))))
-    g = PadicEmbedding.default(p, m, 1).root.unit
+    g = PadicEmbedding.default(p, m).g
     pi = CyclotomicElement.from_rational(g, m) - CyclotomicElement.zeta(m)
     x = y * pi ** draw(st.integers(0, 6)) * Q(1, p ** draw(st.integers(0, 2)))
     return p, x
@@ -161,19 +198,18 @@ def test_padic_valuation_matches_a_deep_embedding(case):
     if x.is_zero():
         assert got == math.inf
         return
-    deep = x.embed(PadicEmbedding.default(p, x.m, 400), 400)
+    deep = x.embed(PadicEmbedding.default(p, x.m), 400)
     assert not deep.is_zero_at_precision() and got == deep.valuation()
 
 
-def test_padic_valuation_rational_and_coarse_embedding():
+def test_padic_valuation_rational_and_explicit_embedding():
     assert padic_valuation(Q(50, 3), 5) == 2
     assert padic_valuation(CyclotomicElement.from_rational(Q(3, 25), 4), 5) == -2
     pi = 2 - CyclotomicElement.zeta(4)   # zeta -> omega(2) = 2 mod 5
     assert padic_valuation(pi ** 5, 5) == 5
-    # reading vp((2 - i)^5) needs the root to p^6 (vp of the norm 5^5, plus 1)
-    assert padic_valuation(pi ** 5, 5, PadicEmbedding.default(5, 4, 6)) == 5
-    with pytest.raises(PrecisionError):
-        padic_valuation(pi ** 5, 5, PadicEmbedding.default(5, 4, 5))
+    assert padic_valuation(pi ** 5, 5, PadicEmbedding.default(5, 4)) == 5
+    # zeta -> omega(3) = -omega(2) sends 2 - i to 2 + i, a unit
+    assert padic_valuation(pi ** 5, 5, PadicEmbedding(5, 4, 3)) == 0
 
 
 def test_abs_norm():

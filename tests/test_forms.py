@@ -230,7 +230,7 @@ def test_valuation_formula_rhs_quartic_character(p, s, l, n, want):
     i = CyclotomicElement.zeta(4)
     chi = char_make(5, {1: CyclotomicElement.one(4), 2: i, 3: -i,
                         4: CyclotomicElement.from_rational(-1, 4)})
-    head = gen_bernoulli(3, chi).embed(PadicEmbedding.default(p, 4, 200), 200)
+    head = gen_bernoulli(3, chi).embed(PadicEmbedding.default(p, 4), 200)
     pr = choose_params(chi, p, s, l=l)
     assert valuation_formula_rhs(pr, n, chi) == \
         per_x_valuation_hint(pr, n) + l + head.valuation() == want

@@ -155,7 +155,7 @@ def test_height_p_valuation_over_Qi_default_embedding():
     assert height_p_valuation(M, 5) == 2
     assert height_p_valuation(HeightMatrix([[pi, 25]], field_m=4), 5) == 1
     assert height_p_valuation(HeightMatrix([[unit, 25]], field_m=4), 5) == 0
-    emb = PadicEmbedding.default(5, 4, 40)
+    emb = PadicEmbedding.default(5, 4)
     assert height_p_valuation(M, 5, emb) == 2
     # Delta_p takes the same default embedding as value_to_padic
     xi = [Padic.from_fraction(Q(1), 5, 20), Padic.from_fraction(Q(5), 5, 20)]

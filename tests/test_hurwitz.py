@@ -2,15 +2,19 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms.arith import vp
 from padicforms.characters import (char_make, gen_bernoulli, quadratic_character,
                                    trivial_character)
-from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding, value_to_padic
+from padicforms import cyclotomic
+from padicforms.cyclotomic import CyclotomicElement, value_to_padic
 from padicforms.errors import DomainError
+from padicforms.heights import HeightMatrix, delta_p_valuation
 from padicforms.hurwitz import (check_hurwitz_domain, lp_value, reduce_to_unit_interval,
                                 zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
-from padicforms.padic import Padic
+from padicforms.padic import Padic, teichmuller
 from padicforms.polynomials import Poly, RationalFunction
 from padicforms.volkenborn import integral_riemann
 
@@ -57,6 +61,23 @@ def test_zeta_pos_vs_riemann_oracle():
     rie = integral_riemann(f, 2, 10, precision=10)
     diff = integral - rie
     assert diff.is_zero_at_precision() or diff.valuation() >= 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 40), st.integers(1, 3),
+       st.integers(0, 20), st.integers(1, 6), st.integers(1, 30))
+def test_zeta_pos_keeps_the_requested_digits(p, s, h, a, r, precision):
+    # omega(x)^(s-1) has valuation -(s-1)h, so twisted carries (s-1)h more digits
+    h = max(h, 2) if p == 2 else h
+    x = Q(a * p + 1 + r % (p - 1), p ** h)
+    out = zeta_p_pos(s, x, p, precision)
+    assert out.zeta.prec == precision and out.twisted.prec >= precision + (s - 1) * h
+    assert out.zeta.agrees(zeta_p_pos(s, x, p, precision + 5).zeta, precision)
+    # the Riemann sums match the integral within the wavelet bound s h - 1
+    integral = out.twisted.mul_fraction(s - 1)
+    f = RationalFunction(Poly([1]), Poly([x, 1]) ** (s - 1))
+    cert = min(s * h - 1, integral.prec)
+    assert integral.agrees(integral_riemann(f, p, 3, precision=cert), cert)
 
 
 def test_zeta_nonpos_values():
@@ -175,21 +196,28 @@ def test_lp_value_quartic_character_l_stability():
         assert a.prec == 10 and a == b == c, (i, omega_exp)
 
 
-def test_lp_value_builds_one_embedding_per_call(monkeypatch):
-    # chi_padic_data builds one embedding and the L-value sum one more
-    builds = []
-    default = PadicEmbedding.default
+def test_default_embedding_lifts_its_root_once_per_precision(monkeypatch):
+    # the default embedding is exact and shared, so a matrix over Q(i) lifts
+    # its root of unity once, and an L-value never twice to one precision
+    lifts = []
 
-    def counting(cls, p, m, prec):
-        builds.append(prec)
-        return default(p, m, prec)
+    def counting(x, p, prec):
+        lifts.append(prec)
+        return teichmuller(x, p, prec)
 
-    monkeypatch.setattr(PadicEmbedding, "default", classmethod(counting))
+    monkeypatch.setattr(cyclotomic, "teichmuller", counting)
+    monkeypatch.setattr(cyclotomic, "_LIFTS", {})
+    i4 = CyclotomicElement.zeta(4)
+    M = HeightMatrix([[2 - i4, 1 + i4, 3], [i4, Q(0), 2 + i4]], field_m=4)
+    xi = [Padic.from_fraction(Q(k), 5, 20) for k in (1, 5, 7)]
+    delta_p_valuation(M, xi, 5)
+    assert len(lifts) == 1
     chi = _quartic_character()
     for i in (-1, 3):
-        builds.clear()
+        cyclotomic._LIFTS.clear()
+        lifts.clear()
         lp_value(i, chi, 5, 3, omega_exp=1, precision=30)
-        assert len(builds) == 2, (i, builds)
+        assert 1 <= len(lifts) == len(set(lifts)), (i, lifts)
 
 
 def test_lp_value_quartic_character_interpolation():

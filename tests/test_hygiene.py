@@ -83,3 +83,12 @@ def test_only_cyclotomic_embeds_field_elements():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "embed")
     assert callers == []
+
+
+def test_only_cyclotomic_constructs_embeddings():
+    # the default embedding is exact, so no other module sizes or builds one;
+    # an explicit embedding only passes through value_to_padic and its kin
+    builders = sorted(name for name, tree in MODULES.items() if name != "cyclotomic"
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and "PadicEmbedding" in ast.unparse(node.func))
+    assert builders == []
