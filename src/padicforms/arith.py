@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import DomainError
 from .polynomials import Poly
@@ -35,15 +36,39 @@ def check_prime(p: int) -> int:
 
 
 def vp_int(n: int, p: int) -> int | float:
-    """p-adic valuation of an integer; math.inf for 0."""
+    """p-adic valuation of an integer; math.inf for 0.
+
+    Returns at once on n % p, reads the lowest set bit at p = 2, and
+    otherwise splits by the squares p, p^2, p^4, ... that divide n.
+    """
     if n == 0:
         return INF
+    if n % p:
+        return 0
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    powers = [p]
+    while n % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
     v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
     return v
+
+
+def batch_invert(units: Sequence[int], mod: int) -> list[int]:
+    """Montgomery batch inversion of units modulo mod: one pow(., -1, mod) in all."""
+    partials = [1]
+    for u in units:
+        partials.append(partials[-1] * u % mod)
+    inv = pow(partials[-1], -1, mod)
+    out = [0] * len(units)
+    for i in range(len(units), 0, -1):
+        out[i - 1] = partials[i - 1] * inv % mod
+        inv = inv * units[i - 1] % mod
+    return out
 
 
 def vp(x: Fraction | int, p: int) -> int | float:
@@ -111,20 +136,41 @@ def factorial_valuation(n: int, p: int) -> int:
     return (n - s) // (p - 1)
 
 
-_BERNOULLI_CACHE: list[Fraction] = [Q(1)]
+_BERNOULLI_CACHE: list[Fraction] = [Q(1), Q(-1, 2)]
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with the B_1 = -1/2 convention, memoized."""
+    """B_n with the B_1 = -1/2 convention, memoized.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) with T_k the tangent
+    numbers, computed in integers (Brent and Harvey, "Fast computation of
+    Bernoulli, Tangent and Secant numbers", 2011). The memo at least
+    doubles whenever it grows.
+    """
     if n < 0:
         raise DomainError("need n >= 0")
-    while len(_BERNOULLI_CACHE) <= n:
-        m = len(_BERNOULLI_CACHE)
-        acc = Q(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * _BERNOULLI_CACHE[k]
-        _BERNOULLI_CACHE.append(-acc / (m + 1))
+    if n >= len(_BERNOULLI_CACHE):
+        size = max(n + 1, 2 * len(_BERNOULLI_CACHE))
+        tangent = _tangent_numbers(size // 2)
+        for m in range(len(_BERNOULLI_CACHE), size):
+            if m % 2:
+                _BERNOULLI_CACHE.append(Q(0))
+            else:
+                k = m // 2
+                b = Q(2 * k * tangent[k], 4 ** k * (4 ** k - 1))
+                _BERNOULLI_CACHE.append(b if k % 2 else -b)
     return _BERNOULLI_CACHE[n]
+
+
+def _tangent_numbers(K: int) -> list[int]:
+    """T_0 = 0 and the tangent numbers T_1 = 1, T_2 = 2, T_3 = 16, ... up to T_K, K >= 1."""
+    T = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
 
 
 @lru_cache(maxsize=None)

@@ -64,21 +64,31 @@ class DirichletCharacter:
     # -- construction helpers ------------------------------------------------
 
     def _validate(self) -> None:
+        """chi(1) = 1, chi vanishes at no unit, and chi(g b) = chi(g) chi(b)
+        for g in a generating set of the units and every unit b.
+
+        That suffices: if chi(w b) = chi(w) chi(b) for every b, then
+        chi(g w b) = chi(g) chi(w b) = chi(g) chi(w) chi(b) = chi(g w) chi(b),
+        so by induction it holds for every word w in the generators.
+        """
         if self.value(1) != 1:
             raise DomainError("character must send 1 to 1")
         units = sorted(self._values)
         for a in units:
-            va = self._values[a]
-            if va == 0:
+            if self._values[a] == 0:
                 raise DomainError(f"character vanishes at the unit {a}")
+        for g in _unit_generators(units, self.modulus):
+            vg = self._values[g]
             for b in units:
-                if va * self._values[b] != self.value(a * b):
-                    raise DomainError(f"table is not multiplicative at ({a}, {b})")
+                if vg * self._values[b] != self.value(g * b):
+                    raise DomainError(f"table is not multiplicative at ({g}, {b})")
 
     def _compute_order(self) -> int:
+        # the values at generators generate the image, so their orders' lcm
+        # is the exponent of the image
         order = 1
-        for v in self._values.values():
-            order = math.lcm(order, _root_of_unity_order(v))
+        for g in _unit_generators(sorted(self._values), self.modulus):
+            order = math.lcm(order, _root_of_unity_order(self._values[g]))
         return order
 
     def _compute_conductor(self) -> int:
@@ -118,6 +128,20 @@ def chi_units(chi: DirichletCharacter, D: int, p: int) -> Iterator[tuple[int, Ch
             c = chi.value(j)
             if c != 0:
                 yield j, c
+
+
+def _unit_generators(units: list[int], modulus: int) -> list[int]:
+    """A generating set of the units mod modulus: each unit outside the
+    subgroup spanned so far joins it, in increasing order."""
+    spanned, gens = {1 % modulus}, []
+    for g in units:
+        if g not in spanned:
+            gens.append(g)
+            layer = spanned
+            while layer:
+                layer = {h * g % modulus for h in layer} - spanned
+                spanned |= layer
+    return gens
 
 
 def _into_field(v: CharValue, m: int) -> CyclotomicElement:

@@ -8,6 +8,7 @@ domain violation.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from fractions import Fraction
@@ -38,6 +39,7 @@ EXIT_PRECONDITION = 3
 MAX_PREC = 1000       # --prec, --digits, --count and the unit shifts of --hurwitz
 MAX_TERMS = 2 ** 16   # p^--level (Riemann sum terms) and p^--l
 MAX_TABLE = 2 ** 18   # s^2 (n+1) of forms build and of the SIZED_CHECKS
+MAX_MODULUS = 1000    # the modulus of --character
 SIZED_CHECKS = ("chi-congruence", "fj-integral", "valuation", "growth", "rate-fit")
 
 
@@ -261,6 +263,9 @@ def _size_error(args) -> str | None:
         if 1 - k > MAX_POWER_DEGREE:
             return (f"need {flag} >= {1 - MAX_POWER_DEGREE}: the Bernoulli index "
                     f"1 - {flag[2:]} is at most {MAX_POWER_DEGREE}, got {k}")
+    modulus = _character_modulus(getattr(args, "character", "trivial"))
+    if modulus is not None and modulus > MAX_MODULUS:
+        return f"the --character modulus must be at most {MAX_MODULUS}, got {modulus}"
     check = getattr(args, "check", None)
     sized = args.command == "forms" or check in SIZED_CHECKS
     if getattr(args, "hurwitz", None) and abs(math.ceil(Q(args.hurwitz)) - 1) > MAX_PREC:
@@ -277,6 +282,19 @@ def _size_error(args) -> str | None:
     # for k > 64, p^k > MAX_TERMS at every p >= 2, so p^k is never formed
     if not 0 <= k <= 64 or args.p ** k > MAX_TERMS:
         return f"need 0 <= {flag} with p^{flag} <= {MAX_TERMS}, got {args.p}^{k}"
+    return None
+
+
+def _character_modulus(spec: str) -> int | None:
+    """The modulus a --character spec names, read before the character is
+    built; None when it names none (character_from_spec reports that)."""
+    if spec.startswith("quadratic:"):
+        return int(spec.split(":", 1)[1])
+    if spec.startswith("{"):
+        try:
+            return int(json.loads(spec)["modulus"])
+        except (ValueError, KeyError, TypeError):
+            return None
     return None
 
 

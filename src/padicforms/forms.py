@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import (factorial_valuation, lcm_upto,
+from .arith import (batch_invert, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import abs_norm, assert_integral, scale_by_value, value_to_padic
-from .errors import DegreeError, DomainError
+from .errors import DegreeError, DomainError, PrecisionError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
@@ -204,14 +204,9 @@ class RnFunction:
             out *= (pr.D * Q(t)) ** self.mono_exp
         return out / rising ** pr.s
 
-    def shifted(self, x: Fraction):
-        """The callable t -> R_n(t + x)."""
-        x = Fraction(x)
-
-        def f(a):
-            return self.evaluate(x + a)
-
-        return f
+    def shifted(self, x: Fraction) -> ShiftedRn:
+        """t -> R_n(t + x), for the Mahler engine."""
+        return ShiftedRn(self, Fraction(x))
 
     def pole_data_shifted(self, x: Fraction,
                           table: "PartialFractionTable") -> list[PoleData]:
@@ -238,6 +233,73 @@ class RnFunction:
         cof = Poly.from_roots([k - j for j in range(self.n + 1) if j != k])
         out = series_mul(out, series_pow(cof.coeffs, -pr.s, L), L)
         return out
+
+
+@dataclass(frozen=True)
+class ShiftedRn:
+    """t -> R_n(t + x), evaluated from the integer factors of R_n.
+
+    With x = u/w and m = u + w t for an integer t,
+
+        R_n(x + t) = c prod_(v=1..N) (D m + v w)^Q (D m)^(2+delta) / prod_(i=0..n) (m + i w)^s,
+
+    where c = n!^s packed^Q / N!^Q * w^((n+1)s - NQ - (2+delta)). Every
+    factor is a small integer.
+    """
+
+    rn: RnFunction
+    x: Fraction
+
+    def __call__(self, a: int) -> Fraction:
+        return self.rn.evaluate(self.x + a)
+
+    def residues(self, count: int, p: int, v_floor: int, rel: int) -> list[int]:
+        """R_n(x + a) / p^v_floor mod p^rel for 0 <= a < count.
+
+        Each factor's p-power is stripped and counted exactly, its unit is
+        multiplied mod p^rel, and the denominators are inverted together.
+        Raises DomainError at a pole and PrecisionError when some
+        vp(R_n(x + a)) < v_floor.
+        """
+        rn, pr = self.rn, self.rn.params
+        u, w = self.x.numerator, self.x.denominator
+        D, N, q, s, mono = pr.D, rn.N, pr.Q, pr.s, rn.mono_exp
+        mod = p ** rel
+
+        def split(z: int) -> tuple[int, int]:
+            v = vp_int(z, p)
+            return v, z // p ** v
+
+        e = (rn.n + 1) * s - N * q - mono
+        v_top, c_top = split(rn.prefactor * w ** max(e, 0))
+        v_bot, c_bot = split(math.factorial(N) ** q * w ** max(-e, 0))
+        v_c, c_unit = v_top - v_bot, c_top * pow(c_bot, -1, mod) % mod
+        tops, bottoms = [], []
+        for a in range(count):
+            m = u + w * a
+            v_den, u_den = 0, 1
+            for i in range(rn.n + 1):
+                if m + i * w == 0:
+                    raise DomainError(f"integrand has a pole at the integer {a}")
+                v, unit = split(m + i * w)
+                v_den, u_den = v_den + v, u_den * unit
+            k, r = divmod(-D * m, w)
+            if r == 0 and 1 <= k <= N:  # the factor D m + k w vanishes
+                tops.append(0)
+                bottoms.append(1)
+                continue
+            v_bin, u_bin = 0, 1
+            for k in range(1, N + 1):
+                v, unit = split(D * m + k * w)
+                v_bin, u_bin = v_bin + v, u_bin * unit
+            v_mono, u_mono = split(D * m)
+            v = v_c + q * v_bin + mono * v_mono - s * v_den
+            if v < v_floor:
+                raise PrecisionError("supplied coefficient floors are violated")
+            tops.append(pow(p, v - v_floor, mod) * c_unit % mod * pow(u_bin, q, mod)
+                        % mod * pow(u_mono, mono, mod) % mod)
+            bottoms.append(pow(u_den, s, mod))
+        return [t * b % mod for t, b in zip(tops, batch_invert(bottoms, mod))]
 
 
 def _binomial_shift_poly(D: int, N: int) -> Poly:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterable, Sequence
 
-from .errors import NonSplitDenominator
+from .errors import DomainError, NonSplitDenominator, PrecisionError
 
 Q = Fraction
 
@@ -262,6 +262,47 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {x}")
         return self.num(x) / d
+
+    def residues(self, count: int, p: int, v_floor: int, rel: int) -> list[int]:
+        """f(a) / p^v_floor mod p^rel for 0 <= a < count.
+
+        The primitive integer numerator and denominator are evaluated
+        exactly by Horner's rule, so every valuation is exact; a zero
+        numerator gives 0. Raises DomainError at a pole and PrecisionError
+        when some vp(f(a)) < v_floor.
+        """
+        from .arith import batch_invert, vp_int  # arith imports this module
+
+        mod = p ** rel
+        scale_n, nums = self.num.content_primitive()
+        scale_d, dens = self.den.content_primitive()
+        scale = scale_n / scale_d if nums else Q(1)
+        vn, vd = vp_int(scale.numerator, p), vp_int(scale.denominator, p)
+        scale_unit = (scale.numerator // p ** vn
+                      * pow(scale.denominator // p ** vd, -1, mod))
+        nums, dens = nums[::-1], dens[::-1]
+        tops, bottoms = [], []
+        for a in range(count):
+            d = 0
+            for c in dens:
+                d = d * a + c
+            if d == 0:
+                raise DomainError(f"integrand has a pole at the integer {a}")
+            n = 0
+            for c in nums:
+                n = n * a + c
+            if n == 0:
+                tops.append(0)
+                bottoms.append(1)
+                continue
+            wn, wd = vp_int(n, p), vp_int(d, p)
+            v = vn - vd + wn - wd
+            if v < v_floor:
+                raise PrecisionError("supplied coefficient floors are violated")
+            tops.append(n // p ** wn * pow(p, v - v_floor, mod) % mod)
+            bottoms.append(d // p ** wd % mod)
+        return [t * b % mod * scale_unit % mod
+                for t, b in zip(tops, batch_invert(bottoms, mod))]
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
         return RationalFunction(self.num * other.den + other.num * self.den,

@@ -9,7 +9,8 @@ engines compute it here:
 * integral_mahler: the general path for rational functions without poles
   in Z_p. A polynomial sum a_k t^k integrates exactly to sum a_k B_k
   (Int t^k dt = B_k, with B_1 = -1/2). Otherwise it computes Mahler
-  coefficients c_m = (forward differences at 0) exactly, sums
+  coefficients c_m = (forward differences at 0) from inputs mod p^rel with
+  exact valuations (the integrand's residues method), sums
   c_m (-1)^m / (m+1), and certifies the truncation error from the pole
   structure: for a partial-fraction term a/(t - c)^i with
   h = -vp(c) >= 1, the m-th Mahler coefficient has valuation at least
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import INF, bernoulli_number, check_prime, vp, vp_int
-from .errors import DomainError, PrecisionError
+from .arith import INF, batch_invert, bernoulli_number, check_prime, vp, vp_int
+from .errors import DomainError
 from .padic import Padic, fraction_mod_pk, qp
 from .polynomials import Poly, RationalFunction
 
@@ -195,7 +196,7 @@ def _riemann_fixed_point(f: RationalFunction, p: int, level: int, precision: int
         for c in dcoeffs:
             acc = (acc * k + c) % mod_den
         dunits.append(acc // pv % mod)
-    invs = _batch_invert(dunits, mod)
+    invs = batch_invert(dunits, mod)
     scale_unit = fraction_mod_pk(scale / Fraction(p) ** vs, p, rel)
     total = 0
     for k in range(count):
@@ -205,19 +206,6 @@ def _riemann_fixed_point(f: RationalFunction, p: int, level: int, precision: int
         total += acc * invs[k] % mod
     total = total * scale_unit % mod
     return Padic.normalized(p, V - level, total, precision)
-
-
-def _batch_invert(units: Sequence[int], mod: int) -> list[int]:
-    """Montgomery batch inversion of units modulo mod."""
-    partials = [1]
-    for u in units:
-        partials.append(partials[-1] * u % mod)
-    inv = pow(partials[-1], -1, mod)
-    out = [0] * len(units)
-    for i in range(len(units), 0, -1):
-        out[i - 1] = partials[i - 1] * inv % mod
-        inv = inv * units[i - 1] % mod
-    return out
 
 
 # -- Mahler-series engine ----------------------------------------------------------
@@ -263,7 +251,7 @@ def mahler_error_valuation(T: Callable[[int], Fraction | int], p: int, M: int) -
     return T(M + 1) - vdp_length(M + 1, p)
 
 
-def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
+def integral_mahler(f, p: int, precision: Optional[int] = None,
                     pole_data: Optional[Sequence[PoleData]] = None) -> Fraction | Padic:
     """Volkenborn integral via the Mahler expansion.
 
@@ -272,6 +260,12 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
     poles in Z_p the result is a Padic correct modulo p^precision, with the
     truncation point chosen from the certified tail bound. pole_data may be
     supplied to avoid recomputing partial fractions (mandatory floors).
+
+    Every other integrand f provides f.residues(count, p, v_floor, rel):
+    the values f(a) / p^v_floor mod p^rel for a < count, raising
+    PrecisionError when some vp(f(a)) < v_floor and DomainError at a pole.
+    A RationalFunction does; so does RnFunction.shifted(x), which needs
+    pole_data.
     """
     check_prime(p)
     if isinstance(f, RationalFunction) and f.is_polynomial():
@@ -280,7 +274,7 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
         return _integral_polynomial(f)
     if not isinstance(f, RationalFunction) and pole_data is None:
         raise DomainError("certified integration needs a rational function "
-                          "or a callable with explicit pole data")
+                          "or an integrand with explicit pole data")
     if precision is None:
         raise DomainError("precision is required for integrands with poles")
     if precision < 1:
@@ -316,15 +310,8 @@ def integral_mahler(f: Integrand, p: int, precision: Optional[int] = None,
     rel = precision - v_floor + maxw + 2
     mod = p ** rel
 
-    values = []
-    for a in range(M + 1):
-        v = _eval_integrand(f, a)
-        if v != 0 and vp(v, p) < v_floor:
-            raise PrecisionError("supplied coefficient floors are violated")
-        values.append(fraction_mod_pk(v / Fraction(p) ** v_floor, p, rel))
-
     total = Padic.zero(p, precision + 1)
-    row = values
+    row = f.residues(M + 1, p, v_floor, rel)
     for m in range(M + 1):
         c = row[0]
         if c:
@@ -394,14 +381,20 @@ def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
         return Padic.zero(p, precision)
     mod = p ** rel
     y = x.denominator // p ** h * pow(x.numerator, -1, mod) % mod
-    total = 0
-    j = 0
-    while j * h < rel:
+    step = p ** h * y % mod
+    power, binom = 1, 1  # (p^h y)^j mod p^rel and binom(k+j-1, j)
+    terms, dens = [], []
+    for j in range(-(-rel // h)):  # every j with j h < rel
         if j < 2 or j % 2 == 0:  # B_j = 0 for odd j >= 3
-            pb = fraction_mod_pk(p * bernoulli_number(j), p, rel)
-            term = math.comb(k + j - 1, j) * pb * pow(y, j, mod) * p ** (j * h)
-            total += -term if j % 2 else term
-        j += 1
+            b = bernoulli_number(j)
+            num, den = b.numerator * p, b.denominator
+            if den % p == 0:  # von Staudt-Clausen: p divides den at most once
+                num, den = b.numerator, den // p
+            terms.append((-1) ** j * binom * num % mod * power)
+            dens.append(den)
+        power = power * step % mod
+        binom = binom * (k + j) // (j + 1)
+    total = sum(t * d for t, d in zip(terms, batch_invert(dens, mod)))
     return Padic.normalized(p, k * h - 1, total * pow(y, k, mod), precision)
 
 

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padicforms.arith import (bernoulli_number, bernoulli_poly, binom_padic_data,
-                              factorial_valuation, lcm_upto, multinomial_packed,
-                              rising_factorial, vp)
+from padicforms.arith import (batch_invert, bernoulli_number, bernoulli_poly,
+                              binom_padic_data, factorial_valuation, lcm_upto,
+                              multinomial_packed, rising_factorial, vp, vp_int)
 from padicforms.errors import DomainError
 
 
@@ -19,6 +21,37 @@ def test_vp_examples():
 def test_vp_rejects_composite():
     with pytest.raises(DomainError):
         vp(Q(1), 6)
+
+
+def _vp_int_digit_loop(n, p):
+    """One division per p-digit: the reference for vp_int."""
+    if n == 0:
+        return math.inf
+    v, n = 0, abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 11, 101)),
+       unit=st.integers(-10 ** 40, 10 ** 40), e=st.integers(0, 400))
+@example(p=3, unit=0, e=0)
+@example(p=2, unit=-1, e=0)
+@example(p=5, unit=1, e=2 ** 8 - 1)
+def test_vp_int_matches_the_digit_loop(p, unit, e):
+    n = unit * p ** e
+    assert vp_int(n, p) == _vp_int_digit_loop(n, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), rel=st.integers(1, 60),
+       seeds=st.lists(st.integers(1, 10 ** 30), min_size=1, max_size=20))
+def test_batch_invert_inverts_each_unit(p, rel, seeds):
+    mod = p ** rel
+    units = [u * p + 1 for u in seeds]
+    assert batch_invert(units, mod) == [pow(u, -1, mod) for u in units]
 
 
 def test_vp_multiplicative_and_ultrametric():
@@ -97,6 +130,19 @@ def test_bernoulli_values():
     assert bernoulli_number(2) == Q(1, 6)
     assert bernoulli_number(3) == 0
     assert bernoulli_number(12) == Q(-691, 2730)
+
+
+def _bernoulli_recurrence(count):
+    """B_0..B_(count-1) from sum_(k<=m) binom(m+1, k) B_k = 0: the reference."""
+    out = [Q(1)]
+    while len(out) < count:
+        m = len(out)
+        out.append(-sum((math.comb(m + 1, k) * out[k] for k in range(m)), Q(0)) / (m + 1))
+    return out
+
+
+def test_bernoulli_number_matches_the_recurrence():
+    assert [bernoulli_number(n) for n in range(301)] == _bernoulli_recurrence(301)
 
 
 def test_bernoulli_poly_examples():

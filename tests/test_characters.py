@@ -2,9 +2,11 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms.arith import vp
-from padicforms.characters import (DirichletCharacter, char_make,
+from padicforms.characters import (DirichletCharacter, _root_of_unity_order, char_make,
                                    character_from_spec, chi_padic_data, chi_units,
                                    gen_bernoulli, quadratic_character,
                                    trivial_character)
@@ -33,6 +35,68 @@ def test_char_make_rejects_bad_tables():
         char_make(5, {1: Q(1), 2: Q(2), 3: Q(3), 4: Q(4)})  # not roots of unity
     with pytest.raises(DomainError):
         char_make(4, {1: Q(1), 3: Q(0)})  # vanishing at a unit
+
+
+def _all_pairs_multiplicative(modulus, values):
+    """chi(1) = 1, no zero at a unit and chi(a b) = chi(a) chi(b) on every
+    pair of units: the reference for the generator check."""
+    def chi(a):
+        return values[a % modulus]
+    return (chi(1) == 1 and all(v != 0 for v in values.values())
+            and all(chi(a) * chi(b) == chi(a * b) for a in values for b in values))
+
+
+def _legendre(q):
+    return lambda a: Q(1) if pow(a, (q - 1) // 2, q) == 1 else Q(-1)
+
+
+@st.composite
+def _character_tables(draw):
+    """(modulus, values) of a character, with maybe one value changed.
+
+    Either a product of Legendre symbols and chi_4 or chi_8 (the unit group
+    need not be cyclic), or at a prime q the character g^k -> zeta_m^(e k)
+    for the least primitive root g and some m | q - 1.
+    """
+    if draw(st.booleans()):
+        q = draw(st.sampled_from((5, 7, 11, 13)))
+        m = draw(st.sampled_from([m for m in range(3, q) if (q - 1) % m == 0]))
+        g = next(g for g in range(2, q) if all(pow(g, (q - 1) // f, q) != 1
+                                               for f in (2, 3, 5) if (q - 1) % f == 0))
+        e = draw(st.integers(0, m - 1))
+        modulus = q
+        values = {pow(g, k, q): CyclotomicElement.zeta(m, e * k) for k in range(q - 1)}
+        others = [Q(0)] + [CyclotomicElement.zeta(m, r) for r in range(m)]
+    else:
+        odd = draw(st.lists(st.sampled_from((3, 5, 7)), unique=True, max_size=2))
+        two = draw(st.sampled_from((1, 4, 8) if odd else (4, 8)))
+        modulus = two * math.prod(odd)
+        factors = [_legendre(q) for q in odd]
+        if two > 1:
+            factors.append(lambda a: Q(1) if a % 4 == 1 else Q(-1))
+        if two == 8:
+            factors.append(lambda a: Q(1) if a % 8 in (1, 7) else Q(-1))
+        chosen = [f for f in factors if draw(st.booleans())]
+        values = {a: math.prod((f(a) for f in chosen), start=Q(1))
+                  for a in range(1, modulus) if math.gcd(a, modulus) == 1}
+        others = [Q(0), Q(1), Q(-1)]
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from(others))
+    return modulus, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_character_tables())
+def test_generator_check_agrees_with_all_pairs(table):
+    # a character's order, read at the generators, is the lcm of all orders
+    modulus, values = table
+    try:
+        chi = DirichletCharacter(modulus, values)
+    except DomainError:
+        chi = None
+    assert (chi is not None) == _all_pairs_multiplicative(modulus, values)
+    if chi is not None:
+        assert chi.order == math.lcm(*(_root_of_unity_order(chi(a)) for a in values))
 
 
 def test_conductor_detection_non_primitive():

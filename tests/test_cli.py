@@ -114,10 +114,13 @@ def test_integrate_two_poles_one_with_huge_denominator(prec):
     ["verify", "all", "--catalog", "--digits", "1000000"],
     ["zeta", "--p", "5", "--s", "-3000", "--x", "1/5"],
     ["lvalue", "--i", "-3000", "--p", "5", "--l", "1"],
+    ["lvalue", "--i", "-8", "--p", "5", "--l", "1", "--character", "quadratic:10007"],
+    ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--l", "2", "--character",
+     '{"modulus": 1000000000000, "values": []}'],
 ], ids=["exponent", "riemann-level", "negative-level", "lvalue-l", "lvalue-huge-l",
         "prec", "hurwitz-shifts", "forms-s", "forms-huge-l", "rate-fit-ns",
         "chi-congruence-n", "count", "digits", "zeta-bernoulli-index",
-        "lvalue-bernoulli-index"])
+        "lvalue-bernoulli-index", "character-modulus", "json-character-modulus"])
 def test_size_limits_exit2(argv):
     proc = run_cli_subprocess(argv, timeout=30)
     assert proc.returncode == 2 and not proc.stdout, proc.stderr
@@ -135,7 +138,8 @@ def test_chi_congruence_at_the_size_caps_answers_at_once():
 
 
 def test_size_limits_sit_at_their_bounds():
-    from padicforms.cli import MAX_PREC, MAX_TABLE, MAX_TERMS, _size_error, build_parser
+    from padicforms.cli import (MAX_MODULUS, MAX_PREC, MAX_TABLE, MAX_TERMS, _size_error,
+                                build_parser)
     from padicforms.polynomials import MAX_POWER_DEGREE
 
     def error(argv):
@@ -185,6 +189,17 @@ def test_size_limits_sit_at_their_bounds():
         assert error(argv + ["-499"]) is None
         assert error(argv + ["-500"]) is not None
         assert error(argv + [str(10 ** 6)]) is None
+    # a --character names its modulus before the character is built
+    assert MAX_MODULUS == 1000
+    lvalue = ["lvalue", "--i", "-8", "--p", "5", "--l", "1", "--character"]
+    assert error(lvalue + ["quadratic:997"]) is None
+    assert error(lvalue + ["quadratic:1009"]) is not None
+    for modulus in (MAX_MODULUS, MAX_MODULUS + 1):
+        spec = json.dumps({"modulus": modulus, "values": ["1"] * modulus})
+        assert (error(lvalue + [spec]) is None) == (modulus == MAX_MODULUS)
+    # a spec that names no modulus is left to character_from_spec to refuse
+    for spec in ("trivial", "{bad", '{"values": []}', "[1]"):
+        assert error(lvalue + [spec]) is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,6 +219,16 @@ def test_zeta_far_positive_argument_keeps_its_precision(s, x, prec):
                                "--prec", str(prec)], timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["zeta"]["prec"] == prec
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec", "1000"],
+    ["lvalue", "--i", "3", "--p", "5", "--l", "1", "--prec", "1000"],
+], ids=["zeta", "lvalue"])
+def test_positive_branch_at_the_precision_cap_answers_in_time(argv):
+    # the series needs B_j up to j = 1000, from the tangent numbers
+    proc = run_cli_subprocess(argv, timeout=8)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_integrate_domain_violation_exit3(capsys):

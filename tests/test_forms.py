@@ -7,17 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.arith import lcm_upto
-from padicforms.characters import (char_make, gen_bernoulli, quadratic_character,
-                                   trivial_character)
+from padicforms.arith import lcm_upto, vp
+from padicforms.characters import (char_make, character_from_spec, gen_bernoulli,
+                                   quadratic_character, trivial_character)
 from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding
 from padicforms.errors import DegreeError, DomainError, IntegralityError
 from padicforms.forms import (build_rn, choose_params, family_form, form_scale,
                               hurwitz_family, hurwitz_params, hurwitz_variant_form,
-                              lambda_form, partial_fractions, per_x_valuation_hint,
-                              rho_higher, rho_zero, valuation_formula_rhs)
+                              lambda_form, lvalue_family, partial_fractions,
+                              per_x_valuation_hint, rho_higher, rho_zero,
+                              valuation_formula_rhs, weighted_integral_sum)
 from padicforms.lambertw import ell_param, ln_interval
 from padicforms.polynomials import Poly, RationalFunction
+from test_volkenborn import fraction_residues, residues_outcome
 
 
 def test_ell_param_examples():
@@ -107,6 +109,71 @@ def test_build_rn_closed_form():
     assert rn.degree() == -22
     for t in (Q(1, 3), Q(7, 5), Q(-5, 2)):
         assert rn.evaluate(t) == 64 * (2 * t + 1) ** 4 / (t ** 14 * (t + 1) ** 12)
+
+
+# (a character spec, or x0 for the Hurwitz family; p; l)
+_RN_FAMILIES = (("trivial", 2, 2), ("quadratic:4", 2, 2), ("trivial", 3, 1),
+                (Q(1, 4), 2, 2), (Q(3, 4), 2, 2), (Q(2, 3), 3, 1), (Q(1, 9), 3, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(_RN_FAMILIES), s=st.integers(16, 40), n=st.integers(1, 2),
+       j=st.integers(-40, 40), den=st.sampled_from((1, 2, 3, "D")),
+       count=st.integers(1, 10), offset=st.integers(-3, 1), rel=st.integers(1, 200))
+@example(family=("trivial", 2, 2), s=20, n=1, j=0, den=1, count=3, offset=0, rel=8)
+@example(family=("trivial", 2, 2), s=20, n=2, j=-3, den="D", count=4, offset=0, rel=8)
+@example(family=(Q(1, 4), 2, 2), s=20, n=1, j=1, den="D", count=4, offset=1, rel=8)
+def test_shifted_rn_residues_match_fraction_values(family, s, n, j, den, count, offset, rel):
+    # x = j/den: the examples hit a pole at an integer (x = 0), zeros of
+    # binom(Dt + N, N) (x = -3/D) and a violated floor (offset 1)
+    head, p, l = family
+    if isinstance(head, str):
+        pr = choose_params(character_from_spec(head), p, s, l=l)
+    else:
+        pr = hurwitz_params(head, p, s, l=l)[0]
+    try:
+        rn = build_rn(pr, n)
+    except DegreeError:
+        return
+    f = rn.shifted(Q(j, pr.D if den == "D" else den))
+    values = []
+    for a in range(count):
+        try:
+            values.append(f(a))
+        except ZeroDivisionError:
+            break
+    v_floor = min((vp(v, p) for v in values if v), default=0) + offset
+    assert residues_outcome(lambda: f.residues(count, p, v_floor, rel)) \
+        == residues_outcome(lambda: fraction_residues(f, count, p, v_floor, rel))
+
+
+def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
+    # the catalog shape p = 2, s = 64, n = 3: no exact value of R_n and no
+    # rational reduced mod p^k on the way to the certified sum
+    import sys
+
+    from padicforms import forms, padic
+
+    calls = {"evaluate": 0, "fraction_mod_pk": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(forms.RnFunction, "evaluate",
+                        counting("evaluate", forms.RnFunction.evaluate))
+    original = padic.fraction_mod_pk
+    for name, module in list(sys.modules.items()):
+        if name.startswith("padicforms") and getattr(module, "fraction_mod_pk", None) is original:
+            monkeypatch.setattr(module, "fraction_mod_pk", counting("fraction_mod_pk", original))
+    chi = trivial_character()
+    pr = choose_params(chi, 2, 64, l=2)
+    rn = build_rn(pr, 3)
+    total = weighted_integral_sum(rn, lvalue_family(pr, chi), 760, partial_fractions(rn))
+    assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3, chi)
+    assert calls == {"evaluate": 0, "fraction_mod_pk": 0}
 
 
 def test_build_rn_degree_error():

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicforms.arith import INF, bernoulli_poly, vp
-from padicforms.errors import DomainError
-from padicforms.padic import Padic
+from padicforms.errors import DomainError, PrecisionError
+from padicforms.padic import Padic, fraction_mod_pk
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
 from padicforms.volkenborn import (PoleData, integral_mahler, integral_pole_power,
                                    integral_riemann, mahler_coefficients,
@@ -173,6 +173,66 @@ def test_riemann_sum_equals_wavelet_partial():
         assert w.integral_partial() == integral_riemann(f, 3, level)
 
 
+def fraction_residues(f, count, p, v_floor, rel):
+    """f(a) / p^v_floor mod p^rel from exact Fraction values: the reference for
+    the residues that integral_mahler reads."""
+    out = []
+    for a in range(count):
+        try:
+            v = f(a)
+        except ZeroDivisionError as exc:
+            raise DomainError(f"integrand has a pole at the integer {a}") from exc
+        if v != 0 and vp(v, p) < v_floor:
+            raise PrecisionError("supplied coefficient floors are violated")
+        out.append(fraction_mod_pk(v / Q(p) ** v_floor, p, rel))
+    return out
+
+
+def residues_outcome(compute):
+    """The residues, or the type and message of the error they raise."""
+    try:
+        return compute()
+    except (DomainError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+_FRACS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@st.composite
+def _rational_functions(draw):
+    """Up to three poles, at an integer when a root is 0, -1, ..., and
+    maybe a zero at a small integer."""
+    num = Poly(draw(st.lists(_FRACS, max_size=4)))
+    if draw(st.booleans()):
+        num = num * Poly([-draw(st.integers(0, 6)), 1])
+    den = Poly.const(draw(_FRACS.filter(bool)))
+    for c in draw(st.lists(st.one_of(_FRACS, st.integers(-6, 0)), min_size=1, max_size=3)):
+        den = den * Poly([c, 1])
+    return RationalFunction(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_rational_functions(), p=st.sampled_from((2, 3, 5)), count=st.integers(1, 8),
+       v_floor=st.integers(-12, 4), rel=st.integers(1, 40))
+@example(f=parse_rational_function("(t-2)^-1"), p=5, count=4, v_floor=0, rel=6)
+@example(f=parse_rational_function("(t-1)*(1/5+t)^-1"), p=5, count=4, v_floor=0, rel=6)
+@example(f=parse_rational_function("1/25*(1/5+t)^-1"), p=5, count=4, v_floor=0, rel=6)
+@example(f=parse_rational_function("0*(t+1)^-1"), p=3, count=3, v_floor=0, rel=2)
+def test_rational_residues_match_fraction_values(f, p, count, v_floor, rel):
+    # the examples: a pole at 2, a zero at 1, a violated floor, the zero function
+    assert residues_outcome(lambda: f.residues(count, p, v_floor, rel)) \
+        == residues_outcome(lambda: fraction_residues(f, count, p, v_floor, rel))
+
+
+def test_rational_residues_report_zeros_floors_and_poles():
+    assert parse_rational_function("(t-1)*(1/5+t)^-1").residues(3, 5, 0, 6)[1] == 0
+    with pytest.raises(PrecisionError):
+        parse_rational_function("1/25*(1/5+t)^-1").residues(3, 5, 0, 6)
+    with pytest.raises(DomainError, match="pole at the integer 2"):
+        parse_rational_function("(t-2)^-1").residues(4, 5, 0, 6)
+
+
 @settings(max_examples=80, deadline=None)
 @given(branches=st.lists(st.tuples(st.one_of(st.integers(-60, 60), st.just(INF)),
                                    st.integers(1, 5)), min_size=1, max_size=6),
@@ -224,7 +284,8 @@ def test_translation_formula_random_rational():
 def _mahler_pole_power(x, k, p, precision):
     """The Mahler engine on (x+t)^-k with single-pole floors: the oracle."""
     pole = [PoleData(location=-x, order=k, floors=(INF,) * (k - 1) + (0,))]
-    return integral_mahler(lambda a: 1 / (x + a) ** k, p, precision, pole_data=pole)
+    f = RationalFunction(Poly([1]), Poly([x, 1]) ** k)
+    return integral_mahler(f, p, precision, pole_data=pole)
 
 
 def _pole_point(p, h, a, m):
