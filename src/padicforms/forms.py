@@ -3,10 +3,11 @@
 R_n(t) = n!^s * packedmultinomial(N, n)^Q * binom(Dt + N, N)^Q * (Dt)^(2+delta) / (t)_(n+1)^s
 
 has poles of order s at 0, -1, ..., -n. Its partial fraction coefficients
-r_(i,k) are extracted per pole from a truncated power series of
-R_n(t) (t+k)^s: a polynomial shift, then each factor's power (negative for
-the cofactor (t)_(n+1) / (t+k)) by one series_pow recurrence, never iterated
-symbolic differentiation. The coefficients
+r_(i,k) are read off the truncated power series of R_n(t) (t+k)^s at each
+pole, in integers: every linear factor of R_n at a pole is a prefix of the
+products prod_(m<=M) (y + m), which one sweep gives for every pole at once;
+the factors' powers come from one integer power recurrence, and each
+coefficient becomes a Fraction once, at the end. The coefficients
 
     rho_i = i * sum_k r_(i,k)                (independent of any argument x)
     rho_(0,x) = -sum_(i,k) sum_(v<k) i r_(i,k) (v+x)^(-i-1)
@@ -30,7 +31,6 @@ from .errors import DegreeError, DomainError, PrecisionError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
-from .polynomials import Poly, series_mul, series_pow, series_trunc
 from .volkenborn import PoleData, integral_mahler, integral_pole_power, vdp_length
 
 Q = Fraction
@@ -168,7 +168,7 @@ def form_params(p: int, s: int, delta: int, d_prime: int, l0: int, r: int,
 class RnFunction:
     """R_n in factored form; the denominator is never expanded."""
 
-    __slots__ = ("params", "n", "N", "prefactor", "binom_poly", "mono_exp")
+    __slots__ = ("params", "n", "N", "prefactor", "mono_exp")
 
     def __init__(self, params: FormParameters, n: int):
         if n < 1:
@@ -184,7 +184,6 @@ class RnFunction:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(self, "binom_poly", _binomial_shift_poly(params.D, N))
         object.__setattr__(self, "mono_exp", 2 + params.delta)
 
     def __setattr__(self, name, value):
@@ -199,7 +198,8 @@ class RnFunction:
         rising = rising_factorial(t, self.n + 1)
         if rising == 0:
             raise ZeroDivisionError(f"pole at t = {t}")
-        out = Q(self.prefactor) * self.binom_poly(t) ** pr.Q
+        binom = rising_factorial(pr.D * Q(t) + 1, self.N) / math.factorial(self.N)
+        out = Q(self.prefactor) * binom ** pr.Q
         if self.mono_exp:
             out *= (pr.D * Q(t)) ** self.mono_exp
         return out / rising ** pr.s
@@ -219,20 +219,6 @@ class RnFunction:
                          floors=tuple(vp(table.r(i, k), pr.p)
                                       for i in range(1, pr.s + 1)))
                 for k in range(self.n + 1)]
-
-    def series_at_pole(self, k: int, length: int) -> list[Fraction]:
-        """Power series of R_n(t) (t+k)^s in u = t + k, to the given length."""
-        pr = self.params
-        L = length
-        out = series_trunc([Q(self.prefactor)], L)
-        shifted_binom = self.binom_poly.shift(-k)
-        out = series_mul(out, series_pow(shifted_binom.coeffs, pr.Q, L), L)
-        if self.mono_exp:
-            mono = Poly([-pr.D * k, pr.D]) ** self.mono_exp
-            out = series_mul(out, series_trunc(mono.coeffs, L), L)
-        cof = Poly.from_roots([k - j for j in range(self.n + 1) if j != k])
-        out = series_mul(out, series_pow(cof.coeffs, -pr.s, L), L)
-        return out
 
 
 @dataclass(frozen=True)
@@ -302,14 +288,6 @@ class ShiftedRn:
         return [t * b % mod for t, b in zip(tops, batch_invert(bottoms, mod))]
 
 
-def _binomial_shift_poly(D: int, N: int) -> Poly:
-    """binom(D t + N, N) as an exact polynomial in t."""
-    out = Poly.const(1)
-    for v in range(1, N + 1):
-        out = out * Poly([Q(v), Q(D)])
-    return out.scale(Q(1, math.factorial(N)))
-
-
 def build_rn(params: FormParameters, n: int) -> RnFunction:
     return RnFunction(params, n)
 
@@ -345,15 +323,92 @@ class PartialFractionTable:
 
 
 def partial_fractions(rn: RnFunction) -> PartialFractionTable:
-    """Extract every r_(i,k) from truncated series expansions at the poles."""
-    s = rn.params.s
+    """Every r_(i,k), read off the series of R_n(t) (t+k)^s at each pole.
+
+    At the pole -k put u = t + k and x = D u, and write f_M(y) and g_M(y) for
+    the products of (y + m) and of (y - m) over m = 1..M, so that
+    g_M(y) = (-1)^M f_M(-y). Then R_n(t) (t+k)^s is prefactor/N!^Q times
+
+        x^z (x - Dk)^(2+delta) [f_(N-Dk)(x) g_(Dk-1)(x)]^Q [f_(n-k)(u) g_k(u)]^(-s),
+
+    where z = Q for k >= 1 (the factor Dt + Dk = x of binom(Dt + N, N)),
+    and z = 0 and g_(-1) = 1 at k = 0. One sweep of f_M, truncated at length
+    s, serves every pole; r_(i,k) is the coefficient of u^(s-i).
+    """
+    pr, n, N = rn.params, rn.n, rn.N
+    s, D, q, mono = pr.s, pr.D, pr.Q, rn.mono_exp
+    f = _prefix_products({M for k in range(n + 1)
+                          for M in (N - D * k, max(D * k - 1, 0), n - k, k)}, s)
+
+    def g(M: int) -> list[int]:
+        return [(-1) ** (M + j) * c for j, c in enumerate(f[M])]
+
+    scale = Q(rn.prefactor, math.factorial(N) ** q)
+    dn = lcm_upto(n)
     cols = []
-    for k in range(rn.n + 1):
-        series = rn.series_at_pole(k, s)
-        cols.append([series[s - i] for i in range(1, s + 1)])
-    rows = tuple(tuple(cols[k][i - 1] for k in range(rn.n + 1))
-                 for i in range(1, s + 1))
-    return PartialFractionTable(n=rn.n, s=s, rows=rows)
+    for k in range(n + 1):
+        z = q if k else 0
+        L = s - z
+        binom = _mul(f[N - D * k], g(max(D * k - 1, 0)), L)
+        monomial = [math.comb(mono, j) * (-D * k) ** (mono - j) for j in range(mono + 1)]
+        a = _mul(_power_numerators(binom, q, 1, L), monomial, L)  # in x
+        cof = _mul(f[n - k], g(k), L)
+        # x -> D u; every root of the cofactor divides d_n, so its (-s)-th
+        # power has numerators over c0^s d_n^j, and the u^(z+j) coefficient
+        # is scale D^z h[j] / (c0^s d_n^j)
+        a = [c * (D * dn) ** j for j, c in enumerate(a)]
+        h = _mul(a, _power_numerators(cof, -s, dn, L), L)
+        top, bottom = scale.numerator * D ** z, scale.denominator * cof[0] ** s
+        col = [Q(0)] * s
+        for j, c in enumerate(h):
+            col[s - 1 - z - j] = Q(top * c, bottom * dn ** j)
+        cols.append(col)
+    return PartialFractionTable(n=n, s=s, rows=tuple(zip(*cols)))
+
+
+def _prefix_products(wanted: set[int], L: int) -> dict[int, list[int]]:
+    """The coefficients of f_M(y) = prod_(m=1..M) (y + m) to length L, for each M in wanted."""
+    f = [1] + [0] * (L - 1)
+    out = {0: list(f)}
+    for m in range(1, max(wanted) + 1):
+        for j in range(min(m, L - 1), 0, -1):
+            f[j] = m * f[j] + f[j - 1]
+        f[0] *= m
+        if m in wanted:
+            out[m] = list(f)
+    return out
+
+
+def _mul(a: list[int], b: list[int], L: int) -> list[int]:
+    """The product of two integer series, truncated at length L."""
+    out = [0] * L
+    for i, ai in enumerate(a[:L]):
+        if ai:
+            for j, bj in enumerate(b[:L - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def _power_numerators(b: list[int], e: int, d: int, L: int) -> list[int]:
+    """Integers G with b^e = b0^min(e, 0) sum_m G[m] (y/d)^m, to length L.
+
+    b is an integer series with b0 = b[0] != 0. With g[m] = b0^min(e, 0)
+    G[m] / d^m, the series_pow recurrence m b0 g[m] = sum_(k=1..m)
+    ((e+1)k - m) b[k] g[m-k] reads
+
+        m b0 G[m] = sum_k ((e+1)k - m) b[k] d^k G[m-k],   G[0] = b0^max(e, 0).
+
+    The caller picks d so that every G[m] is an integer, which makes every
+    division exact: d = 1 when e >= 0, and d = b0 serves any e.
+    """
+    b0 = b[0]
+    w = [c * d ** k for k, c in enumerate(b[:L])]
+    top = max(k for k, c in enumerate(w) if c)
+    g = [b0 ** max(e, 0)]
+    for m in range(1, L):
+        acc = sum(((e + 1) * k - m) * w[k] * g[m - k] for k in range(1, min(m, top) + 1))
+        g.append(acc // (m * b0))
+    return g
 
 
 def rho_higher(table: PartialFractionTable, i: int) -> Fraction:
@@ -367,18 +422,17 @@ def rho_zero(table: PartialFractionTable, x: Fraction) -> Fraction:
     """rho_(0,x) = -sum_(i,k) sum_(v=0..k-1) i r_(i,k) (v+x)^(-i-1)."""
     x = Fraction(x)
     acc = Q(0)
-    for v in range(table.n):
+    weights = [Q(0)] * table.s  # weights[i-1] = sum_(k=v+1..n) r_(i,k)
+    for v in range(table.n - 1, -1, -1):
         base = v + x
         if base == 0:
             raise DomainError(f"x = {x} hits the pole at v = {v}")
         inv = 1 / base
         power = inv * inv  # (v+x)^(-2) = i=1 term
         for i in range(1, table.s + 1):
-            weight = Q(0)
-            for k in range(v + 1, table.n + 1):
-                weight += table.rows[i - 1][k]
-            if weight:
-                acc += i * weight * power
+            weights[i - 1] += table.rows[i - 1][v + 1]
+            if weights[i - 1]:
+                acc += i * weights[i - 1] * power
             power *= inv
     return -acc
 

@@ -190,7 +190,7 @@ def test_hurwitz_mode_monomial_absent():
     rn = build_rn(pr, 1)
     t = Q(1, 3)
     want = (multinomial_packed(pr.N(1), 1) ** pr.Q
-            * rn.binom_poly(t) ** pr.Q / rising_factorial(t, 2) ** 64)
+            * _binom_poly(rn.N)(pr.D * t + rn.N) ** pr.Q / rising_factorial(t, 2) ** 64)
     assert rn.evaluate(t) == want  # no (Dt)^(2+delta) factor
 
 
@@ -230,6 +230,55 @@ def test_rho_toy_values():
     assert rho_zero(n0, Q(7)) == 0  # empty inner range
     with pytest.raises(DomainError):
         rho_zero(toy, Q(0))
+
+
+def _rho_zero_double_loop(table, x):
+    """rho_(0,x) with each suffix sum over k > v summed afresh (reference)."""
+    acc = Q(0)
+    for v in range(table.n):
+        base = v + x
+        if base == 0:
+            raise DomainError(f"x = {x} hits the pole at v = {v}")
+        inv = 1 / base
+        power = inv * inv
+        for i in range(1, table.s + 1):
+            weight = Q(0)
+            for k in range(v + 1, table.n + 1):
+                weight += table.rows[i - 1][k]
+            if weight:
+                acc += i * weight * power
+            power *= inv
+    return -acc
+
+
+_small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(0, 5), s=st.integers(1, 6), data=st.data(),
+       x=st.one_of(_small_fractions, st.integers(-6, 1).map(Q)))
+def test_rho_zero_matches_double_loop(n, s, data, x):
+    from padicforms.forms import PartialFractionTable
+
+    rows = tuple(tuple(data.draw(st.lists(_small_fractions, min_size=n + 1, max_size=n + 1)))
+                 for _ in range(s))
+    table = PartialFractionTable(n=n, s=s, rows=rows)
+    try:
+        want = _rho_zero_double_loop(table, x)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            rho_zero(table, x)
+        assert str(got.value) == str(exc)
+        return
+    assert rho_zero(table, x) == want
+
+
+def test_rho_zero_matches_double_loop_on_desk_tables(desk):
+    for key in ("p2-mini", "p2-trivial", "p3-trivial"):
+        ws = desk.workspace(key)
+        for j in (1, ws.params.D - 1):
+            x = Q(j, ws.params.D)
+            assert rho_zero(ws.table, x) == _rho_zero_double_loop(ws.table, x), (key, j)
 
 
 def test_rho_x_independence(desk):

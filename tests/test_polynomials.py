@@ -3,12 +3,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.catalog import MINI_DESK, InstanceWorkspace
-from padicforms.errors import NonSplitDenominator
-from padicforms.forms import build_rn, hurwitz_params, partial_fractions
+from padicforms.characters import character_from_spec
+from padicforms.errors import DomainError, NonSplitDenominator
+from padicforms.forms import build_rn, choose_params, hurwitz_params, partial_fractions
 from padicforms.polynomials import (MAX_POWER_DEGREE, Poly, RationalFunction,
                                     _rational_roots, parse_rational_function, series_inv,
                                     series_mul, series_pow, series_trunc)
@@ -112,13 +112,19 @@ def test_series_pow_matches_squaring_oracle(zeros, tail, e, L):
         assert series_inv(a, L) == _inv_oracle(a, L)
 
 
+def _binom_t(rn):
+    """binom(D t + N, N) as a polynomial in t."""
+    D, N = rn.params.D, rn.N
+    return Poly.from_roots([Q(-v, D) for v in range(1, N + 1)]).scale(Q(D ** N, math.factorial(N)))
+
+
 def _oracle_table_rows(rn):
     """r_(i,k) through the squaring oracle: the series of R_n(t) (t+k)^s per pole."""
     pr, s = rn.params, rn.params.s
     cols = []
     for k in range(rn.n + 1):
         out = series_trunc([Q(rn.prefactor)], s)
-        out = series_mul(out, _pow_oracle(rn.binom_poly.shift(-k).coeffs, pr.Q, s), s)
+        out = series_mul(out, _pow_oracle(_binom_t(rn).shift(-k).coeffs, pr.Q, s), s)
         if rn.mono_exp:
             mono = Poly([-pr.D * k, pr.D]) ** rn.mono_exp
             out = series_mul(out, series_trunc(mono.coeffs, s), s)
@@ -129,11 +135,54 @@ def _oracle_table_rows(rn):
     return tuple(tuple(cols[k][i - 1] for k in range(rn.n + 1)) for i in range(1, s + 1))
 
 
-def test_partial_fraction_tables_match_squaring_oracle():
-    mini = InstanceWorkspace(MINI_DESK)
-    hurwitz, _ = hurwitz_params(Q(2, 3), 3, 22, l=1)
-    for rn in (mini.rn, build_rn(hurwitz, 2)):
-        assert partial_fractions(rn).rows == _oracle_table_rows(rn)
+def _rn_params(head, p, l, s):
+    """The L-value parameters of a character spec, or the Hurwitz ones at x = head."""
+    if isinstance(head, str):
+        return choose_params(character_from_spec(head), p, s, l=l)
+    return hurwitz_params(head, p, s, l=l)[0]
+
+
+def _admissible_s(head, p, l, n, steps):
+    """The least s with deg R_n <= -2, rounded up to a multiple of p - 1, plus
+    `steps` steps of p - 1 (of 1 at p = 2), as the integrality benchmark sizes s."""
+    probe = _rn_params(head, p, l, max(1, p - 1))
+    step = p - 1 if p > 2 else 1
+    lowest = -(-(probe.Q * probe.N(n) + 4 + probe.delta) // (n + 1))
+    return -(-lowest // step) * step + step * steps
+
+
+def _oracle_shapes():
+    """(head, p, l, n) over the L-value characters and the Hurwitz x = a/p^l.
+
+    A shape is kept when the squaring oracle's cost s^2 (n+1) stays at most
+    15000 at two extra steps of s. No p = 5 shape does (the cheapest takes
+    the oracle about 7 s), so p = 5 enters as an explicit example.
+    """
+    out = []
+    for p in (2, 3, 5):
+        for l in (1, 2):
+            heads = ["trivial", "quadratic:3", "quadratic:4"]
+            heads += [Q(a, p ** l) for a in range(1, p ** l) if a % p]
+            for head in heads:
+                for n in range(1, 5):
+                    try:
+                        s = _admissible_s(head, p, l, n, 2)
+                    except DomainError:  # l < l0, or x outside the Hurwitz domain
+                        break
+                    if s * s * (n + 1) <= 15_000:
+                        out.append((head, p, l, n))
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=st.sampled_from(_oracle_shapes()), steps=st.integers(0, 2))
+@example(shape=("trivial", 2, 1, 1), steps=10)  # the mini desk, s = 16
+@example(shape=(Q(2, 3), 3, 1, 2), steps=1)     # s = 22
+@example(shape=(Q(1, 5), 5, 1, 4), steps=0)     # s = 104
+def test_partial_fraction_tables_match_squaring_oracle(shape, steps):
+    head, p, l, n = shape
+    rn = build_rn(_rn_params(head, p, l, _admissible_s(head, p, l, n, steps)), n)
+    assert partial_fractions(rn).rows == _oracle_table_rows(rn)
 
 
 def test_rational_function_eval_and_calc():
