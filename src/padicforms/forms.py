@@ -6,8 +6,9 @@ has poles of order s at 0, -1, ..., -n. Its partial fraction coefficients
 r_(i,k) are read off the truncated power series of R_n(t) (t+k)^s at each
 pole, in integers: every linear factor of R_n at a pole is a prefix of the
 products prod_(m<=M) (y + m), which one sweep gives for every pole at once;
-the factors' powers come from one integer power recurrence, and each
-coefficient becomes a Fraction once, at the end. The coefficients
+the factors are multiplied by polynomials.series_mul and raised to powers by
+polynomials.power_numerators, the integer form of the series_pow recurrence,
+and each coefficient becomes a Fraction once, at the end. The coefficients
 
     rho_i = i * sum_k r_(i,k)                (independent of any argument x)
     rho_(0,x) = -sum_(i,k) sum_(v<k) i r_(i,k) (v+x)^(-i-1)
@@ -31,6 +32,7 @@ from .errors import DegreeError, DomainError, PrecisionError
 from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
+from .polynomials import power_numerators, series_mul
 from .volkenborn import PoleData, integral_mahler, integral_pole_power, vdp_length
 
 Q = Fraction
@@ -349,15 +351,15 @@ def partial_fractions(rn: RnFunction) -> PartialFractionTable:
     for k in range(n + 1):
         z = q if k else 0
         L = s - z
-        binom = _mul(f[N - D * k], g(max(D * k - 1, 0)), L)
+        binom = series_mul(f[N - D * k], g(max(D * k - 1, 0)), L)
         monomial = [math.comb(mono, j) * (-D * k) ** (mono - j) for j in range(mono + 1)]
-        a = _mul(_power_numerators(binom, q, 1, L), monomial, L)  # in x
-        cof = _mul(f[n - k], g(k), L)
+        a = series_mul(power_numerators(binom, q, 1, L), monomial, L)  # in x
+        cof = series_mul(f[n - k], g(k), L)
         # x -> D u; every root of the cofactor divides d_n, so its (-s)-th
         # power has numerators over c0^s d_n^j, and the u^(z+j) coefficient
         # is scale D^z h[j] / (c0^s d_n^j)
         a = [c * (D * dn) ** j for j, c in enumerate(a)]
-        h = _mul(a, _power_numerators(cof, -s, dn, L), L)
+        h = series_mul(a, power_numerators(cof, -s, dn, L), L)
         top, bottom = scale.numerator * D ** z, scale.denominator * cof[0] ** s
         col = [Q(0)] * s
         for j, c in enumerate(h):
@@ -377,38 +379,6 @@ def _prefix_products(wanted: set[int], L: int) -> dict[int, list[int]]:
         if m in wanted:
             out[m] = list(f)
     return out
-
-
-def _mul(a: list[int], b: list[int], L: int) -> list[int]:
-    """The product of two integer series, truncated at length L."""
-    out = [0] * L
-    for i, ai in enumerate(a[:L]):
-        if ai:
-            for j, bj in enumerate(b[:L - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def _power_numerators(b: list[int], e: int, d: int, L: int) -> list[int]:
-    """Integers G with b^e = b0^min(e, 0) sum_m G[m] (y/d)^m, to length L.
-
-    b is an integer series with b0 = b[0] != 0. With g[m] = b0^min(e, 0)
-    G[m] / d^m, the series_pow recurrence m b0 g[m] = sum_(k=1..m)
-    ((e+1)k - m) b[k] g[m-k] reads
-
-        m b0 G[m] = sum_k ((e+1)k - m) b[k] d^k G[m-k],   G[0] = b0^max(e, 0).
-
-    The caller picks d so that every G[m] is an integer, which makes every
-    division exact: d = 1 when e >= 0, and d = b0 serves any e.
-    """
-    b0 = b[0]
-    w = [c * d ** k for k, c in enumerate(b[:L])]
-    top = max(k for k, c in enumerate(w) if c)
-    g = [b0 ** max(e, 0)]
-    for m in range(1, L):
-        acc = sum(((e + 1) * k - m) * w[k] * g[m - k] for k in range(1, min(m, top) + 1))
-        g.append(acc // (m * b0))
-    return g
 
 
 def rho_higher(table: PartialFractionTable, i: int) -> Fraction:

@@ -10,11 +10,24 @@ from .cyclotomic import CyclotomicElement
 from .padic import Padic
 
 Q = Fraction
+_CHUNK = 10 ** 600  # str() converts up to 640 digits under the least limit it allows
+
+
+def int_to_str(n: int) -> str:
+    """Decimal text of an integer of any length; str() alone refuses more than
+    sys.get_int_max_str_digits() digits, a guard that input parsing keeps."""
+    if n < 0:
+        return "-" + int_to_str(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(600))
+    return str(n) + "".join(reversed(chunks))
 
 
 def rational_to_json(x: Fraction | int) -> dict:
     x = Q(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": int_to_str(x.numerator), "den": int_to_str(x.denominator)}
 
 
 def rational_from_json(obj: dict | str) -> Fraction:
@@ -25,7 +38,8 @@ def rational_from_json(obj: dict | str) -> Fraction:
 
 def rational_to_str(x: Fraction | int) -> str:
     x = Q(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = int_to_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_to_str(x.denominator)}"
 
 
 def cyclotomic_to_json(x: CyclotomicElement) -> dict:

@@ -212,12 +212,9 @@ class Padic:
         return d.val is None
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "val": self.val,
-            "unit": str(self.unit),
-            "prec": self.prec,
-        }
+        from .jsonio import int_to_str  # jsonio imports this module
+
+        return {"p": self.p, "val": self.val, "unit": int_to_str(self.unit), "prec": self.prec}
 
 
 # -- Teichmuller machinery ---------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonSplitDenominator, PrecisionError
@@ -161,8 +162,6 @@ class Poly:
         """Write self = content * P with P a primitive integer polynomial."""
         if self.is_zero():
             return Q(0), []
-        from math import gcd, lcm
-
         den = lcm(*[c.denominator for c in self.coeffs])
         ints = [int(c * den) for c in self.coeffs]
         g = 0
@@ -181,14 +180,13 @@ def series_trunc(coeffs: Sequence[Fraction], L: int) -> list[Fraction]:
     return out
 
 
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], L: int) -> list[Fraction]:
-    out = [Q(0)] * L
+def series_mul(a: Sequence, b: Sequence, L: int) -> list:
+    """The product of two series truncated at length L; integers stay integers."""
+    out = [0] * L
     for i, ai in enumerate(a[:L]):
         if ai:
-            top = min(L - i, len(b))
-            for j in range(top):
-                if b[j]:
-                    out[i + j] += ai * b[j]
+            for j, bj in enumerate(b[:L - i]):
+                out[i + j] += ai * bj
     return out
 
 
@@ -198,13 +196,12 @@ def series_inv(a: Sequence[Fraction], L: int) -> list[Fraction]:
 
 
 def series_pow(a: Sequence[Fraction], e: int, L: int) -> list[Fraction]:
-    """a^e to length L for any integer e, by one recurrence.
+    """a^e to length L for any integer e, by one integer recurrence.
 
-    Write a = u^v b with b[0] != 0. Then g = b^e satisfies b g' = e b' g,
-    so m b[0] g[m] = sum_(k=1..m) ((e+1) k - m) b[k] g[m-k] (Knuth, TAOCP
-    vol. 2, 4.7), and a^e is g shifted by v e. A power of a degree-d
-    polynomial costs O(L d) products. A negative power of a series with
-    a[0] = 0 raises ZeroDivisionError.
+    Write a = u^v b with b[0] != 0 and c b = B with B an integer series.
+    Then a^e is c^-e B^e shifted by v e, and B^e comes from
+    power_numerators with d = B[0] when e < 0 and d = 1 otherwise. A
+    negative power of a series with a[0] = 0 raises ZeroDivisionError.
     """
     if e < 0 and (not a or a[0] == 0):
         raise ZeroDivisionError("series has no inverse: constant term vanishes")
@@ -212,12 +209,35 @@ def series_pow(a: Sequence[Fraction], e: int, L: int) -> list[Fraction]:
     if v is None:  # a vanishes to length L, and 0^0 = 1
         return series_trunc([Q(1)] if e == 0 else [], L)
     b, shift = a[v:v + L], min(v * e, L)
-    g = [Q(b[0]) ** e]
-    for m in range(1, L - shift):
-        top = min(m, len(b) - 1)
-        acc = sum((((e + 1) * k - m) * b[k] * g[m - k] for k in range(1, top + 1) if b[k]), Q(0))
-        g.append(acc / (m * b[0]))
-    return [Q(0)] * shift + g[:L - shift]
+    c = lcm(*(x.denominator for x in b))
+    B = [x.numerator * (c // x.denominator) for x in b]
+    d = B[0] if e < 0 else 1
+    top, bottom = c ** max(-e, 0), c ** max(e, 0) * d ** max(-e, 0)
+    g = power_numerators(B, e, d, L - shift)[:L - shift]
+    return [Q(0)] * shift + [Q(top * x, bottom * d ** m) for m, x in enumerate(g)]
+
+
+def power_numerators(b: list[int], e: int, d: int, L: int) -> list[int]:
+    """Integers G with b^e = b0^min(e, 0) sum_m G[m] (y/d)^m, to length L.
+
+    b is an integer series with b0 = b[0] != 0. The power g = b^e satisfies
+    b g' = e b' g, so m b0 g[m] = sum_(k=1..m) ((e+1)k - m) b[k] g[m-k]
+    (Knuth, TAOCP vol. 2, 4.7). With g[m] = b0^min(e, 0) G[m] / d^m it reads
+
+        m b0 G[m] = sum_k ((e+1)k - m) b[k] d^k G[m-k],   G[0] = b0^max(e, 0).
+
+    The caller picks d so that every G[m] is an integer, which makes every
+    division exact: d = 1 when e >= 0, and d = b0 serves any e. A power of a
+    degree-r polynomial costs O(L r) products.
+    """
+    b0 = b[0]
+    w = [c * d ** k for k, c in enumerate(b[:L])]
+    top = max((k for k, c in enumerate(w) if c), default=0)
+    g = [b0 ** max(e, 0)]
+    for m in range(1, L):
+        acc = sum(((e + 1) * k - m) * w[k] * g[m - k] for k in range(1, min(m, top) + 1))
+        g.append(acc // (m * b0))
+    return g
 
 
 # -- rational functions ----------------------------------------------------

@@ -4,8 +4,9 @@ Bernoulli sums for polynomials and single poles.
 The integral of f over Z_p is the limit of p^-n sum_{k < p^n} f(k). Three
 engines compute it here:
 
-* integral_riemann: the exact level-n partial sum (diagnostic; its error is
-  certified only through the constant wavelet tail bound).
+* integral_riemann: the level-n partial sum (diagnostic; its error is
+  certified only through the constant wavelet tail bound), read from the
+  integrand's residues method at the floor vp(content) - vp(den_prim(0)).
 * integral_mahler: the general path for rational functions without poles
   in Z_p. A polynomial sum a_k t^k integrates exactly to sum a_k B_k
   (Int t^k dt = B_k, with B_1 = -1/2). Otherwise it computes Mahler
@@ -41,8 +42,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .arith import INF, batch_invert, bernoulli_number, check_prime, vp, vp_int
-from .errors import DomainError
-from .padic import Padic, fraction_mod_pk, qp
+from .errors import DomainError, PrecisionError
+from .padic import Padic, qp
 from .polynomials import Poly, RationalFunction
 
 Q = Fraction
@@ -118,13 +119,13 @@ def wavelet_coeffs(f: Callable[[int], Fraction], p: int, depth: int) -> WaveletE
 
 def integral_riemann(f: Integrand, p: int, level: int,
                      precision: Optional[int] = None) -> Fraction | Padic:
-    """The exact level-n partial sum p^-n sum_{k < p^n} f(k).
+    """The level-n Riemann sum p^-n sum_{k < p^n} f(k).
 
-    With precision=None the sum is returned as an exact Fraction (only
-    sensible for small levels). Otherwise the partial sum is computed in
-    fixed-point arithmetic and returned modulo p^precision; the sum itself
-    is exact mod p^precision, convergence across levels is the caller's
-    concern.
+    With precision=None, the exact Fraction sum of any callable f. Otherwise
+    f is a RationalFunction whose sum, exact modulo p^precision, is read from
+    f.residues at the floor v_floor = vp(content of f) - vp(den_prim(0)),
+    den_prim the primitive integer denominator; a summand below that floor
+    raises DomainError. Convergence across levels is the caller's concern.
     """
     check_prime(p)
     count = p ** level
@@ -135,17 +136,22 @@ def integral_riemann(f: Integrand, p: int, level: int,
         return total / count
     if precision < 1:
         raise DomainError("need precision >= 1")
-
-    if isinstance(f, RationalFunction):
-        return _riemann_fixed_point(f, p, level, precision)
-    raw = [Q(_eval_integrand(f, k)) for k in range(count)]
-    shift = min(0, min((vp(v, p) for v in raw if v != 0), default=0))
-    rel = precision + level - shift
-    total = 0
-    pk = Fraction(p) ** shift
-    for v in raw:
-        total += fraction_mod_pk(v / pk, p, rel)
-    return Padic.normalized(p, shift - level, total, precision)
+    if not isinstance(f, RationalFunction):
+        raise DomainError("a Riemann sum at a precision needs a rational function")
+    if f.num.is_zero():
+        return Padic.zero(p, precision)
+    scale_n, _ = f.num.content_primitive()
+    scale_d, dens = f.den.content_primitive()
+    if dens[0] == 0:
+        raise DomainError("integrand has a pole at the integer 0")
+    v_floor = int(vp(scale_n / scale_d, p) - vp_int(dens[0], p))
+    rel = max(precision + level - v_floor, 1)
+    try:
+        values = f.residues(count, p, v_floor, rel)
+    except PrecisionError as exc:
+        raise DomainError("integrand has a pole in Z_p "
+                          "(denominator valuation varies)") from exc
+    return Padic.normalized(p, v_floor - level, sum(values), precision)
 
 
 def _eval_integrand(f: Integrand, k: int) -> Fraction:
@@ -153,59 +159,6 @@ def _eval_integrand(f: Integrand, k: int) -> Fraction:
         return f(k)
     except ZeroDivisionError as exc:
         raise DomainError(f"integrand has a pole at the integer {k}") from exc
-
-
-def _riemann_fixed_point(f: RationalFunction, p: int, level: int, precision: int) -> Padic:
-    count = p ** level
-    scale_n, nums = f.num.content_primitive()
-    scale_d, dens = f.den.content_primitive()
-    if not nums:
-        return Padic.zero(p, precision)
-    scale = scale_n / scale_d
-    vs = vp(scale, p)
-    den_prim = Poly(dens)
-
-    vden = None
-    try:
-        _, roots = f.den_factorization()
-    except DomainError:
-        roots = None
-    if roots is not None and all(vp(c, p) < 0 for c in roots):
-        # every den value at an integer shares the valuation of den_prim(0)
-        vden = int(vp_int(int(den_prim(0)), p))
-    if vden is None:
-        dvals = [int(den_prim(k)) for k in range(count)]
-        if any(v == 0 for v in dvals):
-            raise DomainError(f"integrand has a pole at the integer {dvals.index(0)}")
-        vden = int(vp_int(dvals[0], p))
-        if any(vp_int(v, p) != vden for v in dvals):
-            raise DomainError("integrand has a pole in Z_p "
-                              "(denominator valuation varies)")
-    V = int(vs - vden)
-    rel = precision + level - V
-    if rel <= 0:
-        return Padic.zero(p, precision)
-    mod = p ** rel
-    mod_den = mod * p ** vden
-    ncoeffs = [int(c) % mod for c in reversed(Poly(nums).coeffs)]
-    dcoeffs = [int(c) % mod_den for c in reversed(den_prim.coeffs)]
-    pv = p ** vden
-    dunits = []
-    for k in range(count):
-        acc = 0
-        for c in dcoeffs:
-            acc = (acc * k + c) % mod_den
-        dunits.append(acc // pv % mod)
-    invs = batch_invert(dunits, mod)
-    scale_unit = fraction_mod_pk(scale / Fraction(p) ** vs, p, rel)
-    total = 0
-    for k in range(count):
-        acc = 0
-        for c in ncoeffs:
-            acc = (acc * k + c) % mod
-        total += acc * invs[k] % mod
-    total = total * scale_unit % mod
-    return Padic.normalized(p, V - level, total, precision)
 
 
 # -- Mahler-series engine ----------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 import padicforms
 from padicforms.cli import dispatch
 from padicforms.cyclotomic import CyclotomicElement
-from padicforms.jsonio import (cyclotomic_from_json, cyclotomic_to_json, dumps,
+from padicforms.hurwitz import zeta_p_pos
+from padicforms.jsonio import (cyclotomic_from_json, cyclotomic_to_json, dumps, int_to_str,
                                rational_from_json, rational_to_json)
 from padicforms.padic import Padic
 from padicforms.volkenborn import integral_pole_power
@@ -30,6 +31,32 @@ def test_zeta_command(capsys):
     assert doc["zeta"]["p"] == 5
     # value = 1 mod 5
     assert (int(doc["zeta"]["unit"]) - 1) % 5 == 0 and doc["zeta"]["val"] == 0
+
+
+def test_zeta_prints_a_unit_of_any_length(capsys):
+    # the unit has about 5000 digits, above the 4300 that str() converts
+    code, out, err = run_cli(capsys, ["zeta", "--p", "100003", "--s", "2",
+                                      "--x", "1/100003", "--prec", "1000"])
+    assert code == 0 and not err
+    unit = json.loads(out)["zeta"]["unit"]
+    want = zeta_p_pos(2, Q(1, 100003), 100003, 1000).zeta.unit
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert len(unit) > 4300 and int(unit) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_int_to_str_matches_str_at_every_length():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for n in (0, 7, -7, 10 ** 600 - 1, 10 ** 600, -(10 ** 600), 10 ** 1200 + 5,
+                  3 ** 20000, -(7 ** 9000) * 10 ** 600):
+            assert int_to_str(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_zeta_nonpositive(capsys):

@@ -62,6 +62,8 @@ def test_series_ops():
     assert series_pow(a, -1, L) == inv
     with pytest.raises(ZeroDivisionError):
         series_inv([Q(0), Q(1)], 4)
+    ints = series_mul([1, 2, 3], [4, 5], 4)  # integer series stay integers
+    assert ints == [4, 13, 22, 15] and all(type(c) is int for c in ints)
 
 
 def _inv_oracle(a, L):

@@ -76,9 +76,9 @@ def test_integral_riemann_modular_matches_exact():
         exact = integral_riemann(f, 5, level)
         modular = integral_riemann(f, 5, level, precision=8)
         assert modular.agrees(Padic.from_fraction(exact, 5, modular.prec))
-    # callable fallback path
-    modc = integral_riemann(lambda t: Q(t * t), 3, 3, precision=6)
-    assert modc.agrees(Padic.from_fraction(integral_riemann(lambda t: Q(t * t), 3, 3), 3, 6))
+    square = RationalFunction(Poly([0, 0, 1]))
+    modc = integral_riemann(square, 3, 3, precision=6)
+    assert modc.agrees(Padic.from_fraction(integral_riemann(square, 3, 3), 3, 6))
 
 
 def test_integral_riemann_pole_detection():
@@ -87,6 +87,51 @@ def test_integral_riemann_pole_detection():
     # pole at -3 lies in Z_3 even though no summand hits it
     with pytest.raises(DomainError):
         integral_riemann(parse_rational_function("(3+t)^-1"), 3, 2, precision=4)
+
+
+def test_integral_riemann_at_a_precision_refuses_a_pole_at_0_and_callables():
+    with pytest.raises(DomainError, match="pole at the integer 0"):
+        integral_riemann(parse_rational_function("t^-1"), 3, 2, precision=4)
+    with pytest.raises(DomainError):
+        integral_riemann(lambda t: Q(t * t), 3, 3, precision=6)
+
+
+def _riemann_floor(f, p):
+    """vp(content of f) - vp(den_prim(0)): the floor the modular sum reads at."""
+    (cn, _), (cd, dens) = f.num.content_primitive(), f.den.content_primitive()
+    return vp(cn / cd, p) - vp(dens[0], p)
+
+
+@settings(max_examples=150, deadline=None)
+@example(p=2, level=3, precision=6, poles=[(1, 1, 1, 1)], poly=[], root=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), level=st.integers(0, 3),
+       precision=st.integers(1, 12),
+       poles=st.lists(st.tuples(st.integers(-40, 40).filter(bool), st.integers(0, 3),
+                                st.integers(1, 3), st.integers(-9, 9).filter(bool)),
+                      min_size=1, max_size=3),
+       poly=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=3),
+       root=st.none() | st.integers(0, 12))
+def test_modular_riemann_matches_exact_sum_property(p, level, precision, poles, poly, root):
+    # poles a/p^h with h = 0..3 (h = 1 at p = 2 is refused by Mahler), an
+    # optional polynomial part, and a numerator that may vanish at a summand
+    f = RationalFunction(Poly(poly))
+    for a, h, order, coef in poles:
+        f = f + RationalFunction(Poly([coef]), Poly([Q(a, p ** h), 1]) ** order)
+    if root is not None:
+        f = f * RationalFunction(Poly([-root, 1]))
+    try:
+        exact = integral_riemann(f, p, level)
+    except DomainError:  # a pole at a summand
+        with pytest.raises(DomainError):
+            integral_riemann(f, p, level, precision=precision)
+        return
+    try:
+        got = integral_riemann(f, p, level, precision=precision)
+    except DomainError:  # refused only below the closed-form floor
+        floor = _riemann_floor(f, p)
+        assert any(vp(f(k), p) < floor for k in range(p ** level))
+        return
+    assert got == Padic.from_fraction(exact, p, precision)
 
 
 def test_mahler_polynomial_exact():
