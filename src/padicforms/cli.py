@@ -3,6 +3,13 @@
 Values are emitted as newline-delimited JSON with rationals as strings.
 Exit codes: 0 success, 1 a check failed, 2 usage error, 3 precondition or
 domain violation.
+
+The argument parser is built once per process, on the first dispatch, and
+serves every later request. Sharing it is safe: every default is an int, a
+str, None or False, and the choices lists are only read; argparse parses a
+subcommand into a fresh namespace and copies it out, so no value carries
+over from one request to the next; and usage errors and --help look up
+sys.stdout and sys.stderr when they print, so redirected streams still work.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import (check_config_integrality, random_small_configurations,
                       run_catalog)
@@ -52,7 +60,9 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use (see the module doc)."""
     top = argparse.ArgumentParser(prog="padicforms")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -121,7 +131,7 @@ def _cmd_integrate(args) -> int:
     except ValueError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
     if args.engine == "mahler":
-        value = integral_mahler(f, args.p, None if f.is_polynomial() else args.prec)
+        value = integral_mahler(f, args.p, args.prec)
         precision = None if isinstance(value, Fraction) else value.prec
     else:
         value = integral_riemann(f, args.p, args.level, precision=args.prec)
@@ -299,13 +309,17 @@ def _character_modulus(spec: str) -> int | None:
 
 
 def dispatch(argv: list[str]) -> int:
+    """Run one request and return its exit code.
+
+    Every request is parsed by the same cached build_parser(), so a small
+    request pays for parse_args but not for building the parser again.
+    """
     argv = list(argv)
     if "--expr" in argv[:-1]:
         # argparse reads a value such as "-t^2" as an option: glue it on
         at = argv.index("--expr")
         argv[at:at + 2] = [f"--expr={argv[at + 1]}"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         size_error = _size_error(args)
         if size_error:

@@ -265,12 +265,6 @@ class RationalFunction:
         q, r = self.num.divmod(self.den)
         return r.is_zero()
 
-    def as_polynomial(self) -> Poly:
-        q, r = self.num.divmod(self.den)
-        if not r.is_zero():
-            raise ValueError("not a polynomial")
-        return q
-
     def degree(self) -> int | None:
         """deg(num) - deg(den); None for the zero function."""
         if self.num.is_zero():

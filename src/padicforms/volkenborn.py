@@ -204,6 +204,16 @@ def mahler_error_valuation(T: Callable[[int], Fraction | int], p: int, M: int) -
     return T(M + 1) - vdp_length(M + 1, p)
 
 
+def _check_mahler_pole(c: Fraction, p: int) -> None:
+    """Require |c|_p >= q_p of the pole t = c, naming the pole if not."""
+    try:
+        check_hurwitz_domain(c, p)
+    except DomainError:
+        where = "in Z_p" if c == 0 or vp(c, p) >= 0 else f"with |c|_p = {p ** -vp(c, p)}"
+        raise DomainError(f"integrand has a pole at t = {c} {where}; the Mahler "
+                          f"engine needs |c|_p >= q_p = {qp(p)} at every pole") from None
+
+
 def integral_mahler(f, p: int, precision: Optional[int] = None,
                     pole_data: Optional[Sequence[PoleData]] = None) -> Fraction | Padic:
     """Volkenborn integral via the Mahler expansion.
@@ -221,8 +231,10 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     pole_data.
     """
     check_prime(p)
-    if isinstance(f, RationalFunction) and f.is_polynomial():
-        return _integral_polynomial(f.as_polynomial())
+    if isinstance(f, RationalFunction):
+        quotient, remainder = f.num.divmod(f.den)
+        if remainder.is_zero():
+            return _integral_polynomial(quotient)
     if isinstance(f, Poly):
         return _integral_polynomial(f)
     if not isinstance(f, RationalFunction) and pole_data is None:
@@ -235,6 +247,8 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
 
     if pole_data is None:
         poly_part, terms = f.partial_fractions()
+        for c in terms:
+            _check_mahler_pole(c, p)
         poles = [PoleData(location=c, order=len(alphas),
                           floors=tuple(vp(a, p) for a in alphas))
                  for c, alphas in terms.items()]

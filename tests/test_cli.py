@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import padicforms
+from padicforms import cli
 from padicforms.cli import dispatch
 from padicforms.cyclotomic import CyclotomicElement
 from padicforms.hurwitz import zeta_p_pos
@@ -258,6 +261,24 @@ def test_positive_branch_at_the_precision_cap_answers_in_time(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["integrate", "--expr", "t^-2+t", "--p", "5"],
+     "integrand has a pole at t = 0 in Z_p; the Mahler engine needs |c|_p >= q_p = 5 "
+     "at every pole"),
+    (["integrate", "--expr", "(3+t)^-1", "--p", "3"],
+     "integrand has a pole at t = -3 in Z_p; the Mahler engine needs |c|_p >= q_p = 3 "
+     "at every pole"),
+    (["integrate", "--expr", "(1/2+t)^-1", "--p", "2", "--prec", "4"],
+     "integrand has a pole at t = -1/2 with |c|_p = 2; the Mahler engine needs "
+     "|c|_p >= q_p = 4 at every pole"),
+    (["zeta", "--p", "5", "--s", "2", "--x", "0"], "x must be nonzero"),
+], ids=["pole-at-zero", "pole-in-Zp", "pole-near-Z2", "hurwitz-x-zero"])
+def test_domain_refusals_name_the_pole(capsys, argv, detail):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and not out
+    assert json.loads(err) == {"error": "precondition", "detail": detail}
+
+
 def test_integrate_domain_violation_exit3(capsys):
     code, out, err = run_cli(capsys, ["integrate", "--expr", "(1/2+t)^-1",
                                       "--p", "2", "--prec", "4"])
@@ -411,3 +432,69 @@ def test_json_codecs_roundtrip():
     p = Padic.from_fraction(Q(9, 5), 5, 4)
     assert p.to_json() == {"p": 5, "val": -1, "unit": str(p.unit), "prec": 4}
     assert dumps({"a": Q and 1}) == '{"a":1}'
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    requests = [["nesterenko", "--tau", "1", "--tau1", "1", "--tau2", "0"],
+                ["zeta", "--p", "5", "--s", "0", "--x", "1/5"],
+                ["integrate", "--expr", "t^2", "--p", "5"],
+                ["verify", "all"]]
+    for argv in requests:
+        run_cli(capsys, argv)
+    info = cli.build_parser.cache_info()
+    assert info.misses == 1 and info.hits == len(requests) - 1
+
+
+# every subcommand, and every flag whose value comes from its default when it
+# is left out: --engine, --omega-exp, forms build --l, --skip-identity,
+# --catalog and --timings; one argparse rejection and one size-cap rejection
+ORACLE_REQUESTS = [
+    ["integrate", "--expr", "(1/3+t)^-1*(2/9+t)^-2", "--p", "3", "--prec", "6"],
+    ["integrate", "--expr", "-t^3+2*t", "--p", "5"],
+    ["integrate", "--expr", "(1/4+t)^-1", "--p", "2", "--engine", "riemann",
+     "--level", "5", "--prec", "6"],
+    ["integrate", "--expr", "t^-2+t", "--p", "5"],
+    ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec", "6"],
+    ["zeta", "--p", "3", "--s", "-2", "--x", "1/3"],
+    ["lvalue", "--i", "-1", "--p", "5", "--l", "1"],
+    ["lvalue", "--i", "2", "--p", "3", "--l", "1", "--omega-exp", "0", "--prec", "6"],
+    ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--epsilon", "1/2",
+     "--skip-identity"],
+    ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--l", "2", "--digits", "6"],
+    ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--l", "2", "--hurwitz", "9/4",
+     "--digits", "6"],
+    ["verify", "growth", "--p", "2", "--s", "16", "--l", "1", "--n", "1", "--timings"],
+    ["verify", "growth", "--p", "2", "--s", "16", "--l", "1", "--n", "1"],
+    ["verify", "all"],
+    ["verify", "integrality", "--count", "2"],
+    ["nesterenko", "--tau", "1", "--tau1", "1", "--tau2", "0"],
+    ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--bogus"],
+    ["zeta", "--p", "5", "--s", "2", "--x", "1/5", "--prec", "0"],
+    ["--help"],
+]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one dispatch, with runtime_s blanked."""
+    try:
+        code = dispatch(argv)
+    except SystemExit as exc:   # argparse rejected the request, or --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    blank = re.compile(r'"runtime_s":[^,}]*')
+    return code, blank.sub('"runtime_s":0', out), blank.sub('"runtime_s":0', err)
+
+
+def test_shared_parser_answers_as_a_fresh_parser_in_any_order(capsys, monkeypatch):
+    # the oracle builds a new parser for every request
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        want = {tuple(argv): _outcome(capsys, argv) for argv in ORACLE_REQUESTS}
+    assert {code for code, _, _ in want.values()} == {0, 2, 3}
+    for seed in (1, 2):
+        order = ORACLE_REQUESTS[:]
+        random.Random(seed).shuffle(order)
+        for argv in order:
+            assert _outcome(capsys, argv) == want[tuple(argv)], argv
