@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .characters import DirichletCharacter, character_from_spec
+from .characters import DirichletCharacter, character_from_spec, p_units
 from .errors import IntegralityError
 from .forms import (FormParameters, build_rn, choose_params, family_form,
                     form_identity, form_scale, hurwitz_family, hurwitz_params,
-                    lambda_form, lvalue_family, partial_fractions, rho_higher,
-                    rho_zero)
+                    lvalue_family, partial_fractions, rho_zero)
 from .verification import (CheckReport, _report, check_chi_congruence,
                            check_fj_integral, check_valuation_formula,
                            growth_bound_check)
@@ -77,9 +75,8 @@ def run_catalog(digits: int = 20) -> Iterator[CheckReport]:
             yield identity_check(ws, digits)
         else:
             yield check_valuation_formula(pr, n, ws.chi, rn=ws.rn, table=ws.table)
-            for j in range(1, pr.D + 1):
-                if math.gcd(j, pr.p) == 1:
-                    yield check_fj_integral(pr, n, j, rn=ws.rn, table=ws.table)
+            for j in p_units(pr.D, pr.p):
+                yield check_fj_integral(pr, n, j, rn=ws.rn, table=ws.table)
             if inst.key == "p2-trivial":
                 for j in (1, 3, 5):
                     yield check_chi_congruence(pr, n, j, range(64))
@@ -106,7 +103,7 @@ def identity_check(ws: InstanceWorkspace, digits: int) -> CheckReport:
 
 
 def integrality_check(ws: InstanceWorkspace) -> CheckReport:
-    """lambda_form must build coefficients with unit denominators."""
+    """family_form must build the instance's form, which asserts its integrality."""
     t0 = time.monotonic()
     try:
         ws.form()
@@ -158,7 +155,7 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
         else:
             p = rng.choice([2, 2, 3, 3, 5])
             l = 2 if p == 2 else 1
-            x = Q(rng.choice([j for j in range(1, p ** l) if math.gcd(j, p) == 1]), p ** l)
+            x = Q(rng.choice(list(p_units(p ** l, p))), p ** l)
             n = 1 if p == 5 else rng.randint(1, 2)
         probe = _config_params(chi, x, p, max(2, p - 1), l)
         min_s = (probe.Q * probe.N(n) + 4 + probe.delta + n) // (n + 1) + 1
@@ -180,30 +177,25 @@ def _config_params(chi: Optional[DirichletCharacter], x: Optional[Fraction], p: 
 
 
 def check_config_integrality(cfg: RandomConfig) -> CheckReport:
-    """prop-arith style integrality of the scaled rho coefficients of one config.
+    """The integrality lemma that family_form asserts, on one config's table.
 
-    rho_i is scaled by (s-i)! d_n^(s-i) = form_scale(s-i+1, n), rho_0 by C.
+    In L mode C rho_(0,j/D) is also checked at the p-units j with chi(j) = 0,
+    which carry no weight in the form.
     """
     t0 = time.monotonic()
     pr, n = cfg.params, cfg.n
     table = partial_fractions(build_rn(pr, n))
-    bad = []
-    for i in range(1, pr.s + 1):
-        if (form_scale(pr.s - i + 1, n) * rho_higher(table, i)).denominator != 1:
-            bad.append(("rho", i))
-    c_top = form_scale(pr.s, n)
     if cfg.mode == "L":
-        js = [j for j in range(1, pr.D + 1) if math.gcd(j, pr.p) == 1]
+        family = lvalue_family(pr, cfg.chi)
+        C = form_scale(pr.s, n)
+        bad = [("rho0", f"{j}/{pr.D}") for j in p_units(pr.D, pr.p)
+               if cfg.chi(j) == 0 and (C * rho_zero(table, Q(j, pr.D))).denominator != 1]
     else:
-        js = [j for j, _ in hurwitz_family(pr, cfg.x0).weights]
-    for x in (Q(j, pr.D) for j in js):
-        if (c_top * rho_zero(table, x)).denominator != 1:
-            bad.append(("rho0", str(x)))
-    if cfg.mode == "L" and cfg.chi is not None:
-        try:
-            lambda_form(pr, table, cfg.chi)
-        except IntegralityError as exc:
-            bad.append(("lambda", str(exc)))
+        family, bad = hurwitz_family(pr, cfg.x0), []
+    try:
+        family_form(family, table)
+    except IntegralityError as exc:
+        bad.append(("form", str(exc)))
     return _report("integrality-random",
                    {"p": pr.p, "s": pr.s, "l": pr.l, "n": n, "mode": cfg.mode},
                    "scaled rho and lambda coefficients integral",

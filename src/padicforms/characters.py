@@ -121,13 +121,17 @@ class DirichletCharacter:
         return f"DirichletCharacter({tag}, order={self.order}, delta={self.delta})"
 
 
+def p_units(D: int, p: int) -> Iterator[int]:
+    """The j with 1 <= j <= D and gcd(j, p) = 1, for a prime p."""
+    return (j for j in range(1, D + 1) if j % p)
+
+
 def chi_units(chi: DirichletCharacter, D: int, p: int) -> Iterator[tuple[int, CharValue]]:
-    """(j, chi(j)) for 1 <= j <= D with gcd(j, p) = 1 and chi(j) != 0."""
-    for j in range(1, D + 1):
-        if math.gcd(j, p) == 1:
-            c = chi.value(j)
-            if c != 0:
-                yield j, c
+    """(j, chi(j)) for the p-units j <= D with chi(j) != 0."""
+    for j in p_units(D, p):
+        c = chi.value(j)
+        if c != 0:
+            yield j, c
 
 
 def _unit_generators(units: list[int], modulus: int) -> list[int]:
@@ -279,7 +283,7 @@ def chi_padic_data(chi: DirichletCharacter, p: int) -> ChiPadicData:
     """Split the conductor at p and read vp(B_(2+delta,chi)) under the default embedding."""
     check_prime(p)
     cond = chi.conductor
-    l0 = int(vp_int(cond, p)) if cond > 1 else 0
+    l0 = int(vp_int(cond, p))
     d_prime = cond // p ** l0
     b = gen_bernoulli(2 + chi.delta, chi)
     if b == 0:

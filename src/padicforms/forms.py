@@ -56,7 +56,6 @@ class FormParameters:
     l0: int
     r: int
     l: int
-    epsilon: Optional[Fraction] = None
     ell: Optional[int] = None
 
     @property
@@ -161,7 +160,7 @@ def form_params(p: int, s: int, delta: int, d_prime: int, l0: int, r: int,
     if l < max(1, l0):
         raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
     return FormParameters(p=p, s=s, delta=delta, d_prime=d_prime, l0=l0, r=r, l=l,
-                          epsilon=None if epsilon is None else Q(epsilon), ell=ell)
+                          ell=ell)
 
 
 # -- the rational functions R_n ------------------------------------------------------
@@ -496,11 +495,14 @@ def form_scale(s: int, n: int) -> int:
 def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOverK:
     """lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i.
 
-    C = form_scale(s, n). Every coefficient must be an algebraic integer;
-    violations raise IntegralityError (an implementation bug, not input).
+    C = form_scale(s, n). The forms are integral by one lemma, asserted here
+    for every table: C rho_(0,j/D) and (s-i)! d_n^(s-i) rho_i are integers.
+    The second implies lambda_i is, since (s-i)! d_n^(s-i) divides C.
+    Violations raise IntegralityError (an implementation bug, not input).
     """
     pr = family.params
     C = form_scale(pr.s, table.n)
+    dn = lcm_upto(table.n)
     lam0: CharValue = Q(0)
     for j, w in family.weights:
         scaled = C * rho_zero(table, Q(j, pr.D))
@@ -508,10 +510,12 @@ def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOv
         lam0 = lam0 + w * scaled
     assert_integral(lam0, "lambda_0")
     coeffs: list[CharValue] = [lam0]
+    scale = C * pr.s * dn  # s! d_n^s, divided down to (s-i)! d_n^(s-i)
     for i in range(1, pr.s + 1):
-        lam = C * Q(pr.D) ** (i + family.shift) * rho_higher(table, i)
-        assert_integral(lam, f"lambda_{i}")
-        coeffs.append(lam)
+        scale //= (pr.s - i + 1) * dn
+        rho = rho_higher(table, i)
+        assert_integral(scale * rho, f"rho_{i} lemma: (s-{i})! d_n^(s-{i}) rho_{i}")
+        coeffs.append(C * Q(pr.D) ** (i + family.shift) * rho)
     return LinearFormOverK(coeffs=tuple(coeffs), params=pr, n=table.n,
                            field_m=family.field_m)
 
@@ -528,6 +532,8 @@ def lambda_form(params: FormParameters, table: PartialFractionTable,
 def integral_rn_shifted(rn: RnFunction, x: Fraction, precision: int,
                         table: PartialFractionTable) -> Padic:
     """Volkenborn integral of t -> R_n(t + x), certified mod p^precision."""
+    if not rn.params.domain_ok:
+        raise DomainError("l too small for integral evaluation at p = 2")
     return integral_mahler(rn.shifted(x), rn.params.p, precision,
                            pole_data=rn.pole_data_shifted(x, table))
 
@@ -536,8 +542,6 @@ def weighted_integral_sum(rn: RnFunction, family: FormFamily, precision: int,
                           table: PartialFractionTable) -> Padic:
     """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision."""
     pr = rn.params
-    if not pr.domain_ok:
-        raise DomainError("l too small for integral evaluation at p = 2")
     acc = Padic.zero(pr.p, precision + 2)
     for j, w in family.weights:
         term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)

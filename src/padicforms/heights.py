@@ -205,6 +205,8 @@ def fit_rates(points: Sequence[tuple[int, float, float]], p: int) -> RateFit:
     if len(points) < 2:
         raise DomainError("need at least two points to fit a rate")
     xs = [float(sig) for sig, _, _ in points]
+    if len(set(xs)) < 2:
+        raise DomainError("need at least two distinct sigma values to fit a rate")
     mean_x = sum(xs) / len(xs)
     denom = sum((x - mean_x) ** 2 for x in xs)
 

@@ -336,9 +336,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def scale(self, c: Fraction | int) -> RationalFunction:
-        return RationalFunction(self.num.scale(c), self.den)
-
     def __pow__(self, e: int) -> RationalFunction:
         if e >= 0:
             return RationalFunction(self.num ** e, self.den ** e)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import binom_padic_data, multinomial_packed, vp
-from .characters import DirichletCharacter
+from .arith import binom_padic_data, vp
+from .characters import DirichletCharacter, p_units
 from .errors import DomainError, PrecisionError
 from .forms import (FormParameters, PartialFractionTable, RnFunction, build_rn,
                     chi_weighted_integral_sum, choose_params, form_scale,
@@ -108,9 +108,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
         raise DomainError("j must be prime to p")
     rn = rn or build_rn(pr, n)
     table = table or partial_fractions(rn)
-    scale = Q(math.factorial(n) ** pr.s
-              * multinomial_packed(rn.N, n) ** pr.Q
-              * Q(pr.D) ** (pr.s * (n + 1)))
+    scale = Q(rn.prefactor * pr.D ** (pr.s * (n + 1)))
     v_scale = int(vp(scale, pr.p))
     m = pr.digits_exp(n)
     modulus = -m + pr.l + pr.r
@@ -201,9 +199,8 @@ def growth_bound_check(params: FormParameters, n: int,
     ok = worst <= bound
 
     rho_max = max((abs(rho_higher(table, i)) for i in range(1, pr.s + 1)), default=Q(0))
-    for j in range(1, pr.D + 1):
-        if math.gcd(j, pr.p) == 1:
-            rho_max = max(rho_max, abs(rho_zero(table, Q(j, pr.D))))
+    for j in p_units(pr.D, pr.p):
+        rho_max = max(rho_max, abs(rho_zero(table, Q(j, pr.D))))
     detail = {
         "log_max_rho_over_n": (_log_fraction(rho_max) / n) if rho_max else None,
         "asymptotic_rate": pr.p * pr.Q * pr.D * math.log(pr.p * pr.D)
@@ -252,8 +249,7 @@ def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
     t0 = time.monotonic()
     epsilon = Q(epsilon)
     params = choose_params(chi, p, s, epsilon=epsilon, l=None)
-    ell = params.ell if params.ell is not None else params.l
-    raw = replace(params, l=ell)
+    raw = replace(params, l=params.ell)
     status = "undecided"
     terms = 32
     while terms <= 400:

@@ -277,22 +277,21 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     rel = precision - v_floor + maxw + 2
     mod = p ** rel
 
-    total = Padic.zero(p, precision + 1)
+    # over p^(v_floor - maxw), the term (-1)^m (Delta^m f)(0) / (m + 1) is the
+    # integer (-1)^m c unit^-1 p^(maxw - w), known mod p^rel, and so is the sum
+    total = 0
     row = f.residues(M + 1, p, v_floor, rel)
     for m in range(M + 1):
         c = row[0]
         if c:
             w = vp_int(m + 1, p)
-            unit = (m + 1) // p ** w
-            contrib = c * pow(unit, -1, mod) % mod
-            if m % 2 == 1:
-                contrib = (-contrib) % mod
-            total = total + Padic.normalized(p, v_floor - w, contrib, v_floor - w + rel)
+            term = c * pow((m + 1) // p ** w, -1, mod) * p ** (maxw - w)
+            total += -term if m % 2 else term
         # next difference row, in place
         for i in range(len(row) - 1):
             row[i] = (row[i + 1] - row[i]) % mod
         row.pop()
-    return total.at_precision(min(total.prec, precision))
+    return Padic.normalized(p, v_floor - maxw, total, precision)
 
 
 def _integral_polynomial(poly: Poly) -> Fraction:

@@ -369,6 +369,26 @@ def test_forms_build_hurwitz_rejects_flags_it_cannot_honour(capsys, extra):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_rate_fit_with_equal_sigmas_exits_3(capsys):
+    code, out, err = run_cli(capsys, ["verify", "rate-fit", "--p", "3", "--s", "82",
+                                      "--l", "1", "--ns", "2,2"])
+    assert code == 3 and not out
+    assert json.loads(err) == {"error": "precondition", "detail": "need at least two "
+                               "distinct sigma values to fit a rate"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fj-integral", "--p", "2", "--s", "64", "--l", "1", "--n", "3", "--j", "1"],
+    ["forms", "build", "--p", "2", "--s", "64", "--l", "1", "--n", "3"],
+], ids=["fj-integral", "forms-build"])
+def test_integrals_at_p2_depth_1_refuse_with_one_text(capsys, argv):
+    # |j/D|_2 = 2 puts the arguments outside the Mahler domain
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert json.loads(err) == {"error": "precondition", "detail": "l too small for "
+                               "integral evaluation at p = 2"}
+
+
 def test_verify_single_checks(capsys):
     code, out, _ = run_cli(capsys, ["verify", "growth", "--p", "2", "--s", "16",
                                     "--l", "1", "--n", "1"])

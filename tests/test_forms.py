@@ -318,6 +318,36 @@ def test_mini_desk_integrality(desk):
     assert all(isinstance(x, Q) and x.denominator == 1 for x in form.coeffs)
 
 
+# the catalog instances, and the forms build shapes of README and test_cli
+LEMMA_SHAPES = [("p2-trivial", None), ("p3-trivial", None), ("p2-quad4", None),
+                ("p2-hurwitz", None), ("p2-mini", None),
+                ("trivial", (2, 18, 2, 1, None)), ("hurwitz", (2, 18, 2, 1, Q(1, 4)))]
+
+
+@pytest.mark.parametrize("key,shape", LEMMA_SHAPES, ids=[k for k, _ in LEMMA_SHAPES])
+def test_integrality_lemma_on_catalog_and_build_shapes(desk, key, shape):
+    # (s-i)! d_n^(s-i) rho_i for every i and C rho_(0,j/D) at every p-unit j <= D
+    # are integers, and family_form accepts the table
+    if shape is None:
+        ws = desk.workspace(key)
+        pr, table, family = ws.params, ws.table, ws.family
+    else:
+        p, s, l, n, x = shape
+        pr = (choose_params(trivial_character(), p, s, l=l) if x is None
+              else hurwitz_params(x, p, s, l=l)[0])
+        table = partial_fractions(build_rn(pr, n))
+        family = (lvalue_family(pr, trivial_character()) if x is None
+                  else hurwitz_family(pr, x))
+    n = table.n
+    for i in range(1, pr.s + 1):
+        assert (form_scale(pr.s - i + 1, n) * rho_higher(table, i)).denominator == 1, i
+    C = form_scale(pr.s, n)
+    for j in range(1, pr.D + 1):
+        if math.gcd(j, pr.p) == 1:
+            assert (C * rho_zero(table, Q(j, pr.D))).denominator == 1, j
+    family_form(family, table)
+
+
 def test_lambda_defining_ratios(desk):
     ws = desk.workspace("p2-mini")
     pr, table = ws.params, ws.table

@@ -183,3 +183,6 @@ def test_fit_rates_recovers_exact_slopes():
     assert abs(fit.tau_p_hat - 2 * math.log(2)) < 1e-9
     with pytest.raises(DomainError):
         fit_rates(pts[:1], 2)
+    # every sigma equal leaves the least-squares slope undefined
+    with pytest.raises(DomainError, match="need at least two distinct sigma values"):
+        fit_rates([(2, 1.0, 3), (2, 2.0, 5)], 3)

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction as Q
 
 import pytest
 
-from padicforms.catalog import (MINI_DESK, InstanceWorkspace,
+from padicforms import catalog
+from padicforms.catalog import (MINI_DESK, CatalogInstance, InstanceWorkspace, RandomConfig,
                                 check_config_integrality, integrality_check,
                                 random_small_configurations)
 from padicforms.characters import quadratic_character, trivial_character
-from padicforms.errors import DomainError
-from padicforms.forms import choose_params
+from padicforms.errors import DomainError, IntegralityError
+from padicforms.forms import choose_params, family_form
 from padicforms.lambertw import Interval, ell_param, ln_interval
 from padicforms.verification import (characteristic_Xjn, check_chi_congruence,
                                      check_fj_integral, check_valuation_formula,
@@ -128,3 +130,54 @@ def test_random_configuration_shapes():
         assert deg <= -2
         rep = check_config_integrality(cfg)
         assert rep.verdict, (cfg, rep.observed)
+
+
+def _doctored(table, i, extra):
+    """The table with extra added to r_(i,0): rho_i moves by i extra, and no
+    rho_(0,x) moves, since r_(i,0) enters none of them."""
+    rows = [list(row) for row in table.rows]
+    rows[i - 1][0] += extra
+    return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("x", [None, Q(1, 4)], ids=["L", "hurwitz"])
+@pytest.mark.parametrize("i,extra", [(2, Q(1, 1_000_003)), (18, Q(1, 36))],
+                         ids=["large-prime", "lemma-only"])
+def test_doctored_table_fails_every_integrality_check(monkeypatch, x, i, extra):
+    # 1/q for a large prime q breaks rho_2 and lambda_2 alike; 1/(2s) at i = s
+    # moves rho_s by 1/2, which lambda_s = C D^(s+shift) rho_s absorbs (C is
+    # even) but the lemma's scale 0! d_n^0 = 1 does not
+    ws = InstanceWorkspace(CatalogInstance(key="doctored", character="trivial", p=2,
+                                           l=2, s=18, n=1, hurwitz_x=x))
+    cfg = RandomConfig(params=ws.params, n=1, mode="L" if x is None else "hurwitz",
+                       chi=ws.chi if x is None else None, x0=x)
+    assert integrality_check(ws).verdict and check_config_integrality(cfg).verdict
+    bad = _doctored(ws.table, i, extra)
+    lemma = f"rho_{i} lemma"
+    with pytest.raises(IntegralityError, match=lemma):
+        family_form(ws.family, bad)
+    ws.table = bad
+    rep = integrality_check(ws)
+    assert not rep.verdict and lemma in rep.observed
+    monkeypatch.setattr(catalog, "partial_fractions", lambda rn: bad)
+    rep = check_config_integrality(cfg)
+    assert not rep.verdict and lemma in rep.observed
+
+
+def test_config_integrality_checks_rho_zero_where_chi_vanishes(monkeypatch):
+    # the p-units j <= D with chi(j) = 0 carry no weight in the form, so the
+    # sweep checks C rho_(0,j/D) there itself
+    cfg = next(c for c in random_small_configurations(count=50)
+               if c.mode == "L" and c.chi.modulus == 3 and c.params.p == 2)
+    assert check_config_integrality(cfg).verdict
+    seen = []
+
+    def fake_rho_zero(table, x):
+        seen.append(x)
+        return Q(1, 1_000_003)
+
+    monkeypatch.setattr(catalog, "rho_zero", fake_rho_zero)
+    rep = check_config_integrality(cfg)
+    D = cfg.params.D
+    assert seen == [Q(j, D) for j in range(3, D + 1, 6)]
+    assert not rep.verdict and rep.observed.startswith("violations: [('rho0', '3/")
