@@ -12,7 +12,7 @@ from .forms import (FormParameters, LinearFormOverK, PartialFractionTable,
                     RnFunction, build_rn, choose_params, evaluate_form_identity,
                     hurwitz_params, hurwitz_variant_form, lambda_form,
                     partial_fractions, rho_higher, rho_zero)
-from .hurwitz import (OmegaSplit, lp_value, reduce_to_unit_interval,
+from .hurwitz import (OmegaSplit, lp_value, reduce_to_unit_interval, twisted_zeta,
                       zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
 from .padic import Padic, angle, teichmuller, teichmuller_ext, teichmuller_rational
 from .polynomials import Poly, RationalFunction, parse_rational_function

@@ -6,11 +6,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import bernoulli_poly, check_prime, vp
-from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
+from .arith import bernoulli_poly, check_prime, vp, vp_int
+from .characters import DirichletCharacter, chi_units
+from .cyclotomic import CyclotomicElement, scale_by_value
 from .errors import DomainError
-from .padic import Padic, angle, phi_qp, teichmuller, teichmuller_ext
+from .padic import (Padic, angle, phi_qp, qp, teichmuller, teichmuller_ext,
+                    teichmuller_rational)
+from .polynomials import MAX_POWER_DEGREE
 from .volkenborn import check_hurwitz_domain, integral_pole_power
 
 Q = Fraction
@@ -27,21 +29,47 @@ class OmegaSplit:
     exponent: int
     rational: Fraction
 
-    def padic(self, rel_prec: int) -> Padic:
-        w = teichmuller_ext(self.base, self.p, rel_prec)
-        out = w ** self.exponent
+    def padic(self, precision: int) -> Padic:
+        """The value modulo p^precision (absolute)."""
         if self.rational == 0:
-            return Padic.zero(self.p, out.prec)
-        return out.mul_fraction(self.rational)
+            return Padic.zero(self.p, precision)
+        # omega(base)^exponent has valuation exponent * vp(base)
+        rel = (precision - self.exponent * int(vp(self.base, self.p))
+               - int(vp(self.rational, self.p)))
+        if rel < 1:
+            return Padic.zero(self.p, precision)
+        w = teichmuller_ext(self.base, self.p, rel) ** self.exponent
+        return w.mul_fraction(self.rational)
 
     def exact(self) -> Optional[Fraction]:
         """Exact rational value when the Teichmuller part is rational."""
-        from .padic import teichmuller_rational
-
         t = teichmuller_rational(self.base, self.p)
         if t is None:
             return None
         return t ** self.exponent * self.rational
+
+
+def twisted_zeta(i: int, x: Fraction, p: int,
+                 precision: Optional[int] = None) -> Fraction | Padic:
+    """Z(i, x) = Int (x+t)^(1-i) dt / (i-1), so zeta_p(i, x) = omega(x)^(i-1) Z(i, x).
+
+    For i <= 0 it is the exact B_(1-i)(x)/(i-1), with the Bernoulli index
+    capped at MAX_POWER_DEGREE. For i >= 2 it is the Volkenborn integral of
+    the pole power (x+t)^(1-i) over i-1, exact modulo p^precision; x must
+    then satisfy |x|_p >= q_p.
+    """
+    if i == 1:
+        raise DomainError("Z(i, x) has its pole at i = 1")
+    order = i - 1
+    if i <= 0:
+        if 1 - i > MAX_POWER_DEGREE:
+            raise DomainError(f"need i >= {1 - MAX_POWER_DEGREE}: the Bernoulli index "
+                              f"1 - i is at most {MAX_POWER_DEGREE}, got {i}")
+        return bernoulli_poly(1 - i)(Fraction(x)) / order
+    if precision is None:
+        raise DomainError("precision is required for i >= 2")
+    integral = integral_pole_power(x, order, p, precision + int(vp(Q(order), p)))
+    return integral.mul_fraction(Q(1, order))
 
 
 @dataclass(frozen=True)
@@ -67,10 +95,8 @@ def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
         raise DomainError("need precision >= 1")
     x = Fraction(x)
     order = s - 1
-    guard = int(vp(Q(order), p))
     h = check_hurwitz_domain(x, p)
-    integral = integral_pole_power(x, order, p, precision + guard + order * h)
-    twisted = integral.mul_fraction(Q(1, order))
+    twisted = twisted_zeta(s, x, p, precision + order * h)
     omega_pow = teichmuller_ext(x, p, twisted.relative_precision() + 2) ** order
     zeta = omega_pow * twisted
     return ZetaPosValue(zeta=zeta, twisted=twisted)
@@ -84,9 +110,8 @@ def zeta_p_nonpos(one_minus_n: int, x: Fraction, p: int) -> OmegaSplit:
     x = Fraction(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    n = 1 - one_minus_n
-    bn = bernoulli_poly(n)(x)
-    return OmegaSplit(p=p, base=x, exponent=-n, rational=-bn / n)
+    return OmegaSplit(p=p, base=x, exponent=one_minus_n - 1,
+                      rational=twisted_zeta(one_minus_n, x, p))
 
 
 @dataclass(frozen=True)
@@ -147,31 +172,17 @@ def reduce_to_unit_interval(x: Fraction, p: int) -> tuple[Fraction, list[tuple[F
 # -- Kubota-Leopoldt values through the Hurwitz decomposition ---------------------
 
 
-def _omega_power_exact(j: int, e: int, p: int) -> Optional[int]:
-    """omega(j)^e as +-1 when that power is rational, else None."""
-    e %= phi_qp(p)
-    if e == 0:
-        return 1
-    if p == 2:
-        return 1 if j % 4 == 1 else -1
-    r = pow(j, e, p)
-    if r == 1:
-        return 1
-    if r == p - 1:
-        return -1
-    return None
-
-
 def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
              omega_exp: Optional[int] = None, precision: int = 20) -> LValue:
-    """L_p(i, chi * omega^omega_exp) from Hurwitz zeta values at j/D, D = d' p^l.
+    """L_p(i, chi * omega^omega_exp) = D^(-i) sum_j chi(j) omega(j)^e Z(i, j/D).
 
-    The default twist omega_exp = 1 - i matches the interpolation branch.
-    For i <= 0 the Teichmuller factors cancel against <D>^(1-i) and the
-    value is exact (a Fraction, or a CyclotomicElement for irrational
-    characters) whenever the residual omega powers are rational; otherwise
-    a Padic at the requested precision is returned. For i >= 2 the value
-    comes from certified Volkenborn integrals.
+    The sum runs over the p-units j <= D = d' p^l, with d' the prime-to-p
+    part of the conductor, Z = twisted_zeta and e = omega_exp + i - 1 mod
+    phi(q_p). The default twist omega_exp = 1 - i matches the interpolation
+    branch. For i <= 0 with every omega(j)^e = +-1 the value is exact (a
+    Fraction, or a CyclotomicElement for irrational characters). Otherwise
+    the sum is taken modulo p^A with A = precision + i l, since
+    vp(D^(-i)) = -i l, and the Padic returned is known modulo p^precision.
     """
     check_prime(p)
     if i == 1:
@@ -180,67 +191,36 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
         raise DomainError("need precision >= 1")
     if omega_exp is None:
         omega_exp = 1 - i
-    data = chi_padic_data(chi, p)
-    if l < max(1, data.l0):
-        raise DomainError(f"need l >= max(1, l0) = {max(1, data.l0)}")
+    l0 = int(vp_int(chi.conductor, p))
+    if l < max(1, l0):
+        raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
     if i >= 2 and p == 2 and l < 2:
         raise DomainError("p = 2 needs l >= 2 so that |j/D|_2 >= 4")
-    D = data.d_prime * p ** l
+    D = chi.conductor // p ** l0 * p ** l
+    e = (omega_exp + i - 1) % phi_qp(p)
+    # omega(j)^e = omega(j^e), which is +-1 exactly when j^e = +-1 mod q_p
+    units = [(j, c, teichmuller_rational(pow(j, e, qp(p)), p))
+             for j, c in chi_units(chi, D, p)]
 
-    if i <= 0:
-        return _lp_nonpositive(i, chi, p, D, omega_exp, precision)
-    return _lp_positive(i, chi, p, D, omega_exp, precision)
-
-
-def _lp_nonpositive(i, chi, p, D, omega_exp, precision) -> LValue:
-    n = 1 - i
-    e_res = (omega_exp - n) % phi_qp(p)
-    bn = bernoulli_poly(n)
-    rational_total: CharValue = Q(0)
-    padic_terms: list[tuple[CharValue, Fraction, int]] = []
-    all_exact = True
-    for j, c in chi_units(chi, D, p):
-        b = bn(Q(j, D))
-        w = _omega_power_exact(j, e_res, p)
-        if w is None:
-            all_exact = False
-            padic_terms.append((c, b, j))
-        else:
-            rational_total = rational_total + c * (w * b)
-    scale = -(Q(D) ** (n - 1)) / n
-    if all_exact:
-        out = rational_total * scale
+    if i <= 0 and all(w is not None for _, _, w in units):
+        total = Q(0)
+        for j, c, w in units:
+            total = total + c * (w * twisted_zeta(i, Q(j, D), p))
+        out = total * Q(D) ** -i
         if isinstance(out, CyclotomicElement) and out.is_rational():
             return out.rational_value()
         return out
-    # mixed path: assemble p-adically at the requested precision
-    guard = precision + 6
-    acc = Padic.zero(p, guard)
-    acc = acc + value_to_padic(rational_total, p, guard)
-    for c, b, j in padic_terms:
-        w = teichmuller(Q(j), p, guard) ** e_res
-        term = w.mul_fraction(b)
-        acc = acc + term * value_to_padic(c, p, guard)
-    return acc.mul_fraction(scale).at_precision(
-        min(precision, acc.prec + int(vp(scale, p))))
-
-
-def _lp_positive(i, chi, p, D, omega_exp, precision) -> Padic:
-    e_res = (omega_exp + i - 1) % phi_qp(p)
-    order = i - 1
-    v_shift = -i * int(vp(Q(D), p))  # valuation of D^-i
-    target = precision - v_shift + int(vp(Q(order), p)) + 4
-    acc = Padic.zero(p, precision - v_shift + 4)
-    for j, c in chi_units(chi, D, p):
-        x = Q(j, D)
-        integral = integral_pole_power(x, order, p, target)
-        term = integral.mul_fraction(Q(1, order))
-        w = _omega_power_exact(j, e_res, p)
+    A = precision + i * l
+    acc = Padic.zero(p, A)
+    for j, c, w in units:
+        z = twisted_zeta(i, Q(j, D), p, A)
+        if isinstance(z, Fraction):
+            z = Padic.from_fraction(z, p, A)
+        if z.is_zero_at_precision():
+            continue
         if w is None:
-            wp = teichmuller(Q(j), p, term.relative_precision() + 2) ** e_res
-            term = term * wp
+            z = z * teichmuller(j, p, z.relative_precision()) ** e
         elif w == -1:
-            term = -term
-        acc = acc + scale_by_value(term, c)
-    out = acc.mul_fraction(Q(1, D) ** i)
-    return out.at_precision(min(out.prec, precision))
+            z = -z
+        acc = acc + scale_by_value(z, c)
+    return acc.mul_fraction(Q(D) ** -i)

@@ -327,6 +327,26 @@ def test_json_object_character(capsys, i, p, prec):
     assert doc == doc2
 
 
+QUARTIC_JSON = ('{"modulus": 5, "values": ["1", {"m": 4, "coords": ["0", "1"]}, '
+                '{"m": 4, "coords": ["0", "-1"]}, "-1", "0"]}')
+
+
+def test_exact_lvalue_outside_q_p_and_nonpositive_zeta_precision(capsys):
+    # Q(i) does not embed in Q_3, yet L_3(-1, chi omega^2) is exact in Q(i):
+    # chi omega^2 = chi is odd, so it is B_(2,chi) = 0; i = 2 needs Q_3 and exits 3
+    base = ["lvalue", "--p", "3", "--l", "1", "--character", QUARTIC_JSON, "--i"]
+    code, out, err = run_cli(capsys, base + ["-1"])
+    assert code == 0, err
+    assert json.loads(out)["value"] == {"num": "0", "den": "1"}
+    code, out, err = run_cli(capsys, base + ["2"])
+    assert code == 3 and not out
+    assert json.loads(err)["error"] == "precondition"
+    code, out, err = run_cli(capsys, ["zeta", "--p", "3", "--s", "-2", "--x", "2/9",
+                                      "--prec", "10"])
+    assert code == 0, err
+    assert json.loads(out)["value"] == {"p": 3, "val": -1, "unit": "35", "prec": 10}
+
+
 def test_json_object_character_malformed_exit3(capsys):
     for spec in ('{"modulus": 4', '{"modulus": 4}'):
         code, out, err = run_cli(capsys, ["lvalue", "--i", "-1", "--p", "3", "--l", "1",

@@ -2,21 +2,21 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.arith import vp
-from padicforms.characters import (char_make, gen_bernoulli, quadratic_character,
-                                   trivial_character)
+from padicforms.arith import bernoulli_poly, vp
+from padicforms.characters import (char_make, character_from_spec, chi_padic_data, chi_units,
+                                   gen_bernoulli, quadratic_character, trivial_character)
 from padicforms import cyclotomic
-from padicforms.cyclotomic import CyclotomicElement, value_to_padic
-from padicforms.errors import DomainError
+from padicforms.cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
+from padicforms.errors import DomainError, EmbeddingError
 from padicforms.heights import HeightMatrix, delta_p_valuation
 from padicforms.hurwitz import (check_hurwitz_domain, lp_value, reduce_to_unit_interval,
-                                zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
-from padicforms.padic import Padic, teichmuller
-from padicforms.polynomials import Poly, RationalFunction
-from padicforms.volkenborn import integral_riemann
+                                twisted_zeta, zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
+from padicforms.padic import Padic, phi_qp, teichmuller
+from padicforms.polynomials import MAX_POWER_DEGREE, Poly, RationalFunction
+from padicforms.volkenborn import integral_pole_power, integral_riemann
 
 
 def test_domain_validation():
@@ -221,7 +221,157 @@ def test_default_embedding_lifts_its_root_once_per_precision(monkeypatch):
 
 
 def test_lp_value_quartic_character_interpolation():
-    # chi(5) = 0, so L_p(1-n, chi omega^n) = -B_(n,chi)/n with no Euler factor
+    # L_p(1-n, chi omega^n) = -(1 - chi(p) p^(n-1)) B_(n,chi)/n, exact in K = Q(i)
+    # also where K does not embed in Q_p (p = 2, 3, 7); chi(5) = 0 drops the factor
     chi = _quartic_character()
-    for i in (-1, -2, -3):
-        assert lp_value(i, chi, 5, 1) == -gen_bernoulli(1 - i, chi) / (1 - i)
+    for p in (2, 3, 5, 7):
+        for i in (0, -1, -2, -3):
+            n = 1 - i
+            want = -(1 - chi.value(p) * Q(p) ** (n - 1)) * gen_bernoulli(n, chi) / n
+            assert lp_value(i, chi, p, 1) == want, (p, i)
+    # the positive branch goes through Q_p, so there it still needs the embedding
+    with pytest.raises(EmbeddingError):
+        lp_value(2, chi, 3, 1)
+
+
+def test_twisted_zeta_caps_the_bernoulli_index():
+    # B_(1-i) costs about (1-i)^3; the cap is the CLI's, MAX_POWER_DEGREE = 500
+    cap = 1 - MAX_POWER_DEGREE
+    assert cap == -499
+    assert zeta_p_nonpos(cap, Q(1, 5), 5).rational == twisted_zeta(cap, Q(1, 5), 5)
+    assert isinstance(lp_value(cap, trivial_character(), 5, 1), Q)
+    with pytest.raises(DomainError, match="Bernoulli index"):
+        zeta_p_nonpos(cap - 1, Q(1, 5), 5)
+    with pytest.raises(DomainError, match="Bernoulli index"):
+        lp_value(cap - 1, trivial_character(), 5, 1)
+
+
+def test_lvalues_and_zeta_state_the_requested_precision():
+    # vp(D^(-i)) = -i l, so the sum is taken modulo p^(N + i l); a term
+    # omega(j)^e B_n(j/D)/n of valuation -n l - vp(n) still reaches p^N
+    triv = trivial_character()
+    v = lp_value(-4, triv, 5, 6, omega_exp=0, precision=12)
+    assert v.prec == 12
+    assert v.agrees(lp_value(-4, triv, 5, 6, omega_exp=0, precision=40), 12)
+    assert lp_value(-24, triv, 5, 6, omega_exp=0, precision=12).prec == 12
+    # zeta_3(-2, 2/9) = -omega(x)^(-3) B_3(x)/3 has valuation -vp(3) = -1
+    split = zeta_p_nonpos(-2, Q(2, 9), 3)
+    v = split.padic(10)
+    assert v.prec == 10 and v.val == -1 and v.agrees(split.padic(30), 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 12), st.integers(1, 3),
+       st.integers(-40, 40), st.integers(0, 11), st.integers(1, 30))
+def test_omega_split_padic_is_absolute(p, n, h, a, r, precision):
+    h = max(h, 2) if p == 2 else h
+    x = Q(a * p + 1 + r % (p - 1), p ** h)  # any unit residue, so omega(x) may be irrational
+    split = zeta_p_nonpos(1 - n, x, p)
+    v = split.padic(precision)
+    assert v.prec == precision and v.agrees(split.padic(precision + 7), precision)
+    if split.exact() is not None:
+        assert v == Padic.from_fraction(split.exact(), p, precision)
+
+
+# -- the L-value before it was one sum: two branches with guard digits, kept as an oracle
+
+
+def _oracle_omega_power(j, e, p):
+    """omega(j)^e as +-1 when that power is rational, else None."""
+    e %= phi_qp(p)
+    if e == 0:
+        return 1
+    if p == 2:
+        return 1 if j % 4 == 1 else -1
+    r = pow(j, e, p)
+    if r == 1:
+        return 1
+    if r == p - 1:
+        return -1
+    return None
+
+
+def _oracle_lp_value(i, chi, p, l, omega_exp=None, precision=20):
+    if omega_exp is None:
+        omega_exp = 1 - i
+    data = chi_padic_data(chi, p)
+    assert l >= max(1, data.l0)
+    D = data.d_prime * p ** l
+    if i <= 0:
+        return _oracle_nonpositive(i, chi, p, D, omega_exp, precision)
+    return _oracle_positive(i, chi, p, D, omega_exp, precision)
+
+
+def _oracle_nonpositive(i, chi, p, D, omega_exp, precision):
+    n = 1 - i
+    e_res = (omega_exp - n) % phi_qp(p)
+    bn = bernoulli_poly(n)
+    rational_total = Q(0)
+    padic_terms = []
+    all_exact = True
+    for j, c in chi_units(chi, D, p):
+        b = bn(Q(j, D))
+        w = _oracle_omega_power(j, e_res, p)
+        if w is None:
+            all_exact = False
+            padic_terms.append((c, b, j))
+        else:
+            rational_total = rational_total + c * (w * b)
+    scale = -(Q(D) ** (n - 1)) / n
+    if all_exact:
+        out = rational_total * scale
+        if isinstance(out, CyclotomicElement) and out.is_rational():
+            return out.rational_value()
+        return out
+    guard = precision + 6
+    acc = Padic.zero(p, guard)
+    acc = acc + value_to_padic(rational_total, p, guard)
+    for c, b, j in padic_terms:
+        w = teichmuller(Q(j), p, guard) ** e_res
+        acc = acc + w.mul_fraction(b) * value_to_padic(c, p, guard)
+    return acc.mul_fraction(scale).at_precision(
+        min(precision, acc.prec + int(vp(scale, p))))
+
+
+def _oracle_positive(i, chi, p, D, omega_exp, precision):
+    e_res = (omega_exp + i - 1) % phi_qp(p)
+    order = i - 1
+    v_shift = -i * int(vp(Q(D), p))
+    target = precision - v_shift + int(vp(Q(order), p)) + 4
+    acc = Padic.zero(p, precision - v_shift + 4)
+    for j, c in chi_units(chi, D, p):
+        term = integral_pole_power(Q(j, D), order, p, target).mul_fraction(Q(1, order))
+        w = _oracle_omega_power(j, e_res, p)
+        if w is None:
+            term = term * teichmuller(Q(j), p, term.relative_precision() + 2) ** e_res
+        elif w == -1:
+            term = -term
+        acc = acc + scale_by_value(term, c)
+    out = acc.mul_fraction(Q(1, D) ** i)
+    return out.at_precision(min(out.prec, precision))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["trivial", "quadratic:3", "quadratic:4", "quadratic:5",
+                        "quadratic:8", "quartic"]),
+       st.sampled_from([2, 3, 5, 7, 13]),
+       st.integers(-8, 8).filter(lambda i: i != 1), st.integers(0, 2),
+       st.one_of(st.none(), st.integers(-6, 6)), st.integers(1, 30))
+@example("quadratic:4", 2, -1, 1, 1, 10)  # p = 2 with omega(j)^e = -1 at j = 3 mod 4
+@example("trivial", 2, 3, 0, 1, 10)
+@example("quartic", 13, -3, 2, 2, 12)  # omega(j)^e irrational, chi irrational
+def test_lp_value_agrees_with_the_two_branch_oracle(spec, p, i, extra, omega_exp, precision):
+    chi = _quartic_character() if spec == "quartic" else character_from_spec(spec)
+    l = max(1 + (i >= 2 and p == 2), int(vp(Q(chi.conductor), p))) + extra
+    while l > 1 and chi.conductor * p ** l > 3000:  # keep each sum small
+        l -= 1
+    try:
+        want = _oracle_lp_value(i, chi, p, l, omega_exp, precision)
+    except EmbeddingError:  # the oracle reads vp(B_(2+delta,chi)) through Q_p
+        assume(False)
+    got = lp_value(i, chi, p, l, omega_exp=omega_exp, precision=precision)
+    if isinstance(want, Padic):
+        assert isinstance(got, Padic) and got.prec == precision
+        assert got.agrees(want, want.prec)
+    else:
+        assert not isinstance(got, Padic) and got == want
