@@ -20,20 +20,20 @@ zeta values are checked against direct Volkenborn integrals of R_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .arith import (batch_invert, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import abs_norm, assert_integral, scale_by_value, value_to_padic
 from .errors import DegreeError, DomainError, PrecisionError
-from .hurwitz import check_hurwitz_domain, lp_value, reduce_to_unit_interval
+from .hurwitz import check_hurwitz_domain, lp_values, reduce_to_unit_interval
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational
 from .polynomials import power_numerators, series_mul
-from .volkenborn import PoleData, integral_mahler, integral_pole_power, vdp_length
+from .volkenborn import PoleData, integral_mahler, integral_pole_powers, vdp_length
 
 Q = Fraction
 
@@ -213,13 +213,12 @@ class RnFunction:
                           table: "PartialFractionTable") -> list[PoleData]:
         """Pole data of t -> R_n(t + x) for the Mahler engine.
 
-        The floors are the exact valuations of the coefficients r_(i,k).
+        The floors are the exact valuations of the coefficients r_(i,k),
+        read once per table; only the pole locations depend on x.
         """
         pr = self.params
-        return [PoleData(location=-(Fraction(x) + k), order=pr.s,
-                         floors=tuple(vp(table.r(i, k), pr.p)
-                                      for i in range(1, pr.s + 1)))
-                for k in range(self.n + 1)]
+        return [PoleData(location=-(Fraction(x) + k), order=pr.s, floors=floors)
+                for k, floors in enumerate(table.floors(pr.p))]
 
 
 @dataclass(frozen=True)
@@ -303,9 +302,16 @@ class PartialFractionTable:
     n: int
     s: int
     rows: tuple[tuple[Fraction, ...], ...]  # rows[i-1][k]
+    _floors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def r(self, i: int, k: int) -> Fraction:
         return self.rows[i - 1][k]
+
+    def floors(self, p: int) -> tuple[tuple[Fraction | int, ...], ...]:
+        """vp(r_(i,k)) for i = 1..s, one tuple per pole k; computed once per p."""
+        if p not in self._floors:
+            self._floors[p] = tuple(tuple(vp(c, p) for c in col) for col in zip(*self.rows))
+        return self._floors[p]
 
     def residue_sum(self) -> Fraction:
         return sum(self.rows[0], Q(0))
@@ -416,7 +422,8 @@ class FormFamily:
     With weights w_j on the arguments j/D and C = form_scale(s, n), the form
     is lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i,
     and its identity reads C sum_j w_j Int R_n(t + j/D) = lambda_0
-    + sum_i lambda_i f_i V_i with f_i = factor(i), V_i = value(i, precision).
+    + sum_i lambda_i f_i V_i with f_i = factor(i); values({i: N_i}) gives
+    every requested V_i modulo p^N_i at once.
     predicted(n) is the expected vp of the weighted integral sum, or None
     outside the hypotheses that make it exact.
     """
@@ -427,7 +434,7 @@ class FormFamily:
     shift: int
     predicted: Callable[[int], Optional[int]]
     factor: Callable[[int], Fraction]
-    value: Callable[[int, int], Padic]
+    values: Callable[[Mapping[int, int]], dict[int, Padic]]
 
 
 def lvalue_family(params: FormParameters, chi: DirichletCharacter) -> FormFamily:
@@ -439,8 +446,9 @@ def lvalue_family(params: FormParameters, chi: DirichletCharacter) -> FormFamily
         predicted=lambda n: (valuation_formula_rhs(pr, n, chi)
                              if pr.hypotheses_hold(n) else None),
         factor=lambda i: Q(1),
-        value=lambda i, prec: lp_value(i + 1, chi, pr.p, pr.l, omega_exp=-i,
-                                       precision=prec))
+        values=lambda precisions: {
+            i - 1: v for i, v in lp_values(
+                chi, pr.p, pr.l, {i + 1: N for i, N in precisions.items()}).items()})
 
 
 def hurwitz_family(params: FormParameters, x0: Fraction) -> FormFamily:
@@ -459,7 +467,7 @@ def hurwitz_family(params: FormParameters, x0: Fraction) -> FormFamily:
         predicted=lambda n: (per_x_valuation_hint(pr, n) + pr.l - pr.l0
                              if pr.parity_ok and (n + 1) % pr.stride == 0 else None),
         factor=lambda i: Q(P, i * d ** i),
-        value=lambda i, prec: integral_pole_power(x0, i, pr.p, prec))
+        values=lambda precisions: integral_pole_powers(x0, pr.p, precisions))
 
 
 # -- linear forms ------------------------------------------------------------------
@@ -638,12 +646,12 @@ def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
         else:
             target *= 2
 
+    weights = {i: lam * family.factor(i)
+               for i, lam in enumerate(form.coeffs[1:], start=1) if lam != 0}
+    values = family.values({i: max(2, target - int(vp(w, p))) for i, w in weights.items()})
     rhs = value_to_padic(form.coeffs[0], p, target)
-    for i, lam in enumerate(form.coeffs[1:], start=1):
-        if lam == 0:
-            continue
-        w = lam * family.factor(i)
-        rhs = rhs + family.value(i, max(2, target - int(vp(w, p)))).mul_fraction(w)
+    for i, w in weights.items():
+        rhs = rhs + values[i].mul_fraction(w)
     k = min(lhs.prec, rhs.prec)
     nu = lhs.valuation()
     return IdentityReport(lhs=lhs, rhs=rhs.at_precision(k), modulus_exp=k,

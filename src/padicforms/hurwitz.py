@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .arith import bernoulli_poly, check_prime, vp, vp_int
 from .characters import DirichletCharacter, chi_units
-from .cyclotomic import CyclotomicElement, scale_by_value
+from .cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
 from .errors import DomainError
 from .padic import (Padic, angle, phi_qp, qp, teichmuller, teichmuller_ext,
                     teichmuller_rational)
 from .polynomials import MAX_POWER_DEGREE
-from .volkenborn import check_hurwitz_domain, integral_pole_power
+from .volkenborn import check_hurwitz_domain, integral_pole_power, pole_power_residues
 
 Q = Fraction
 
@@ -103,13 +103,16 @@ def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
 
 
 def zeta_p_nonpos(one_minus_n: int, x: Fraction, p: int) -> OmegaSplit:
-    """zeta_p(1-n, x) = -omega(x)^(-n) B_n(x)/n, kept as an exact split."""
+    """zeta_p(1-n, x) = -omega(x)^(-n) B_n(x)/n, kept as an exact split.
+
+    The split rests on omega(x+t) = omega(x) for every t in Z_p, so x must
+    satisfy |x|_p >= q_p, as on the positive branch.
+    """
     check_prime(p)
     if one_minus_n > 0:
         raise DomainError("need an argument <= 0")
     x = Fraction(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
+    check_hurwitz_domain(x, p)
     return OmegaSplit(p=p, base=x, exponent=one_minus_n - 1,
                       rational=twisted_zeta(one_minus_n, x, p))
 
@@ -176,13 +179,15 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
              omega_exp: Optional[int] = None, precision: int = 20) -> LValue:
     """L_p(i, chi * omega^omega_exp) = D^(-i) sum_j chi(j) omega(j)^e Z(i, j/D).
 
-    The sum runs over the p-units j <= D = d' p^l, with d' the prime-to-p
-    part of the conductor, Z = twisted_zeta and e = omega_exp + i - 1 mod
-    phi(q_p). The default twist omega_exp = 1 - i matches the interpolation
-    branch. For i <= 0 with every omega(j)^e = +-1 the value is exact (a
-    Fraction, or a CyclotomicElement for irrational characters). Otherwise
-    the sum is taken modulo p^A with A = precision + i l, since
-    vp(D^(-i)) = -i l, and the Padic returned is known modulo p^precision.
+    The sum runs over the p-units j <= D = d' p^m, with d' the prime-to-p
+    part of the conductor and m = l_min whatever l is (see _sum_level),
+    Z = twisted_zeta and e = omega_exp + i - 1 mod phi(q_p). The default
+    twist omega_exp = 1 - i matches the interpolation branch. For i <= 0
+    with every omega(j)^e = +-1 the value is exact (a Fraction, or a
+    CyclotomicElement for irrational characters). Otherwise the sum is taken
+    modulo p^A with A = precision + i m, since vp(D^(-i)) = -i m, and the
+    Padic returned is known modulo p^precision. For i >= 2 it is the
+    one-entry case of the unit sum behind lp_values.
     """
     check_prime(p)
     if i == 1:
@@ -191,18 +196,14 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
         raise DomainError("need precision >= 1")
     if omega_exp is None:
         omega_exp = 1 - i
-    l0 = int(vp_int(chi.conductor, p))
-    if l < max(1, l0):
-        raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
-    if i >= 2 and p == 2 and l < 2:
-        raise DomainError("p = 2 needs l >= 2 so that |j/D|_2 >= 4")
-    D = chi.conductor // p ** l0 * p ** l
+    D, m = _sum_level(chi, p, l, i >= 2)
     e = (omega_exp + i - 1) % phi_qp(p)
+    if i >= 2:
+        return _pole_sum(chi, p, D, m, e, {i: precision})[i]
     # omega(j)^e = omega(j^e), which is +-1 exactly when j^e = +-1 mod q_p
     units = [(j, c, teichmuller_rational(pow(j, e, qp(p)), p))
              for j, c in chi_units(chi, D, p)]
-
-    if i <= 0 and all(w is not None for _, _, w in units):
+    if all(w is not None for _, _, w in units):
         total = Q(0)
         for j, c, w in units:
             total = total + c * (w * twisted_zeta(i, Q(j, D), p))
@@ -210,12 +211,10 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
         if isinstance(out, CyclotomicElement) and out.is_rational():
             return out.rational_value()
         return out
-    A = precision + i * l
+    A = precision + i * m
     acc = Padic.zero(p, A)
     for j, c, w in units:
-        z = twisted_zeta(i, Q(j, D), p, A)
-        if isinstance(z, Fraction):
-            z = Padic.from_fraction(z, p, A)
+        z = Padic.from_fraction(twisted_zeta(i, Q(j, D), p), p, A)
         if z.is_zero_at_precision():
             continue
         if w is None:
@@ -224,3 +223,69 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
             z = -z
         acc = acc + scale_by_value(z, c)
     return acc.mul_fraction(Q(D) ** -i)
+
+
+def lp_values(chi: DirichletCharacter, p: int, l: int,
+              precisions: Mapping[int, int]) -> dict[int, Padic]:
+    """L_p(i, chi omega^(1-i)) modulo p^precisions[i], for each requested i >= 2.
+
+    Every value is the lp_value one, read from one sum over the units j
+    (see _pole_sum): the twist has e = 0, so chi(j) is the only weight.
+    """
+    check_prime(p)
+    if any(i < 2 for i in precisions):
+        raise DomainError("lp_values takes i >= 2")
+    if any(N < 1 for N in precisions.values()):
+        raise DomainError("need precision >= 1")
+    D, m = _sum_level(chi, p, l, True)
+    return _pole_sum(chi, p, D, m, 0, precisions)
+
+
+def _sum_level(chi: DirichletCharacter, p: int, l: int, positive: bool) -> tuple[int, int]:
+    """(D, l_min): the D = d' p^l_min every L-value sums at, once l is checked.
+
+    The Hurwitz decomposition holds for every D that is a multiple of the
+    conductor and of q_p (Washington, Introduction to Cyclotomic Fields,
+    Thm 5.11), and L_p does not depend on which, so the sum runs at the
+    least level l_min = max(l0, 1), or max(l0, 2) at p = 2, whatever level l
+    it is asked at. l must be at least max(1, l0), and for i >= 2 at p = 2
+    at least 2, where the parameters of the linear forms start too.
+    """
+    l0 = int(vp_int(chi.conductor, p))
+    if l < max(1, l0):
+        raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
+    if positive and p == 2 and l < 2:
+        raise DomainError("p = 2 needs l >= 2 so that |j/D|_2 >= 4")
+    l_min = max(l0, 2 if p == 2 else 1)
+    return chi.conductor // p ** l0 * p ** l_min, l_min
+
+
+def _pole_sum(chi: DirichletCharacter, p: int, D: int, h: int, e: int,
+              precisions: Mapping[int, int]) -> dict[int, Padic]:
+    """D^(-i) sum_j chi(j) omega(j)^e Z(i, j/D) mod p^precisions[i], for i >= 2.
+
+    Z(i, x) = Int (x+t)^-k dt / k with k = i - 1, and every unit j has
+    vp(j/D) = -h, so every integral is p^(kh-1) times the residue that
+    pole_power_residues gives, known modulo p^rel_k. One kernel call per
+    unit gives every k at once; the weights chi(j) omega(j)^e enter Q_p once
+    per unit, and the sums stay integers modulo p^R, R the largest rel_k.
+    The integrals are taken modulo p^(A_i + vp(k)), with A_i =
+    precisions[i] + i h, so that dividing by k D^i leaves precisions[i].
+    """
+    kprec = {i - 1: N + i * h + int(vp_int(i - 1, p)) for i, N in precisions.items()}
+    R = max((N - (k * h - 1) for k, N in kprec.items()), default=1)
+    mod = p ** R
+    sums = dict.fromkeys(kprec, 0)
+    for j, c in chi_units(chi, D, p):
+        weight = value_to_padic(c, p, R).unit  # chi(j) is a root of unity
+        w = teichmuller_rational(pow(j, e, qp(p)), p)
+        if w is None:
+            weight = weight * pow(teichmuller(j, p, R).unit, e, mod) % mod
+        elif w == -1:
+            weight = -weight
+        _, raws = pole_power_residues(Q(j, D), p, kprec)
+        for k, raw in raws.items():
+            sums[k] = (sums[k] + weight * raw) % mod
+    return {k + 1: Padic.normalized(p, k * h - 1, total, kprec[k])
+            .mul_fraction(Q(1, k) * Q(D) ** -(k + 1))
+            for k, total in sums.items()}

@@ -19,13 +19,13 @@ engines compute it here:
   least 1 per step and l(m) by at most 1, so the tail beyond M has
   valuation at least T(M+1) - l(M+1); M is the least value for which
   that meets the precision.
-* integral_pole_power: the single pole (x+t)^-k, the integrand of every
-  Hurwitz zeta and L-value at a positive integer. It sums the classical
-  series Int (x+t)^-k dt = sum_j binom(-k, j) B_j x^(-k-j) (Washington,
-  Introduction to Cyclotomic Fields, Thm 5.11). With h = -vp(x) and
-  vp(B_j) >= -1 (von Staudt-Clausen), term j has valuation at least
-  (k+j) h - 1, so stopping at the first J with (k+J) h - 1 >= precision
-  leaves a tail divisible by p^precision.
+* integral_pole_powers: the single pole (x+t)^-k, the integrand of every
+  Hurwitz zeta and L-value at a positive integer, for every requested k at
+  once. It sums the classical series Int (x+t)^-k dt = sum_j binom(-k, j)
+  B_j x^(-k-j) (Washington, Introduction to Cyclotomic Fields, Thm 5.11):
+  one series of J = ceil(R/h) terms, R = max_k rel_k, serves every k, and
+  all k <= kmax cost kmax passes of J additions (pole_power_residues).
+  integral_pole_power is the case of one k.
 
 The van der Put (wavelet) expansion stays as the exact form of a Riemann
 sum: the level-n sum equals the depth-n wavelet partial integral.
@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from operator import mul
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .arith import INF, batch_invert, bernoulli_number, check_prime, vp, vp_int
 from .errors import DomainError, PrecisionError
@@ -325,43 +326,123 @@ def check_hurwitz_domain(x: Fraction, p: int) -> int:
     return -int(v)
 
 
-def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
-    """Int (x+t)^-k dt over Z_p modulo p^precision, for |x|_p >= q_p and k >= 1.
+def integral_pole_powers(x: Fraction, p: int,
+                         precisions: Mapping[int, int]) -> dict[int, Padic]:
+    """Int (x+t)^-k dt over Z_p modulo p^precisions[k], for each requested k >= 1.
 
-    Sums binom(-k, j) B_j x^(-k-j) over j < J, the first J with
-    (k+J) h - 1 >= precision, where h = -vp(x). Writing 1/x = p^h y with y a
-    unit, term j is p^(kh-1) y^k * binom(-k, j) (p B_j) (p^h y)^j. The
-    cofactors of p^(kh-1) y^k are p-adic integers, because p B_j is one, so
-    summing them modulo p^(precision - kh + 1) makes the result exact modulo
-    p^precision.
+    Needs |x|_p >= q_p; every value comes from one series (pole_power_residues).
+    """
+    h, raws = pole_power_residues(x, p, precisions)
+    return {k: Padic.normalized(p, k * h - 1, raw, precisions[k]) for k, raw in raws.items()}
+
+
+def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
+    """Int (x+t)^-k dt over Z_p modulo p^precision, for |x|_p >= q_p and k >= 1."""
+    h, raws = pole_power_residues(x, p, {k: precision})
+    return Padic.normalized(p, k * h - 1, raws[k], precision)
+
+
+def pole_power_residues(x: Fraction, p: int,
+                        precisions: Mapping[int, int]) -> tuple[int, dict[int, int]]:
+    """(h, raw) with Int (x+t)^-k dt = p^(kh-1) raw[k] mod p^precisions[k].
+
+    h = -vp(x), and raw[k] is known modulo p^rel_k, rel_k = precisions[k]
+    - kh + 1 (raw[k] = 0 when rel_k < 1). With 1/x = p^h y, the integral
+    sum_j binom(-k, j) B_j x^(-k-j) is p^(kh-1) y^k sum_j binom(k+j-1, j) a_j,
+    a_j = (-1)^j (p B_j) (p^h y)^j. Each a_j is a p-adic integer divisible by
+    p^(jh), so the terms with jh >= rel_k vanish mod p^rel_k, and one series
+    a_j, jh < R = max_k rel_k, taken mod p^R, serves every k. The p B_j come
+    from a memo per p (_scaled_bernoulli), so their denominators are not
+    inverted again on every call.
+
+    k enters only through the binomial, so the k-th sum is entry 0 of the
+    k-th iterated suffix sum of a. The requested k are taken in increasing
+    order; up to each but the last, the suffix sums advance one pass per
+    step, cut to the terms and the modulus that the k still to come need.
+    The last k is read off the c-th sums S in one weighted sum,
+    sum_j binom(k-c-1+j, j) S_j, so a lone k costs one sum however large it is.
     """
     check_prime(p)
-    if k < 1:
-        raise DomainError("need k >= 1")
-    if precision < 1:
-        raise DomainError("need precision >= 1")
     h = check_hurwitz_domain(x, p)
+    raws, wanted, need = {}, [], []
+    for k in sorted(precisions):
+        precision = precisions[k]
+        if k < 1:
+            raise DomainError("need k >= 1")
+        if precision < 1:
+            raise DomainError("need precision >= 1")
+        raws[k] = 0
+        if precision > k * h - 1:
+            wanted.append(k)
+            need.append(precision - k * h + 1)
+    if not wanted:
+        return h, raws
+    for m in range(len(need) - 2, -1, -1):  # need[m]: the largest rel_k of wanted[m:]
+        need[m] = max(need[m], need[m + 1])
+    R = need[0]
+    mod = p ** R
     x = Fraction(x)
-    rel = precision - (k * h - 1)
-    if rel < 1:
-        return Padic.zero(p, precision)
-    mod = p ** rel
     y = x.denominator // p ** h * pow(x.numerator, -1, mod) % mod
     step = p ** h * y % mod
-    power, binom = 1, 1  # (p^h y)^j mod p^rel and binom(k+j-1, j)
-    terms, dens = [], []
-    for j in range(-(-rel // h)):  # every j with j h < rel
-        if j < 2 or j % 2 == 0:  # B_j = 0 for odd j >= 3
+    J = -(-R // h)  # every j with j h < R
+    last = wanted[-1] - wanted[-2] if len(wanted) > 1 else wanted[-1]
+    # a_j up to a multiple of p^R: the first pass, or the last sum, reduces them
+    scaled = _scaled_bernoulli(p, R, J)
+    a = [0] * J
+    power, step2 = 1, step * step % mod
+    for j in range(0, J, 2):  # the even j; B_j = 0 at the odd j >= 3
+        a[j] = scaled[j] % mod * power
+        power = power * step2 % mod
+    if J > 1:
+        a[1] = -scaled[1] % mod * step
+    weights, binom = [], 1  # binom(last-1+j, j), the last k's weights
+    for j in range(J):
+        weights.append(binom % mod)
+        binom = binom * (last + j) // (j + 1)
+    c = 0  # a holds the c-th iterated suffix sum
+    for k, rel in zip(wanted, need):
+        if rel < R:
+            R, mod = rel, p ** rel
+            del a[-(-R // h):]
+        if k == wanted[-1]:
+            break
+        for _ in range(k - c):
+            acc = 0
+            for j in range(len(a) - 1, -1, -1):
+                a[j] = acc = (acc + a[j]) % mod
+        c = k
+        raws[k] = a[0] * pow(y, k, mod) % mod
+    raws[k] = sum(map(mul, weights, a)) * pow(y, k, mod) % mod
+    return h, raws
+
+
+# p -> (R, [p B_j mod p^R for j < J]) at the deepest R and longest J asked
+# so far; a memo of a pure map, since the residues modulo p^r, r <= R, are
+# these reduced
+_SCALED_BERNOULLI: dict[int, tuple[int, list[int]]] = {}
+
+
+def _scaled_bernoulli(p: int, R: int, J: int) -> list[int]:
+    """p B_j for j < J at least, modulo p^R or a higher power of p.
+
+    Each p B_j is a p-adic integer (von Staudt-Clausen), so its denominator
+    is inverted modulo p^R, once per p and depth for every j.
+    """
+    depth, residues = _SCALED_BERNOULLI.get(p, (0, []))
+    if depth < R or len(residues) < J:
+        depth, count = max(depth, R), max(len(residues), J)
+        mod = p ** depth
+        nums, dens = [], []
+        for j in range(count):
             b = bernoulli_number(j)
             num, den = b.numerator * p, b.denominator
-            if den % p == 0:  # von Staudt-Clausen: p divides den at most once
+            if den % p == 0:  # p divides den at most once
                 num, den = b.numerator, den // p
-            terms.append((-1) ** j * binom * num % mod * power)
+            nums.append(num)
             dens.append(den)
-        power = power * step % mod
-        binom = binom * (k + j) // (j + 1)
-    total = sum(t * d for t, d in zip(terms, batch_invert(dens, mod)))
-    return Padic.normalized(p, k * h - 1, total * pow(y, k, mod), precision)
+        residues = [n * d % mod for n, d in zip(nums, batch_invert(dens, mod))]
+        _SCALED_BERNOULLI[p] = depth, residues
+    return residues
 
 
 # -- translation formula ------------------------------------------------------------

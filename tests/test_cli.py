@@ -272,7 +272,12 @@ def test_positive_branch_at_the_precision_cap_answers_in_time(argv):
      "integrand has a pole at t = -1/2 with |c|_p = 2; the Mahler engine needs "
      "|c|_p >= q_p = 4 at every pole"),
     (["zeta", "--p", "5", "--s", "2", "--x", "0"], "x must be nonzero"),
-], ids=["pole-at-zero", "pole-in-Zp", "pole-near-Z2", "hurwitz-x-zero"])
+    (["zeta", "--p", "3", "--s", "-1", "--x", "1"],
+     "|x|_p must be at least 3: got vp(1) = 0 at p = 3"),
+    (["zeta", "--p", "2", "--s", "-1", "--x", "1/2"],
+     "|x|_p must be at least 4: got vp(1/2) = -1 at p = 2"),
+], ids=["pole-at-zero", "pole-in-Zp", "pole-near-Z2", "hurwitz-x-zero",
+        "nonpositive-zeta-x-in-Zp", "nonpositive-zeta-x-near-Z2"])
 def test_domain_refusals_name_the_pole(capsys, argv, detail):
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and not out

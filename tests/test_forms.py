@@ -12,8 +12,8 @@ from padicforms.characters import (char_make, character_from_spec, gen_bernoulli
                                    quadratic_character, trivial_character)
 from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding
 from padicforms.errors import DegreeError, DomainError, IntegralityError
-from padicforms.forms import (build_rn, choose_params, family_form, form_scale,
-                              hurwitz_family, hurwitz_params, hurwitz_variant_form,
+from padicforms.forms import (build_rn, choose_params, family_form, form_identity,
+                              form_scale, hurwitz_family, hurwitz_params, hurwitz_variant_form,
                               lambda_form, lvalue_family, partial_fractions,
                               per_x_valuation_hint, rho_higher, rho_zero,
                               valuation_formula_rhs, weighted_integral_sum)
@@ -174,6 +174,36 @@ def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
     total = weighted_integral_sum(rn, lvalue_family(pr, chi), 760, partial_fractions(rn))
     assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3, chi)
     assert calls == {"evaluate": 0, "fraction_mod_pk": 0}
+
+
+@pytest.mark.parametrize("spec, p, s, l, n", [
+    ("trivial", 2, 18, 2, 1), ("quadratic:4", 2, 70, 3, 1), (Q(3, 4), 2, 17, 2, 1),
+    (Q(2, 3), 3, 19, 1, 2)])
+def test_form_identity_asks_for_every_value_at_once(spec, p, s, l, n):
+    # one values() call covers every nonzero lambda_i; at l = 3 the L-values
+    # still sum at D = 2^2, while the left side integrates at D = 2^3
+    if isinstance(spec, Q):
+        pr, _ = hurwitz_params(spec, p, s, l=l)
+        family = hurwitz_family(pr, spec)
+    else:
+        pr = choose_params(character_from_spec(spec), p, s, l=l)
+        family = lvalue_family(pr, character_from_spec(spec))
+    rn = build_rn(pr, n)
+    table = partial_fractions(rn)
+    form = family_form(family, table)
+    asked = []
+
+    def values(precisions):
+        asked.append(dict(precisions))
+        return family.values(precisions)
+
+    report = form_identity(dataclasses.replace(family, values=values), form, rn, table, 12)
+    assert report.agrees and report.relative_digits >= 12
+    assert len(asked) == 1
+    assert asked[0].keys() == {i for i, c in enumerate(form.coeffs) if i and c != 0}
+    assert table.floors(p) is table.floors(p)
+    assert [pd.floors for pd in rn.pole_data_shifted(Q(1, pr.D), table)] == \
+        [tuple(vp(table.r(i, k), p) for i in range(1, s + 1)) for k in range(n + 1)]
 
 
 def test_build_rn_degree_error():

@@ -12,9 +12,10 @@ from padicforms import cyclotomic
 from padicforms.cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
 from padicforms.errors import DomainError, EmbeddingError
 from padicforms.heights import HeightMatrix, delta_p_valuation
-from padicforms.hurwitz import (check_hurwitz_domain, lp_value, reduce_to_unit_interval,
-                                twisted_zeta, zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
-from padicforms.padic import Padic, phi_qp, teichmuller
+from padicforms.hurwitz import (check_hurwitz_domain, lp_value, lp_values,
+                                reduce_to_unit_interval, twisted_zeta, zeta_p_nonpos,
+                                zeta_p_pos, zeta_p_shift)
+from padicforms.padic import Padic, phi_qp, qp, teichmuller
 from padicforms.polynomials import MAX_POWER_DEGREE, Poly, RationalFunction
 from padicforms.volkenborn import integral_pole_power, integral_riemann
 
@@ -247,8 +248,10 @@ def test_twisted_zeta_caps_the_bernoulli_index():
 
 
 def test_lvalues_and_zeta_state_the_requested_precision():
-    # vp(D^(-i)) = -i l, so the sum is taken modulo p^(N + i l); a term
-    # omega(j)^e B_n(j/D)/n of valuation -n l - vp(n) still reaches p^N
+    # asked at l = 6, the sum still runs at D = 5^l_min with l_min = 1, over
+    # 4 units; vp(D^(-i)) = -i l_min, so it is taken modulo p^(N + i l_min),
+    # and a term omega(j)^e B_n(j/D)/n of valuation -n l_min - vp(n) still
+    # reaches p^N
     triv = trivial_character()
     v = lp_value(-4, triv, 5, 6, omega_exp=0, precision=12)
     assert v.prec == 12
@@ -296,7 +299,8 @@ def _oracle_lp_value(i, chi, p, l, omega_exp=None, precision=20):
         omega_exp = 1 - i
     data = chi_padic_data(chi, p)
     assert l >= max(1, data.l0)
-    D = data.d_prime * p ** l
+    # the decomposition needs q_p | D, so at p = 2 the sum runs at l >= 2
+    D = data.d_prime * p ** max(l, 2 if p == 2 else 1)
     if i <= 0:
         return _oracle_nonpositive(i, chi, p, D, omega_exp, precision)
     return _oracle_positive(i, chi, p, D, omega_exp, precision)
@@ -375,3 +379,85 @@ def test_lp_value_agrees_with_the_two_branch_oracle(spec, p, i, extra, omega_exp
         assert got.agrees(want, want.prec)
     else:
         assert not isinstance(got, Padic) and got == want
+
+
+# -- the nonpositive branch against the Kubota-Leopoldt interpolation
+
+
+def _interpolation_value(chi, p, i, omega_exp):
+    """L_p(1-n, chi omega^k) = -(1 - psi(p) p^(n-1)) B_(n,psi)/n, n = 1 - i, k = omega_exp.
+
+    psi is chi omega^(k-n) made primitive (Washington, Introduction to
+    Cyclotomic Fields, Thm 5.11). For p = 2 and 3, omega is the quadratic
+    character of conductor q_p, so psi is a Dirichlet character of its own
+    and this value does not go through the Hurwitz decomposition.
+    """
+    n = 1 - i
+    omega = quadratic_character(qp(p))
+    e = (omega_exp - n) % 2
+    M = math.lcm(chi.modulus, omega.modulus)
+    psi = char_make(M, {a: chi.value(a) * omega.value(a) ** e
+                        for a in range(1, M + 1) if math.gcd(a, M) == 1})
+    f = psi.conductor
+    primitive = char_make(f, {a: psi.value(next(b for b in range(a, a + M * f, f)
+                                                 if math.gcd(b, M) == 1))
+                              for a in range(1, f + 1) if math.gcd(a, f) == 1})
+    return -(1 - primitive.value(p) * Q(p) ** (n - 1)) * gen_bernoulli(n, primitive) / n
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["trivial", "quadratic:3", "quadratic:4", "quadratic:5",
+                        "quadratic:8", "quartic"]),
+       st.sampled_from([2, 3]), st.integers(-8, 0), st.integers(-6, 6),
+       st.integers(0, 2), st.none())
+@example("trivial", 2, -3, 3, 0, Q(0))
+@example("quadratic:3", 2, -1, 1, 0, Q(-2))
+@example("quadratic:5", 2, -7, 1, 0, Q(0))
+@example("quadratic:5", 2, -5, 3, 0, Q(0))
+@example("trivial", 2, -2, 0, 0, Q(-1, 2))
+def test_lp_value_matches_the_interpolation_formula(spec, p, i, omega_exp, extra, want):
+    # at p = 2 the sum needs 4 | D, whatever l it is asked at: l = 1 once gave
+    # the five pinned cases wrong
+    chi = _quartic_character() if spec == "quartic" else character_from_spec(spec)
+    l = max(1, int(vp(Q(chi.conductor), p))) + extra
+    got = lp_value(i, chi, p, l, omega_exp=omega_exp)
+    assert got == _interpolation_value(chi, p, i, omega_exp)
+    if want is not None:
+        assert got == want
+
+
+@pytest.mark.parametrize("spec, p", [("trivial", 2), ("trivial", 5), ("quadratic:3", 3),
+                                     ("quadratic:3", 7), ("quadratic:4", 2),
+                                     ("quadratic:8", 3), ("quartic", 5), ("quartic", 13)])
+def test_lp_values_is_lp_value_at_every_i(spec, p):
+    # one sum over the units for every i, each at its own precision, against
+    # the one-entry sum and the per-unit oracle
+    chi = _quartic_character() if spec == "quartic" else character_from_spec(spec)
+    l = max(2 if p == 2 else 1, int(vp(Q(chi.conductor), p))) + 1
+    precisions = {2: 9, 3: 1, 5: 14, 6: 30, 9: 6}
+    got = lp_values(chi, p, l, precisions)
+    assert got.keys() == precisions.keys()
+    for i, N in precisions.items():
+        assert got[i].prec == N
+        assert got[i] == lp_value(i, chi, p, l, precision=N), i
+        assert got[i].agrees(_oracle_lp_value(i, chi, p, l, precision=N), N), i
+
+
+def test_lp_values_refuses_what_lp_value_refuses():
+    triv = trivial_character()
+    assert lp_values(triv, 5, 1, {}) == {}
+    for precisions in ({1: 5}, {0: 5}, {2: 0}, {2: 5, -1: 5}):
+        with pytest.raises(DomainError):
+            lp_values(triv, 5, 1, precisions)
+    with pytest.raises(DomainError):
+        lp_values(triv, 2, 1, {2: 5})
+    with pytest.raises(DomainError):
+        lp_values(quadratic_character(5), 5, 0, {2: 5})
+
+
+def test_nonpositive_zeta_refuses_x_outside_the_hurwitz_domain():
+    # -omega(x)^(-n) B_n(x)/n needs omega(x+t) = omega(x) for t in Z_p
+    for x, p in ((Q(1), 3), (Q(1, 2), 2), (Q(6), 2), (Q(2, 3), 5)):
+        with pytest.raises(DomainError):
+            zeta_p_nonpos(-1, x, p)
+    assert zeta_p_nonpos(-1, Q(1, 3), 3).exact() is not None

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.arith import INF, bernoulli_poly, vp
+from padicforms.arith import INF, batch_invert, bernoulli_number, bernoulli_poly, vp
 from padicforms.errors import DomainError, PrecisionError
 from padicforms.padic import Padic, fraction_mod_pk
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
-from padicforms.volkenborn import (PoleData, integral_mahler, integral_pole_power,
+from padicforms import volkenborn
+from padicforms.volkenborn import (PoleData, check_hurwitz_domain, integral_mahler,
+                                   integral_pole_power, integral_pole_powers,
                                    integral_riemann, mahler_coefficients,
                                    mahler_error_valuation, rational_wavelet_tail_bound,
                                    translate_integral, vdp_data, vdp_length,
@@ -370,6 +372,84 @@ def test_pole_power_matches_mahler_property(p, dh, a, m, k, precision):
     _assert_same_padic(_pole_point(p, h, a, m), k, p, precision)
 
 
+# -- the pole series one k at a time, as it was before the one-pass kernel: an oracle
+
+
+def _series_pole_power(x, k, p, precision):
+    """Sum binom(-k, j) B_j x^(-k-j) over j < J, the first J with (k+J) h - 1 >= precision.
+
+    With 1/x = p^h y, term j is p^(kh-1) y^k binom(k+j-1, j) (-1)^j (p B_j)
+    (p^h y)^j, so the cofactors of p^(kh-1) y^k are summed mod p^rel,
+    rel = precision - kh + 1.
+    """
+    h = check_hurwitz_domain(x, p)
+    x = Q(x)
+    rel = precision - (k * h - 1)
+    if rel < 1:
+        return Padic.zero(p, precision)
+    mod = p ** rel
+    y = x.denominator // p ** h * pow(x.numerator, -1, mod) % mod
+    step = p ** h * y % mod
+    power, binom = 1, 1  # (p^h y)^j mod p^rel and binom(k+j-1, j)
+    terms, dens = [], []
+    for j in range(-(-rel // h)):  # every j with j h < rel
+        if j < 2 or j % 2 == 0:  # B_j = 0 for odd j >= 3
+            b = bernoulli_number(j)
+            num, den = b.numerator * p, b.denominator
+            if den % p == 0:  # von Staudt-Clausen: p divides den at most once
+                num, den = b.numerator, den // p
+            terms.append((-1) ** j * binom * num % mod * power)
+            dens.append(den)
+        power = power * step % mod
+        binom = binom * (k + j) // (j + 1)
+    total = sum(t * d for t, d in zip(terms, batch_invert(dens, mod)))
+    return Padic.normalized(p, k * h - 1, total * pow(y, k, mod), precision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), dh=st.integers(0, 3),
+       a=st.integers(1, 10 ** 6), m=st.integers(-2, 2),
+       precisions=st.dictionaries(st.integers(1, 60), st.integers(1, 300),
+                                  min_size=1, max_size=12),
+       mahler_at=st.integers(0, 11))
+@example(p=5, dh=0, a=1, m=0, precisions={k: 300 for k in range(1, 253)}, mahler_at=0)
+@example(p=2, dh=0, a=1, m=0, precisions={1: 1, 60: 300, 3: 40}, mahler_at=2)
+def test_pole_powers_match_the_series_and_mahler_oracles(p, dh, a, m, precisions, mahler_at):
+    # every requested k of one call, each at its own precision, against the
+    # per-k series; one of them also against the Mahler engine
+    x = _pole_point(p, (2 if p == 2 else 1) + dh, a, m)
+    got = integral_pole_powers(x, p, precisions)
+    assert got.keys() == precisions.keys()
+    for k, precision in precisions.items():
+        want = _series_pole_power(x, k, p, precision)
+        assert (got[k].val, got[k].unit, got[k].prec) == (want.val, want.unit, want.prec), \
+            (x, k, p, precision)
+        assert got[k] == integral_pole_power(x, k, p, precision)
+    k = sorted(precisions)[mahler_at % len(precisions)]
+    if k * precisions[k] <= 3000:  # keeps the Mahler engine's M small
+        _assert_same_padic(x, k, p, precisions[k])
+
+
+def test_pole_series_memo_serves_every_later_request(monkeypatch):
+    # the p B_j residues are kept per p at the deepest modulus and the most
+    # terms asked so far; shallower, deeper and longer requests all read them
+    monkeypatch.setattr(volkenborn, "_SCALED_BERNOULLI", {})
+    for x, precisions in ((Q(1, 5), {3: 10}), (Q(1, 5), {1: 200, 2: 30}), (Q(1, 5), {3: 10}),
+                          (Q(3, 25), {1: 200}), (Q(2, 5), {4: 220}), (Q(1, 5), {1: 1})):
+        got = integral_pole_powers(x, 5, precisions)
+        for k, precision in precisions.items():
+            assert got[k] == _series_pole_power(x, k, 5, precision), (x, k, precision)
+
+
+def test_pole_powers_of_one_large_order_cost_one_sum():
+    # a lone k is read off the series in one weighted sum, not k passes
+    x = Q(1, 5)
+    k = 10 ** 12
+    got = integral_pole_powers(x, 5, {k: k + 20})[k]
+    assert got == _series_pole_power(x, k, 5, k + 20)
+    assert got.prec == k + 20 and got.val == k  # the leading term x^-k
+
+
 def test_pole_power_simple_value():
     # Int (1/5 + t)^-1 dt = 5 mod 25, as the Mahler engine reports
     assert integral_pole_power(Q(1, 5), 1, 5, 6).agrees(Padic.from_fraction(5, 5, 2))
@@ -390,3 +470,6 @@ def test_pole_power_domain_checks():
             integral_riemann(f, 5, 3, precision=precision)
     with pytest.raises(DomainError):
         integral_pole_power(Q(1, 5), 0, 5, 10)
+    for precisions in ({0: 10}, {1: 10, 2: 0}, {1: 10, -1: 10}):
+        with pytest.raises(DomainError):
+            integral_pole_powers(Q(1, 5), 5, precisions)
