@@ -13,11 +13,10 @@ from .forms import (FormParameters, LinearFormOverK, PartialFractionTable,
                     hurwitz_params, hurwitz_variant_form, lambda_form,
                     partial_fractions, rho_higher, rho_zero)
 from .hurwitz import (OmegaSplit, lp_value, lp_values, reduce_to_unit_interval,
-                      twisted_zeta, zeta_p_nonpos, zeta_p_pos, zeta_p_shift)
-from .padic import Padic, angle, teichmuller, teichmuller_ext, teichmuller_rational
+                      twisted_zeta, zeta_p_nonpos, zeta_p_pos)
+from .padic import Padic, teichmuller, teichmuller_ext, teichmuller_rational
 from .polynomials import Poly, RationalFunction, parse_rational_function
-from .volkenborn import (PoleData, WaveletExpansion, integral_mahler,
-                         integral_pole_power, integral_pole_powers, integral_riemann,
-                         translate_integral, vdp_data, wavelet_coeffs)
+from .volkenborn import (PoleData, integral_mahler, integral_pole_powers,
+                         integral_riemann, translate_integral)
 
 __version__ = "0.1.0"

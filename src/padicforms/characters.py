@@ -15,6 +15,7 @@ from typing import Iterator, Union
 from .arith import bernoulli_poly, check_prime, vp_int
 from .cyclotomic import CyclotomicElement, euler_phi, padic_valuation
 from .errors import DomainError
+from .jsonio import cyclotomic_from_json
 
 Q = Fraction
 CharValue = Union[Fraction, CyclotomicElement]
@@ -100,9 +101,6 @@ class DirichletCharacter:
         return 0 if self.value(-1) == 1 else 1
 
     # -- evaluation -------------------------------------------------------------
-
-    def is_rational_valued(self) -> bool:
-        return self.field_m == 1
 
     def value(self, j: int) -> CharValue:
         """chi(j), zero when gcd(j, modulus) > 1."""
@@ -235,14 +233,8 @@ def character_from_spec(spec) -> DirichletCharacter:
         if "modulus" not in spec or "values" not in spec:
             raise DomainError("a character object needs \"modulus\" and \"values\"")
         modulus = int(spec["modulus"])
-        raw = spec["values"]
-        values = []
-        for entry in raw:
-            if isinstance(entry, dict):
-                values.append(CyclotomicElement(int(entry["m"]),
-                                                [Fraction(c) for c in entry["coords"]]))
-            else:
-                values.append(Fraction(entry))
+        values = [cyclotomic_from_json(entry) if isinstance(entry, dict) else Fraction(entry)
+                  for entry in spec["values"]]
         return char_make(modulus, values)
     raise DomainError(f"cannot build a character from {spec!r}")
 

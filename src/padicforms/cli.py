@@ -134,8 +134,8 @@ def _cmd_integrate(args) -> int:
         value = integral_mahler(f, args.p, args.prec)
         precision = None if isinstance(value, Fraction) else value.prec
     else:
-        value = integral_riemann(f, args.p, args.level, precision=args.prec)
-        precision = value.prec if isinstance(value, Padic) else None
+        value = integral_riemann(f, args.p, args.level, args.prec)
+        precision = value.prec
     _emit({"engine": args.engine, "value": value_to_json(value),
            "precision": precision})
     return EXIT_OK

@@ -313,9 +313,6 @@ class PartialFractionTable:
             self._floors[p] = tuple(tuple(vp(c, p) for c in col) for col in zip(*self.rows))
         return self._floors[p]
 
-    def residue_sum(self) -> Fraction:
-        return sum(self.rows[0], Q(0))
-
     def reconstruct(self, t: Fraction) -> Fraction:
         acc = Q(0)
         for i in range(1, self.s + 1):
@@ -550,11 +547,11 @@ def weighted_integral_sum(rn: RnFunction, family: FormFamily, precision: int,
                           table: PartialFractionTable) -> Padic:
     """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision."""
     pr = rn.params
-    acc = Padic.zero(pr.p, precision + 2)
+    acc = Padic.zero(pr.p, precision)
     for j, w in family.weights:
         term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
         acc = acc + scale_by_value(term, w)
-    return acc.at_precision(min(acc.prec, precision))
+    return acc
 
 
 def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .arith import bernoulli_poly, check_prime, vp, vp_int
-from .characters import DirichletCharacter, chi_units
-from .cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
+from .characters import CharValue, DirichletCharacter, chi_units
+from .cyclotomic import CyclotomicElement, value_to_padic
 from .errors import DomainError
-from .padic import (Padic, angle, phi_qp, qp, teichmuller, teichmuller_ext,
+from .padic import (Padic, fraction_mod_pk, phi_qp, qp, teichmuller, teichmuller_ext,
                     teichmuller_rational)
 from .polynomials import MAX_POWER_DEGREE
-from .volkenborn import check_hurwitz_domain, integral_pole_power, pole_power_residues
+from .volkenborn import check_hurwitz_domain, integral_pole_powers, pole_power_residues
 
 Q = Fraction
 
@@ -68,7 +68,7 @@ def twisted_zeta(i: int, x: Fraction, p: int,
         return bernoulli_poly(1 - i)(Fraction(x)) / order
     if precision is None:
         raise DomainError("precision is required for i >= 2")
-    integral = integral_pole_power(x, order, p, precision + int(vp(Q(order), p)))
+    integral = integral_pole_powers(x, p, {order: precision + int(vp(Q(order), p))})[order]
     return integral.mul_fraction(Q(1, order))
 
 
@@ -97,7 +97,7 @@ def zeta_p_pos(s: int, x: Fraction, p: int, precision: int) -> ZetaPosValue:
     order = s - 1
     h = check_hurwitz_domain(x, p)
     twisted = twisted_zeta(s, x, p, precision + order * h)
-    omega_pow = teichmuller_ext(x, p, twisted.relative_precision() + 2) ** order
+    omega_pow = teichmuller_ext(x, p, twisted.relative_precision()) ** order
     zeta = omega_pow * twisted
     return ZetaPosValue(zeta=zeta, twisted=twisted)
 
@@ -115,43 +115,6 @@ def zeta_p_nonpos(one_minus_n: int, x: Fraction, p: int) -> OmegaSplit:
     check_hurwitz_domain(x, p)
     return OmegaSplit(p=p, base=x, exponent=one_minus_n - 1,
                       rational=twisted_zeta(one_minus_n, x, p))
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """Both sides of zeta_p(i, x+1) - zeta_p(i, x) = -<x>^(1-i)/x."""
-
-    lhs: OmegaSplit | Padic
-    rhs: OmegaSplit | Padic
-    agrees: bool
-    modulus_exp: Optional[int]
-    exact: bool
-
-
-def zeta_p_shift(i: int, x: Fraction, p: int, precision: Optional[int] = None) -> ShiftReport:
-    """Evaluate both sides of the shift identity independently."""
-    check_prime(p)
-    if i == 1:
-        raise DomainError("the shift identity excludes i = 1")
-    x = Fraction(x)
-    check_hurwitz_domain(x, p)
-    if i <= 0:
-        n = 1 - i
-        bn = bernoulli_poly(n)
-        # omega(x+1) = omega(x) on the domain, so the split shares one base
-        lhs = OmegaSplit(p=p, base=x, exponent=-n,
-                         rational=-(bn(x + 1) - bn(x)) / n)
-        rhs = OmegaSplit(p=p, base=x, exponent=-n, rational=-(x ** (n - 1)))
-        return ShiftReport(lhs=lhs, rhs=rhs, agrees=lhs.rational == rhs.rational,
-                           modulus_exp=None, exact=True)
-    if precision is None:
-        raise DomainError("precision is required for the positive branch")
-    left = zeta_p_pos(i, x + 1, p, precision).zeta - zeta_p_pos(i, x, p, precision).zeta
-    rel = precision + max(0, -int(vp(x, p)) * abs(1 - i)) + 4
-    rhs = (angle(x, p, rel) ** (1 - i)).mul_fraction(-1 / x)
-    k = min(left.prec, rhs.prec)
-    return ShiftReport(lhs=left, rhs=rhs, agrees=left.agrees(rhs, k),
-                       modulus_exp=k, exact=False)
 
 
 def reduce_to_unit_interval(x: Fraction, p: int) -> tuple[Fraction, list[tuple[Fraction, int]]]:
@@ -186,8 +149,10 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     with every omega(j)^e = +-1 the value is exact (a Fraction, or a
     CyclotomicElement for irrational characters). Otherwise the sum is taken
     modulo p^A with A = precision + i m, since vp(D^(-i)) = -i m, and the
-    Padic returned is known modulo p^precision. For i >= 2 it is the
-    one-entry case of the unit sum behind lp_values.
+    Padic returned is known modulo p^precision. For i <= 0 that is one
+    integer sum: with F = min_j vp(Z_j), the weights of _unit_weights times
+    Z_j / p^F, modulo p^(A-F). For i >= 2 it is the one-entry case of the
+    unit sum behind lp_values.
     """
     check_prime(p)
     if i == 1:
@@ -196,33 +161,26 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
         raise DomainError("need precision >= 1")
     if omega_exp is None:
         omega_exp = 1 - i
-    D, m = _sum_level(chi, p, l, i >= 2)
+    D, m = _sum_level(chi, p, l)
     e = (omega_exp + i - 1) % phi_qp(p)
     if i >= 2:
         return _pole_sum(chi, p, D, m, e, {i: precision})[i]
+    units = list(chi_units(chi, D, p))
+    zetas = [twisted_zeta(i, Q(j, D), p) for j, _ in units]
     # omega(j)^e = omega(j^e), which is +-1 exactly when j^e = +-1 mod q_p
-    units = [(j, c, teichmuller_rational(pow(j, e, qp(p)), p))
-             for j, c in chi_units(chi, D, p)]
-    if all(w is not None for _, _, w in units):
-        total = Q(0)
-        for j, c, w in units:
-            total = total + c * (w * twisted_zeta(i, Q(j, D), p))
+    signs = [teichmuller_rational(pow(j, e, qp(p)), p) for j, _ in units]
+    if None not in signs:
+        total = sum((c * (w * z) for (_, c), w, z in zip(units, signs, zetas)), Q(0))
         out = total * Q(D) ** -i
         if isinstance(out, CyclotomicElement) and out.is_rational():
             return out.rational_value()
         return out
     A = precision + i * m
-    acc = Padic.zero(p, A)
-    for j, c, w in units:
-        z = Padic.from_fraction(twisted_zeta(i, Q(j, D), p), p, A)
-        if z.is_zero_at_precision():
-            continue
-        if w is None:
-            z = z * teichmuller(j, p, z.relative_precision()) ** e
-        elif w == -1:
-            z = -z
-        acc = acc + scale_by_value(z, c)
-    return acc.mul_fraction(Q(D) ** -i)
+    F = min((int(vp(z, p)) for z in zetas if z), default=A)
+    R = max(A - F, 1)
+    total = sum(w * fraction_mod_pk(z / Q(p) ** F, p, R)
+                for (_, w), z in zip(_unit_weights(units, p, e, R), zetas))
+    return Padic.normalized(p, F, total, A).mul_fraction(Q(D) ** -i)
 
 
 def lp_values(chi: DirichletCharacter, p: int, l: int,
@@ -237,27 +195,42 @@ def lp_values(chi: DirichletCharacter, p: int, l: int,
         raise DomainError("lp_values takes i >= 2")
     if any(N < 1 for N in precisions.values()):
         raise DomainError("need precision >= 1")
-    D, m = _sum_level(chi, p, l, True)
+    D, m = _sum_level(chi, p, l)
     return _pole_sum(chi, p, D, m, 0, precisions)
 
 
-def _sum_level(chi: DirichletCharacter, p: int, l: int, positive: bool) -> tuple[int, int]:
+def _sum_level(chi: DirichletCharacter, p: int, l: int) -> tuple[int, int]:
     """(D, l_min): the D = d' p^l_min every L-value sums at, once l is checked.
 
     The Hurwitz decomposition holds for every D that is a multiple of the
     conductor and of q_p (Washington, Introduction to Cyclotomic Fields,
     Thm 5.11), and L_p does not depend on which, so the sum runs at the
     least level l_min = max(l0, 1), or max(l0, 2) at p = 2, whatever level l
-    it is asked at. l must be at least max(1, l0), and for i >= 2 at p = 2
-    at least 2, where the parameters of the linear forms start too.
+    it is asked at. l must be at least max(1, l0).
     """
     l0 = int(vp_int(chi.conductor, p))
     if l < max(1, l0):
         raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
-    if positive and p == 2 and l < 2:
-        raise DomainError("p = 2 needs l >= 2 so that |j/D|_2 >= 4")
     l_min = max(l0, 2 if p == 2 else 1)
     return chi.conductor // p ** l0 * p ** l_min, l_min
+
+
+def _unit_weights(units: Iterable[tuple[int, CharValue]], p: int, e: int,
+                  R: int) -> Iterator[tuple[int, int]]:
+    """(j, chi(j) omega(j)^e mod p^R) for each (j, chi(j)) of units.
+
+    chi(j) is a root of unity, taken into Q_p by the default embedding;
+    omega(j)^e is read exactly when it is +-1.
+    """
+    mod = p ** R
+    for j, c in units:
+        weight = value_to_padic(c, p, R).unit
+        w = teichmuller_rational(pow(j, e, qp(p)), p)
+        if w is None:
+            weight = weight * pow(teichmuller(j, p, R).unit, e, mod)
+        elif w == -1:
+            weight = -weight
+        yield j, weight % mod
 
 
 def _pole_sum(chi: DirichletCharacter, p: int, D: int, h: int, e: int,
@@ -267,7 +240,7 @@ def _pole_sum(chi: DirichletCharacter, p: int, D: int, h: int, e: int,
     Z(i, x) = Int (x+t)^-k dt / k with k = i - 1, and every unit j has
     vp(j/D) = -h, so every integral is p^(kh-1) times the residue that
     pole_power_residues gives, known modulo p^rel_k. One kernel call per
-    unit gives every k at once; the weights chi(j) omega(j)^e enter Q_p once
+    unit gives every k at once; the weights (_unit_weights) enter Q_p once
     per unit, and the sums stay integers modulo p^R, R the largest rel_k.
     The integrals are taken modulo p^(A_i + vp(k)), with A_i =
     precisions[i] + i h, so that dividing by k D^i leaves precisions[i].
@@ -276,13 +249,7 @@ def _pole_sum(chi: DirichletCharacter, p: int, D: int, h: int, e: int,
     R = max((N - (k * h - 1) for k, N in kprec.items()), default=1)
     mod = p ** R
     sums = dict.fromkeys(kprec, 0)
-    for j, c in chi_units(chi, D, p):
-        weight = value_to_padic(c, p, R).unit  # chi(j) is a root of unity
-        w = teichmuller_rational(pow(j, e, qp(p)), p)
-        if w is None:
-            weight = weight * pow(teichmuller(j, p, R).unit, e, mod) % mod
-        elif w == -1:
-            weight = -weight
+    for j, weight in _unit_weights(chi_units(chi, D, p), p, e, R):
         _, raws = pole_power_residues(Q(j, D), p, kprec)
         for k, raw in raws.items():
             sums[k] = (sums[k] + weight * raw) % mod

@@ -275,13 +275,3 @@ def teichmuller_ext(x: Fraction | int, p: int, prec: int) -> Padic:
     t = teichmuller(u, p, prec)
     return Padic(p, v, t.unit, v + prec)
 
-
-def angle(x: Fraction | int, p: int, prec: int) -> Padic:
-    """<x> = x / omega(x); a principal unit, = 1 mod q_p. prec is relative."""
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("angle of zero is undefined")
-    v = vp(x, p)
-    u = x / Fraction(p) ** v
-    t = teichmuller(u, p, prec)
-    return Padic.from_fraction(u, p, prec) / t

@@ -25,13 +25,11 @@ engines compute it here:
   B_j x^(-k-j) (Washington, Introduction to Cyclotomic Fields, Thm 5.11):
   one series of J = ceil(R/h) terms, R = max_k rel_k, serves every k, and
   all k <= kmax cost kmax passes of J additions (pole_power_residues).
-  integral_pole_power is the case of one k.
 
-The van der Put (wavelet) expansion stays as the exact form of a Riemann
-sum: the level-n sum equals the depth-n wavelet partial integral.
-rational_wavelet_tail_bound bounds every wavelet term by one constant,
-(i+1) h - 1, whatever the depth, so it certifies the Riemann sums but
-cannot drive an engine of its own.
+The level-n Riemann sum equals the depth-n partial integral of the van der
+Put (wavelet) expansion. rational_wavelet_tail_bound bounds every wavelet
+term by one constant, (i+1) h - 1, whatever the depth, so it certifies the
+Riemann sums but cannot drive an engine of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import INF, batch_invert, bernoulli_number, check_prime, vp, vp_int
 from .errors import DomainError, PrecisionError
@@ -48,8 +46,6 @@ from .padic import Padic, qp
 from .polynomials import Poly, RationalFunction
 
 Q = Fraction
-
-Integrand = Union[RationalFunction, Callable[[int], Fraction]]
 
 
 # -- van der Put basis ---------------------------------------------------------
@@ -66,81 +62,25 @@ def vdp_length(k: int, p: int) -> int:
     return n
 
 
-def vdp_data(k: int, p: int) -> tuple[int, int]:
-    """(l(k), k with its leading base-p digit removed); (0, 0) at k = 0."""
-    check_prime(p)
-    l = vdp_length(k, p)
-    if l == 0:
-        return 0, 0
-    return l, k - (k // p ** (l - 1)) * p ** (l - 1)
-
-
-def wavelet_indicator(k: int, p: int, t: int) -> int:
-    """chi_k(t): indicator of the disc k + p^l(k) Z_p."""
-    return 1 if (t - k) % p ** vdp_length(k, p) == 0 else 0
-
-
-@dataclass(frozen=True)
-class WaveletExpansion:
-    """Coefficients a_k for 0 <= k < p^depth of a function on Z_p."""
-
-    p: int
-    depth: int
-    coeffs: tuple[Fraction, ...]
-
-    def reconstruct(self, t: int) -> Fraction:
-        acc = Q(0)
-        for k, a in enumerate(self.coeffs):
-            if a and wavelet_indicator(k, self.p, t):
-                acc += a
-        return acc
-
-    def integral_partial(self) -> Fraction:
-        """sum a_k p^-l(k) over the stored range."""
-        acc = Q(0)
-        for k, a in enumerate(self.coeffs):
-            if a:
-                acc += a * Q(1, self.p ** vdp_length(k, self.p))
-        return acc
-
-
-def wavelet_coeffs(f: Callable[[int], Fraction], p: int, depth: int) -> WaveletExpansion:
-    """Exact coefficients a_0 = f(0), a_k = f(k) - f(k_-) up to k < p^depth."""
-    check_prime(p)
-    values = [Q(f(k)) for k in range(p ** depth)]
-    coeffs = [values[0]]
-    for k in range(1, p ** depth):
-        _, kminus = vdp_data(k, p)
-        coeffs.append(values[k] - values[kminus])
-    return WaveletExpansion(p=p, depth=depth, coeffs=tuple(coeffs))
-
-
 # -- Riemann-sum engine ----------------------------------------------------------
 
 
-def integral_riemann(f: Integrand, p: int, level: int,
-                     precision: Optional[int] = None) -> Fraction | Padic:
-    """The level-n Riemann sum p^-n sum_{k < p^n} f(k).
+def integral_riemann(f: RationalFunction, p: int, level: int, precision: int) -> Padic:
+    """The level-n Riemann sum p^-n sum_{k < p^n} f(k), exact modulo p^precision.
 
-    With precision=None, the exact Fraction sum of any callable f. Otherwise
-    f is a RationalFunction whose sum, exact modulo p^precision, is read from
-    f.residues at the floor v_floor = vp(content of f) - vp(den_prim(0)),
-    den_prim the primitive integer denominator; a summand below that floor
-    raises DomainError. Convergence across levels is the caller's concern.
+    The sum is read from f.residues at the floor v_floor = vp(content of f)
+    - vp(den_prim(0)), den_prim the primitive integer denominator; a summand
+    below that floor raises DomainError. Convergence across levels is the
+    caller's concern.
     """
     check_prime(p)
-    count = p ** level
-    if precision is None:
-        total = Q(0)
-        for k in range(count):
-            total += _eval_integrand(f, k)
-        return total / count
     if precision < 1:
         raise DomainError("need precision >= 1")
     if not isinstance(f, RationalFunction):
-        raise DomainError("a Riemann sum at a precision needs a rational function")
+        raise DomainError("a Riemann sum needs a rational function")
     if f.num.is_zero():
         return Padic.zero(p, precision)
+    count = p ** level
     scale_n, _ = f.num.content_primitive()
     scale_d, dens = f.den.content_primitive()
     if dens[0] == 0:
@@ -153,13 +93,6 @@ def integral_riemann(f: Integrand, p: int, level: int,
         raise DomainError("integrand has a pole in Z_p "
                           "(denominator valuation varies)") from exc
     return Padic.normalized(p, v_floor - level, sum(values), precision)
-
-
-def _eval_integrand(f: Integrand, k: int) -> Fraction:
-    try:
-        return f(k)
-    except ZeroDivisionError as exc:
-        raise DomainError(f"integrand has a pole at the integer {k}") from exc
 
 
 # -- Mahler-series engine ----------------------------------------------------------
@@ -300,16 +233,6 @@ def _integral_polynomial(poly: Poly) -> Fraction:
     return sum((c * bernoulli_number(k) for k, c in enumerate(poly.coeffs)), Q(0))
 
 
-def mahler_coefficients(f: Integrand, count: int) -> list[Fraction]:
-    """Exact forward differences (Delta^m f)(0) for m < count (test oracle)."""
-    row = [Q(_eval_integrand(f, a)) for a in range(count)]
-    out = []
-    for _ in range(count):
-        out.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return out
-
-
 # -- Bernoulli series of a single pole ----------------------------------------------
 
 
@@ -334,12 +257,6 @@ def integral_pole_powers(x: Fraction, p: int,
     """
     h, raws = pole_power_residues(x, p, precisions)
     return {k: Padic.normalized(p, k * h - 1, raw, precisions[k]) for k, raw in raws.items()}
-
-
-def integral_pole_power(x: Fraction, k: int, p: int, precision: int) -> Padic:
-    """Int (x+t)^-k dt over Z_p modulo p^precision, for |x|_p >= q_p and k >= 1."""
-    h, raws = pole_power_residues(x, p, {k: precision})
-    return Padic.normalized(p, k * h - 1, raws[k], precision)
 
 
 def pole_power_residues(x: Fraction, p: int,

@@ -110,7 +110,7 @@ def test_quartic_character_mod_5():
     chi = char_make(5, {1: CyclotomicElement.one(4), 2: i, 3: -i,
                         4: CyclotomicElement.from_rational(-1, 4)})
     assert chi.order == 4 and chi.conductor == 5 and chi.delta == 1
-    assert not chi.is_rational_valued()
+    assert chi.field_m == 4
     b = gen_bernoulli(3, chi)
     assert isinstance(b, CyclotomicElement) and not b.is_zero()
     data = chi_padic_data(chi, 13)  # 4 | 13 - 1, embedding resolvable

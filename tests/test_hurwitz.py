@@ -14,10 +14,11 @@ from padicforms.errors import DomainError, EmbeddingError
 from padicforms.heights import HeightMatrix, delta_p_valuation
 from padicforms.hurwitz import (check_hurwitz_domain, lp_value, lp_values,
                                 reduce_to_unit_interval, twisted_zeta, zeta_p_nonpos,
-                                zeta_p_pos, zeta_p_shift)
+                                zeta_p_pos)
 from padicforms.padic import Padic, phi_qp, qp, teichmuller
 from padicforms.polynomials import MAX_POWER_DEGREE, Poly, RationalFunction
-from padicforms.volkenborn import integral_pole_power, integral_riemann
+from padicforms.volkenborn import integral_pole_powers, integral_riemann
+from test_padic import angle
 
 
 def test_domain_validation():
@@ -94,20 +95,38 @@ def test_zeta_nonpos_values():
     assert split2.exact() == -(Q(1, 16)) ** -1 * (x * x - x + Q(1, 6)) / 2
 
 
+def _zeta_shift_sides(i, x, p, precision=None):
+    """Both sides of the shift identity zeta_p(i, x+1) - zeta_p(i, x) = -<x>^(1-i)/x.
+
+    The left side is the program's zeta_p at x + 1 and at x. For i <= 0
+    both sides are omega(x)^(i-1) times a rational, since omega(x+1) =
+    omega(x) on the Hurwitz domain, and the two rationals are returned;
+    for i >= 2 both sides are Padics.
+    """
+    if i <= 0:
+        n = 1 - i
+        shifted, base = zeta_p_nonpos(i, x + 1, p), zeta_p_nonpos(i, x, p)
+        assert shifted.exponent == base.exponent == -n
+        return shifted.rational - base.rational, -x ** (n - 1)
+    lhs = zeta_p_pos(i, x + 1, p, precision).zeta - zeta_p_pos(i, x, p, precision).zeta
+    rel = precision + max(0, -int(vp(x, p)) * abs(1 - i)) + 4
+    return lhs, (angle(x, p, rel) ** (1 - i)).mul_fraction(-1 / x)
+
+
 def test_zeta_shift_exact_branch():
     for i in (0, -1, -4):
-        rep = zeta_p_shift(i, Q(1, 5), 5)
-        assert rep.exact and rep.agrees
-    rep = zeta_p_shift(-1, Q(1, 4), 2)
+        lhs, rhs = _zeta_shift_sides(i, Q(1, 5), 5)
+        assert lhs == rhs
     # both sides -omega(x)^(-2) x at i = -1
-    assert rep.lhs.rational == -Q(1, 4) and rep.agrees
+    assert _zeta_shift_sides(-1, Q(1, 4), 2) == (-Q(1, 4), -Q(1, 4))
 
 
 def test_zeta_shift_positive_branch():
-    rep = zeta_p_shift(2, Q(1, 5), 5, precision=6)
-    assert rep.agrees and rep.modulus_exp >= 4
-    with pytest.raises(DomainError):
-        zeta_p_shift(1, Q(1, 5), 5)
+    lhs, rhs = _zeta_shift_sides(2, Q(1, 5), 5, precision=6)
+    k = min(lhs.prec, rhs.prec)
+    assert k >= 4 and lhs.agrees(rhs, k)
+    with pytest.raises(DomainError):  # zeta_p_pos refuses the pole s = 1
+        _zeta_shift_sides(1, Q(1, 5), 5, precision=6)
 
 
 def test_reduce_to_unit_interval():
@@ -156,11 +175,11 @@ def test_lp_value_l_stability():
     assert a.agrees(b, 4)
 
 
-def test_lp_value_positive_p2_needs_l2():
-    with pytest.raises(DomainError):
-        lp_value(2, trivial_character(), 2, l=1, precision=4)
-    v = lp_value(2, trivial_character(), 2, l=2, precision=6)
-    assert v.prec >= 6
+def test_lp_value_positive_p2_l1_equals_l2():
+    # at p = 2 every sum runs at D = d' 4, so l = 1 is read there too
+    for chi in (trivial_character(), quadratic_character(3)):
+        v = lp_value(2, chi, 2, l=1, precision=6)
+        assert v.prec == 6 and v == lp_value(2, chi, 2, l=2, precision=6)
 
 
 def test_lp_value_irrational_omega_power():
@@ -344,7 +363,7 @@ def _oracle_positive(i, chi, p, D, omega_exp, precision):
     target = precision - v_shift + int(vp(Q(order), p)) + 4
     acc = Padic.zero(p, precision - v_shift + 4)
     for j, c in chi_units(chi, D, p):
-        term = integral_pole_power(Q(j, D), order, p, target).mul_fraction(Q(1, order))
+        term = integral_pole_powers(Q(j, D), p, {order: target})[order].mul_fraction(Q(1, order))
         w = _oracle_omega_power(j, e_res, p)
         if w is None:
             term = term * teichmuller(Q(j), p, term.relative_precision() + 2) ** e_res
@@ -366,7 +385,7 @@ def _oracle_positive(i, chi, p, D, omega_exp, precision):
 @example("quartic", 13, -3, 2, 2, 12)  # omega(j)^e irrational, chi irrational
 def test_lp_value_agrees_with_the_two_branch_oracle(spec, p, i, extra, omega_exp, precision):
     chi = _quartic_character() if spec == "quartic" else character_from_spec(spec)
-    l = max(1 + (i >= 2 and p == 2), int(vp(Q(chi.conductor), p))) + extra
+    l = max(1, int(vp(Q(chi.conductor), p))) + extra  # l = 1 at p = 2 too
     while l > 1 and chi.conductor * p ** l > 3000:  # keep each sum small
         l -= 1
     try:
@@ -449,8 +468,7 @@ def test_lp_values_refuses_what_lp_value_refuses():
     for precisions in ({1: 5}, {0: 5}, {2: 0}, {2: 5, -1: 5}):
         with pytest.raises(DomainError):
             lp_values(triv, 5, 1, precisions)
-    with pytest.raises(DomainError):
-        lp_values(triv, 2, 1, {2: 5})
+    assert lp_values(triv, 2, 1, {2: 5}) == lp_values(triv, 2, 2, {2: 5})
     with pytest.raises(DomainError):
         lp_values(quadratic_character(5), 5, 0, {2: 5})
 
@@ -461,3 +479,48 @@ def test_nonpositive_zeta_refuses_x_outside_the_hurwitz_domain():
         with pytest.raises(DomainError):
             zeta_p_nonpos(-1, x, p)
     assert zeta_p_nonpos(-1, Q(1, 3), 3).exact() is not None
+
+
+# -- the positive branch against the Kubota-Leopoldt interpolation
+
+
+def _agreement(v, w):
+    """vp(v - w) for Padics known to the same precision, capped at it."""
+    d = v - w
+    return d.prec if d.val is None else d.val
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["trivial", "quadratic:3", "quadratic:4", "quadratic:5",
+                        "quadratic:8", "quartic"]),
+       st.sampled_from([2, 3, 5, 7]), st.integers(0, 2), st.integers(0, 1))
+@example("quadratic:4", 2, 0, 0)
+@example("trivial", 2, 1, 1)  # i = 5: at m = 1, vp(n_1) = 3 > vp(i - 1) = 2
+@example("quartic", 5, 0, 1)
+def test_lp_value_positive_rises_one_digit_per_congruence_level(spec, p, k, extra):
+    # L_p(1-n, chi omega^(1-i)) = -(1 - chi(p) p^(n-1)) B_(n,chi)/n when
+    # 1 - n = i mod phi(q_p), and L_p is p-adically continuous. With
+    # n_m = 1 - i + phi(q_p) p^m u, u a unit, vp(i - (1 - n_m)) = vp(phi(q_p)) + m
+    # exactly, so the agreement of L_p(i) with the exact value at 1 - n_m rises
+    # by one digit per step of m. The steps are read from m = 1 (m = 0 may agree
+    # by chance) and once vp(phi(q_p) p^m) > vp(i - 1): then vp(n_m) = vp(i - 1),
+    # so the pole at s = 1 of a trivial twist shifts every agreement alike
+    chi = _quartic_character() if spec == "quartic" else character_from_spec(spec)
+    assume(spec != "quartic" or p == 5)  # Q(i) embeds in Q_5 only
+    i = 3 + 2 * k - chi.delta  # chi omega^(1-i) even, else L_p vanishes
+    N = 30
+    value = lp_value(i, chi, p, max(1, int(vp(Q(chi.conductor), p))) + extra, precision=N)
+    agreement = []
+    m = max(1, int(vp(Q(i - 1), p) - vp(Q(phi_qp(p)), p)) + 1)
+    while True:
+        step, u = phi_qp(p) * p ** m, 1
+        while 1 - i + step * u < 2 or u % p == 0:
+            u += 1
+        n = 1 - i + step * u
+        if n > 500:  # gen_bernoulli stays at n <= 500
+            break
+        exact = -(1 - chi.value(p) * Q(p) ** (n - 1)) * gen_bernoulli(n, chi) / n
+        agreement.append(_agreement(value, value_to_padic(exact, p, N)))
+        m += 1
+    assert len(agreement) >= 2 and max(agreement) < N, agreement
+    assert all(b - a == 1 for a, b in zip(agreement, agreement[1:])), agreement

@@ -92,3 +92,43 @@ def test_only_cyclotomic_constructs_embeddings():
                       for node in ast.walk(tree) if isinstance(node, ast.Call)
                       and "PadicEmbedding" in ast.unparse(node.func))
     assert builders == []
+
+
+def _names(tree):
+    """Every name a module reads, imports or spells in a dotted string constant."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+# top-level names that only the tests call and that stay in src/: each states
+# a lemma of the paper that the acceptance criteria run
+TEST_ONLY_NAMES_THAT_STAY = {
+    "translate_integral",           # the translation formula (criterion 3)
+    "rational_wavelet_tail_bound",  # the Riemann sums' certificate (criterion 1)
+    "height_K", "height_p_valuation", "delta_p_valuation",  # height lemmas (criterion 10)
+}
+
+
+def test_every_top_level_name_is_used_outside_the_tests():
+    # a top-level function or class of src/ that neither the program (apart
+    # from the re-exports of __init__) nor perfbench/ names belongs in the
+    # tests, as an oracle, unless it is one of the names that stay
+    defined = {node.name: name for name, tree in MODULES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set().union(*(_names(tree) for name, tree in MODULES.items()
+                         if name != "__init__"))
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    used |= set().union(*(_names(ast.parse(path.read_text()))
+                          for path in bench.rglob("*.py")))
+    unused = {name for name in defined if name not in used}
+    assert unused - TEST_ONLY_NAMES_THAT_STAY == set()
+    assert TEST_ONLY_NAMES_THAT_STAY <= unused  # no stale entry

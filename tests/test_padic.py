@@ -6,7 +6,7 @@ import pytest
 
 from padicforms.arith import vp
 from padicforms.errors import DomainError, PrecisionError
-from padicforms.padic import (Padic, angle, fraction_mod_pk, phi_qp, qp,
+from padicforms.padic import (Padic, fraction_mod_pk, phi_qp, qp,
                               teichmuller, teichmuller_ext, teichmuller_rational)
 
 
@@ -108,6 +108,15 @@ def test_teichmuller_defining_congruences():
 def test_teichmuller_rejects_non_units():
     with pytest.raises(DomainError):
         teichmuller(Q(5), 5, 3)
+
+
+def angle(x, p, prec):
+    """<x> = x / omega(x), a principal unit (= 1 mod q_p); prec is relative."""
+    x = Q(x)
+    if x == 0:
+        raise DomainError("angle of zero is undefined")
+    u = x / Q(p) ** vp(x, p)
+    return Padic.from_fraction(u, p, prec) / teichmuller(u, p, prec)
 
 
 def test_teichmuller_ext_and_angle():

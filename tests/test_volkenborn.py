@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -12,11 +13,72 @@ from padicforms.padic import Padic, fraction_mod_pk
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
 from padicforms import volkenborn
 from padicforms.volkenborn import (PoleData, check_hurwitz_domain, integral_mahler,
-                                   integral_pole_power, integral_pole_powers,
-                                   integral_riemann, mahler_coefficients,
+                                   integral_pole_powers, integral_riemann,
                                    mahler_error_valuation, rational_wavelet_tail_bound,
-                                   translate_integral, vdp_data, vdp_length,
-                                   wavelet_coeffs)
+                                   translate_integral, vdp_length)
+
+
+# -- oracles: the van der Put expansion, exact Riemann sums and Mahler coefficients
+
+
+def vdp_data(k, p):
+    """(l(k), k with its leading base-p digit removed); (0, 0) at k = 0."""
+    l = vdp_length(k, p)
+    if l == 0:
+        return 0, 0
+    return l, k - (k // p ** (l - 1)) * p ** (l - 1)
+
+
+def wavelet_indicator(k, p, t):
+    """chi_k(t): indicator of the disc k + p^l(k) Z_p."""
+    return 1 if (t - k) % p ** vdp_length(k, p) == 0 else 0
+
+
+@dataclass(frozen=True)
+class WaveletExpansion:
+    """Coefficients a_k for 0 <= k < p^depth of a function on Z_p."""
+
+    p: int
+    depth: int
+    coeffs: tuple
+
+    def reconstruct(self, t):
+        return sum((a for k, a in enumerate(self.coeffs)
+                    if a and wavelet_indicator(k, self.p, t)), Q(0))
+
+    def integral_partial(self):
+        """sum a_k p^-l(k) over the stored range."""
+        return sum((a * Q(1, self.p ** vdp_length(k, self.p))
+                    for k, a in enumerate(self.coeffs) if a), Q(0))
+
+
+def wavelet_coeffs(f, p, depth):
+    """Exact coefficients a_0 = f(0), a_k = f(k) - f(k_-) up to k < p^depth."""
+    values = [Q(f(k)) for k in range(p ** depth)]
+    coeffs = [values[0]] + [values[k] - values[vdp_data(k, p)[1]]
+                            for k in range(1, p ** depth)]
+    return WaveletExpansion(p=p, depth=depth, coeffs=tuple(coeffs))
+
+
+def riemann_sum(f, p, level):
+    """The exact level-n Riemann sum p^-n sum_{k < p^n} f(k) of any callable f."""
+    total = Q(0)
+    for k in range(p ** level):
+        try:
+            total += f(k)
+        except ZeroDivisionError as exc:
+            raise DomainError(f"integrand has a pole at the integer {k}") from exc
+    return total / p ** level
+
+
+def mahler_coefficients(f, count):
+    """Exact forward differences (Delta^m f)(0) for m < count."""
+    row = [Q(f(a)) for a in range(count)]
+    out = []
+    for _ in range(count):
+        out.append(row[0])
+        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    return out
 
 
 def test_vdp_data_examples():
@@ -60,32 +122,41 @@ def test_integral_wavelet():
 
 
 def test_integral_riemann_exact_examples():
+    # each exact oracle value, and integral_riemann modulo p^8
     f = RationalFunction(Poly([0, 1]))
-    assert integral_riemann(f, 3, 2) == 4  # (1/9) * 36
+    assert riemann_sum(f, 3, 2) == 4  # (1/9) * 36
+    assert integral_riemann(f, 3, 2, precision=8) == Padic.from_fraction(4, 3, 8)
     const = RationalFunction(Poly([Q(5, 7)]))
     for level in (0, 1, 3):
-        assert integral_riemann(const, 3, level) == Q(5, 7)
+        assert riemann_sum(const, 3, level) == Q(5, 7)
+        assert integral_riemann(const, 3, level, precision=8) \
+            == Padic.from_fraction(Q(5, 7), 3, 8)
     # t^2 partial sums stabilize toward B_2 = 1/6
     fsq = RationalFunction(Poly([0, 0, 1]))
     for n in (2, 3, 4):
-        s = integral_riemann(fsq, 2, n)
-        assert vp(s - Q(1, 6), 2) >= n - 1
+        assert vp(riemann_sum(fsq, 2, n) - Q(1, 6), 2) >= n - 1
+        s = integral_riemann(fsq, 2, n, precision=8)
+        assert (s - Padic.from_fraction(Q(1, 6), 2, 8)).valuation() >= n - 1
 
 
 def test_integral_riemann_modular_matches_exact():
     f = parse_rational_function("(1/5+t)^-1")
     for level in (2, 3, 4):
-        exact = integral_riemann(f, 5, level)
+        exact = riemann_sum(f, 5, level)
         modular = integral_riemann(f, 5, level, precision=8)
         assert modular.agrees(Padic.from_fraction(exact, 5, modular.prec))
     square = RationalFunction(Poly([0, 0, 1]))
     modc = integral_riemann(square, 3, 3, precision=6)
-    assert modc.agrees(Padic.from_fraction(integral_riemann(square, 3, 3), 3, 6))
+    assert modc.agrees(Padic.from_fraction(riemann_sum(square, 3, 3), 3, 6))
 
 
 def test_integral_riemann_pole_detection():
+    # pole at the summand 3
+    pole = RationalFunction(Poly([1]), Poly([-3, 1]))
     with pytest.raises(DomainError):
-        integral_riemann(RationalFunction(Poly([1]), Poly([-3, 1])), 2, 3)
+        riemann_sum(pole, 2, 3)
+    with pytest.raises(DomainError):
+        integral_riemann(pole, 2, 3, precision=4)
     # pole at -3 lies in Z_3 even though no summand hits it
     with pytest.raises(DomainError):
         integral_riemann(parse_rational_function("(3+t)^-1"), 3, 2, precision=4)
@@ -122,7 +193,7 @@ def test_modular_riemann_matches_exact_sum_property(p, level, precision, poles, 
     if root is not None:
         f = f * RationalFunction(Poly([-root, 1]))
     try:
-        exact = integral_riemann(f, p, level)
+        exact = riemann_sum(f, p, level)
     except DomainError:  # a pole at a summand
         with pytest.raises(DomainError):
             integral_riemann(f, p, level, precision=precision)
@@ -216,8 +287,11 @@ def test_riemann_sum_equals_wavelet_partial():
     # the level-n Riemann sum is exactly the depth-n truncated wavelet integral
     f = parse_rational_function("(1/3+t)^-1")
     for level in (1, 2, 3):
-        w = wavelet_coeffs(lambda t: f(t), 3, level)
-        assert w.integral_partial() == integral_riemann(f, 3, level)
+        partial = wavelet_coeffs(f, 3, level).integral_partial()
+        assert partial == riemann_sum(f, 3, level)
+        for precision in (1, 6, 20):
+            assert integral_riemann(f, 3, level, precision=precision) \
+                == Padic.from_fraction(partial, 3, precision)
 
 
 def fraction_residues(f, count, p, v_floor, rel):
@@ -344,7 +418,7 @@ def _pole_point(p, h, a, m):
 
 
 def _assert_same_padic(x, k, p, precision):
-    got = integral_pole_power(x, k, p, precision)
+    got = integral_pole_powers(x, p, {k: precision})[k]
     want = _mahler_pole_power(x, k, p, precision)
     assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec), \
         (x, k, p, precision)
@@ -424,7 +498,7 @@ def test_pole_powers_match_the_series_and_mahler_oracles(p, dh, a, m, precisions
         want = _series_pole_power(x, k, p, precision)
         assert (got[k].val, got[k].unit, got[k].prec) == (want.val, want.unit, want.prec), \
             (x, k, p, precision)
-        assert got[k] == integral_pole_power(x, k, p, precision)
+        assert got[k] == integral_pole_powers(x, p, {k: precision})[k]
     k = sorted(precisions)[mahler_at % len(precisions)]
     if k * precisions[k] <= 3000:  # keeps the Mahler engine's M small
         _assert_same_padic(x, k, p, precisions[k])
@@ -452,24 +526,22 @@ def test_pole_powers_of_one_large_order_cost_one_sum():
 
 def test_pole_power_simple_value():
     # Int (1/5 + t)^-1 dt = 5 mod 25, as the Mahler engine reports
-    assert integral_pole_power(Q(1, 5), 1, 5, 6).agrees(Padic.from_fraction(5, 5, 2))
+    assert integral_pole_powers(Q(1, 5), 5, {1: 6})[1].agrees(Padic.from_fraction(5, 5, 2))
 
 
 def test_pole_power_domain_checks():
     for x, p in ((Q(0), 5), (Q(1, 2), 2), (Q(5, 2), 2), (Q(3), 3),
                  (Q(2, 5), 3), (Q(7, 3), 7)):
         with pytest.raises(DomainError):
-            integral_pole_power(x, 2, p, 10)
+            integral_pole_powers(x, p, {2: 10})
     f = parse_rational_function("(1/5+t)^-1")
     for precision in (0, -3):
         with pytest.raises(DomainError):
-            integral_pole_power(Q(1, 5), 2, 5, precision)
+            integral_pole_powers(Q(1, 5), 5, {2: precision})
         with pytest.raises(DomainError):
             integral_mahler(f, 5, precision)
         with pytest.raises(DomainError):
             integral_riemann(f, 5, 3, precision=precision)
-    with pytest.raises(DomainError):
-        integral_pole_power(Q(1, 5), 0, 5, 10)
     for precisions in ({0: 10}, {1: 10, 2: 0}, {1: 10, -1: 10}):
         with pytest.raises(DomainError):
             integral_pole_powers(Q(1, 5), 5, precisions)
