@@ -5,7 +5,7 @@ from .arith import (bernoulli_number, bernoulli_poly, binom_padic_data,
 from .characters import (ChiPadicData, DirichletCharacter, char_make,
                          character_from_spec, chi_padic_data, gen_bernoulli,
                          quadratic_character, trivial_character)
-from .cyclotomic import CyclotomicElement, PadicEmbedding
+from .cyclotomic import CyclotomicElement
 from .errors import (DegreeError, DomainError, EmbeddingError, IntegralityError,
                      NonSplitDenominator, PrecisionError)
 from .forms import (FormParameters, LinearFormOverK, PartialFractionTable,

@@ -13,6 +13,7 @@ from .errors import IntegralityError
 from .forms import (FormParameters, build_rn, choose_params, family_form,
                     form_identity, form_scale, hurwitz_family, hurwitz_params,
                     lvalue_family, partial_fractions, rho_zero)
+from .padic import vp_qp
 from .verification import (CheckReport, _report, check_chi_congruence,
                            check_fj_integral, check_valuation_formula,
                            growth_bound_check)
@@ -154,7 +155,7 @@ def random_small_configurations(count: int = 50, seed: int = 20250808) -> list[R
             n = rng.randint(1, 3)
         else:
             p = rng.choice([2, 2, 3, 3, 5])
-            l = 2 if p == 2 else 1
+            l = vp_qp(p)
             x = Q(rng.choice(list(p_units(p ** l, p))), p ** l)
             n = 1 if p == 5 else rng.randint(1, 2)
         probe = _config_params(chi, x, p, max(2, p - 1), l)

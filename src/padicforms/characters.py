@@ -262,17 +262,16 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> CharValue:
 
 @dataclass(frozen=True)
 class ChiPadicData:
-    """Conductor split d = d' p^l0, vp(B_(2+delta,chi)) and the offset r = that + 1."""
+    """Conductor split d = d' p^l0, B_(2+delta,chi) and the offset r = vp(B_(2+delta,chi)) + 1."""
 
     d_prime: int
     l0: int
     r: int
     b_head: CharValue
-    b_valuation: int
 
 
 def chi_padic_data(chi: DirichletCharacter, p: int) -> ChiPadicData:
-    """Split the conductor at p and read vp(B_(2+delta,chi)) under the default embedding."""
+    """Split the conductor at p and read vp(B_(2+delta,chi)) under the embedding of K."""
     check_prime(p)
     cond = chi.conductor
     l0 = int(vp_int(cond, p))
@@ -280,5 +279,4 @@ def chi_padic_data(chi: DirichletCharacter, p: int) -> ChiPadicData:
     b = gen_bernoulli(2 + chi.delta, chi)
     if b == 0:
         raise DomainError("B_(2+delta) vanishes; parity contract violated")
-    nu = int(padic_valuation(b, p))
-    return ChiPadicData(d_prime=d_prime, l0=l0, r=nu + 1, b_head=b, b_valuation=nu)
+    return ChiPadicData(d_prime=d_prime, l0=l0, r=int(padic_valuation(b, p)) + 1, b_head=b)

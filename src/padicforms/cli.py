@@ -218,11 +218,16 @@ def _cmd_verify(args) -> int:
             return _fail("precondition", "verify all requires --catalog",
                          EXIT_PRECONDITION)
         reports = list(run_catalog(digits=args.digits))
+    elif args.check == "integrality":
+        # the sweep draws its own configurations, so it reads no character flags
+        configs = random_small_configurations(count=args.count)
+        reports = [check_config_integrality(cfg) for cfg in configs]
+    elif args.check == "lambert":
+        chi = character_from_spec(args.character)
+        reports = [lambert_inequality_check(chi, args.p, args.s, Q(args.epsilon))]
     else:
         chi = character_from_spec(args.character)
-        if args.check in ("chi-congruence", "fj-integral", "valuation", "growth",
-                          "integrality"):
-            params = choose_params(chi, args.p, args.s, l=args.l)
+        params = choose_params(chi, args.p, args.s, l=args.l)
         if args.check == "chi-congruence":
             reports = [check_chi_congruence(params, args.n, args.j, range(64))]
         elif args.check == "fj-integral":
@@ -231,14 +236,8 @@ def _cmd_verify(args) -> int:
             reports = [check_valuation_formula(params, args.n, chi)]
         elif args.check == "growth":
             reports = [growth_bound_check(params, args.n)]
-        elif args.check == "integrality":
-            configs = random_small_configurations(count=args.count)
-            reports = [check_config_integrality(cfg) for cfg in configs]
-        elif args.check == "lambert":
-            reports = [lambert_inequality_check(chi, args.p, args.s, Q(args.epsilon))]
         elif args.check == "rate-fit":
             ns = [int(v) for v in args.ns.split(",")]
-            params = choose_params(chi, args.p, args.s, l=args.l)
             points = form_sequence(params, chi, ns)
             fit = fit_rates([(pt.sigma, pt.log_height, pt.nu_lambda) for pt in points],
                             args.p)

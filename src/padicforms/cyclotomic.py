@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import check_prime, vp, vp_int
+from .arith import check_prime, is_prime, vp, vp_int
 from .errors import DomainError, EmbeddingError, IntegralityError
 from .padic import Padic, phi_qp, qp, teichmuller
 from .polynomials import Poly, as_fraction
@@ -205,7 +204,7 @@ class CyclotomicElement:
             e >>= 1
         return out
 
-    # -- norm and embeddings --------------------------------------------------
+    # -- norm and embedding ---------------------------------------------------
 
     def norm(self) -> Fraction:
         """Field norm to Q, as the resultant with the cyclotomic polynomial."""
@@ -213,87 +212,71 @@ class CyclotomicElement:
             return Q(0)
         return resultant(cyclotomic_polynomial(self.m), self.as_poly())
 
-    def embed(self, embedding: PadicEmbedding, prec: int) -> Padic:
-        """Image modulo p^prec under the embedding sending zeta_m to embedding.root(prec)."""
-        if self.m != embedding.m:
-            raise EmbeddingError(
-                f"element lives in Q(zeta_{self.m}) but embedding fixes zeta_{embedding.m}")
-        root = embedding.root(prec)
-        acc = Padic.zero(embedding.p, prec)
+    def embed(self, p: int, prec: int) -> Padic:
+        """Image modulo p^prec under the embedding sending zeta_m to zeta_image(p, m, prec)."""
+        root = zeta_image(p, self.m, prec)
+        acc = Padic.zero(p, prec)
         for c in reversed(self.coords):
             acc = acc * root
             if c != 0:
-                acc = acc + Padic.from_fraction(c, embedding.p, prec)
+                acc = acc + Padic.from_fraction(c, p, prec)
             acc = acc.at_precision(min(acc.prec, prec))
         return acc
 
 
-@dataclass(frozen=True)
-class PadicEmbedding:
-    """The embedding Q(zeta_m) -> Q_p sending zeta_m to the Teichmuller lift of g.
+def zeta_image(p: int, m: int, prec: int) -> Padic:
+    """The image of zeta_m in Q_p modulo p^prec, under the one embedding of Q(zeta_m).
 
-    g is a residue of order exactly m mod q_p (p, or 4 when p = 2), so the
-    image is the root of unity fixed by its residue (Washington, Introduction
-    to Cyclotomic Fields, Ch. 5) and is known to any precision.
+    zeta_m goes to the Teichmuller lift of the least positive g of order m
+    mod q_p (p, or 4 when p = 2): the root of unity fixed by its residue
+    (Washington, Introduction to Cyclotomic Fields, Ch. 5), known to any
+    precision. It exists only when m | phi(q_p). A shallower request
+    truncates the deepest lift so far, so each (p, m) is lifted once per
+    new depth.
     """
-
-    p: int
-    m: int
-    g: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        q = qp(self.p)
-        if math.gcd(self.g, q) != 1 or _mult_order(self.g, q) != self.m:
-            raise EmbeddingError(f"{self.g} does not have order {self.m} mod {q}")
-
-    def root(self, prec: int) -> Padic:
-        """The image of zeta_m modulo p^prec, truncated from the deepest lift so far."""
-        lift = _LIFTS.get((self.p, self.g))
-        if lift is None or lift.prec < prec:
-            lift = _LIFTS[(self.p, self.g)] = teichmuller(self.g, self.p, prec)
-        return lift.at_precision(prec)
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def default(cls, p: int, m: int) -> PadicEmbedding:
-        """zeta_m goes to the Teichmuller lift of the least positive g of order m."""
-        check_prime(p)
-        if m < 1 or phi_qp(p) % m != 0:
-            raise EmbeddingError(f"no {m}-th roots of unity in Z_{p}: need m | {phi_qp(p)}")
-        q = qp(p)
-        return cls(p, m, next(g for g in range(1, q)
-                              if math.gcd(g, q) == 1 and _mult_order(g, q) == m))
+    lift = _LIFTS.get((p, m))
+    if lift is None or lift.prec < prec:
+        lift = _LIFTS[(p, m)] = teichmuller(_least_residue_of_order(p, m), p, prec)
+    return lift.at_precision(prec)
 
 
-# (p, g) -> the deepest Teichmuller lift of g so far; a memo of a pure map,
+@lru_cache(maxsize=None)
+def _least_residue_of_order(p: int, m: int) -> int:
+    """The least positive g of order m mod q_p."""
+    check_prime(p)
+    if m < 1 or phi_qp(p) % m != 0:
+        raise EmbeddingError(f"no {m}-th roots of unity in Z_{p}: need m | {phi_qp(p)}")
+    q = qp(p)
+    # g has order exactly m when g^m = 1 and no g^(m/r) = 1 for a prime r | m
+    primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    return next(g for g in range(1, q) if pow(g, m, q) == 1
+                and all(pow(g, m // r, q) != 1 for r in primes))
+
+
+# (p, m) -> the deepest lift of zeta_image so far; a memo of a pure map,
 # since the lift modulo p^k is the deeper lift truncated
 _LIFTS: dict[tuple[int, int], Padic] = {}
 
 
-def value_to_padic(v: CyclotomicElement | Fraction, p: int, prec: int,
-                   embedding: PadicEmbedding | None = None) -> Padic:
-    """v in Q_p modulo p^prec; an irrational v goes through the embedding.
+def value_to_padic(v: CyclotomicElement | Fraction, p: int, prec: int) -> Padic:
+    """v in Q_p modulo p^prec; an irrational v goes through zeta_image.
 
-    The embedding defaults to PadicEmbedding.default(p, v.m). The
-    integral c v (see _clear_denominators) is embedded at prec + vp(c) and
+    The integral c v (see _clear_denominators) is embedded at prec + vp(c) and
     divided by c, so the result keeps all prec digits.
     """
     if isinstance(v, CyclotomicElement):
         if not v.is_rational():
             c, cv = _clear_denominators(v)
             extra = int(vp_int(c, p))
-            image = cv.embed(embedding or PadicEmbedding.default(p, v.m), prec + extra)
+            image = cv.embed(p, prec + extra)
             return image.mul_fraction(Q(1, c))
         v = v.rational_value()
     return Padic.from_fraction(v, p, prec)
 
 
-def padic_valuation(x: CyclotomicElement | Fraction, p: int,
-                    embedding: PadicEmbedding | None = None) -> int | float:
-    """vp of x in Q_p (math.inf at 0); an irrational x goes through the embedding.
+def padic_valuation(x: CyclotomicElement | Fraction, p: int) -> int | float:
+    """vp of x in Q_p (math.inf at 0); an irrational x goes through zeta_image.
 
-    The embedding defaults to PadicEmbedding.default, as in value_to_padic.
     The precision is read off in closed form: c x lies in Z[zeta_m], and p
     splits completely in Q(zeta_m) when m | p - 1 (Washington, Introduction
     to Cyclotomic Fields, Thm 2.13). So the images of c x under the phi(m)
@@ -308,7 +291,7 @@ def padic_valuation(x: CyclotomicElement | Fraction, p: int,
         return vp(x, p)
     c, cx = _clear_denominators(x)
     prec = int(vp(cx.norm(), p)) + 1
-    image = cx.embed(embedding or PadicEmbedding.default(p, x.m), prec)
+    image = cx.embed(p, prec)
     return image.valuation() - vp_int(c, p)
 
 
@@ -325,21 +308,11 @@ def _clear_denominators(x: CyclotomicElement) -> tuple[int, CyclotomicElement]:
     return c, x * c
 
 
-def scale_by_value(x: Padic, c: CyclotomicElement | Fraction,
-                   embedding: PadicEmbedding | None = None) -> Padic:
+def scale_by_value(x: Padic, c: CyclotomicElement | Fraction) -> Padic:
     """x * c, with c taken into Q_p two digits beyond x's relative precision."""
     if isinstance(c, Fraction):
         return x.mul_fraction(c)
-    return x * value_to_padic(c, x.p, x.relative_precision() + 2, embedding)
-
-
-def _mult_order(a: int, q: int) -> int:
-    """Order of the unit a mod q."""
-    k, x = 1, a % q
-    while x != 1:
-        x = x * a % q
-        k += 1
-    return k
+    return x * value_to_padic(c, x.p, x.relative_precision() + 2)
 
 
 def assert_integral(x: CyclotomicElement | Fraction, context: str) -> None:

@@ -31,7 +31,7 @@ from .cyclotomic import abs_norm, assert_integral, scale_by_value, value_to_padi
 from .errors import DegreeError, DomainError, PrecisionError
 from .hurwitz import check_hurwitz_domain, lp_values, reduce_to_unit_interval
 from .lambertw import ell_param
-from .padic import Padic, teichmuller_rational
+from .padic import Padic, teichmuller_rational, vp_qp
 from .polynomials import power_numerators, series_mul
 from .volkenborn import PoleData, integral_mahler, integral_pole_powers, vdp_length
 
@@ -100,7 +100,7 @@ class FormParameters:
     @property
     def domain_ok(self) -> bool:
         """Whether j/D arguments lie in the Hurwitz domain for integrals."""
-        return self.l >= (2 if self.p == 2 else 1)
+        return self.l >= vp_qp(self.p)
 
     def hypotheses_hold(self, n: int) -> bool:
         return self.parity_ok and self.size_ok and (n + 1) % self.stride == 0
@@ -156,7 +156,7 @@ def form_params(p: int, s: int, delta: int, d_prime: int, l0: int, r: int,
     if l is None:
         if ell is None:
             raise DomainError("either epsilon or an explicit l is required")
-        l = max(ell, 1, l0, 2 if p == 2 else 1)
+        l = max(ell, l0, vp_qp(p))
     if l < max(1, l0):
         raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
     return FormParameters(p=p, s=s, delta=delta, d_prime=d_prime, l0=l0, r=r, l=l,
@@ -440,8 +440,7 @@ def lvalue_family(params: FormParameters, chi: DirichletCharacter) -> FormFamily
     return FormFamily(
         params=pr, weights=tuple(chi_units(chi, pr.D, pr.p)), field_m=chi.field_m,
         shift=1,
-        predicted=lambda n: (valuation_formula_rhs(pr, n, chi)
-                             if pr.hypotheses_hold(n) else None),
+        predicted=lambda n: valuation_formula_rhs(pr, n) if pr.hypotheses_hold(n) else None,
         factor=lambda i: Q(1),
         values=lambda precisions: {
             i - 1: v for i, v in lp_values(
@@ -565,15 +564,13 @@ def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
 # -- valuation prediction ---------------------------------------------------------------
 
 
-def valuation_formula_rhs(params: FormParameters, n: int,
-                          chi: DirichletCharacter) -> int:
+def valuation_formula_rhs(params: FormParameters, n: int) -> int:
     """Predicted vp of sum_j chi(j) * integral of R_n(t + j/D).
 
     s vp(n!) + Q vp(packed multinomial) + ((n+1)s + 1) l - m(n) + vp(B_(2+delta,chi)),
-    the last under the default embedding of K = Q(chi).
+    the last read as params.r - 1 (chi_padic_data).
     """
-    return (per_x_valuation_hint(params, n) + params.l
-            + chi_padic_data(chi, params.p).b_valuation)
+    return per_x_valuation_hint(params, n) + params.l + params.r - 1
 
 
 def per_x_valuation_hint(params: FormParameters, n: int) -> int:

@@ -1,8 +1,8 @@
 """Heights of matrices over a cyclotomic field, p-adic variants, and the dimension ratio.
 
 Norms, p-adic valuations and images in Q_p of the entries come from `cyclotomic`,
-through the given embedding or, by default, PadicEmbedding.default(p, m). That
-embedding is exact and shared, so a matrix lifts its root of unity once.
+through its one embedding of K into Q_p. That embedding is exact and shared, so
+a matrix lifts its root of unity once.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .cyclotomic import (CyclotomicElement, PadicEmbedding, abs_norm, padic_valuation,
-                         value_to_padic)
+from .cyclotomic import CyclotomicElement, abs_norm, padic_valuation, value_to_padic
 from .errors import DomainError
 from .padic import Padic
 
@@ -101,15 +100,14 @@ def height_K(M: HeightMatrix) -> Fraction:
     return best
 
 
-def height_p_valuation(M: HeightMatrix, p: int,
-                       embedding: Optional[PadicEmbedding] = None) -> Fraction | float:
+def height_p_valuation(M: HeightMatrix, p: int) -> Fraction | float:
     """min over maximal minors of vp(det); H_p(M) = p^(-result)."""
     best = math.inf
     for cols in combinations(range(M.ncols), M.nrows):
         det = _det_field(M.minor(cols))
         if det == 0:
             continue
-        best = min(best, padic_valuation(det, p, embedding))
+        best = min(best, padic_valuation(det, p))
     return best
 
 
@@ -149,7 +147,6 @@ def _padic_det(rows: list[list[Padic]], p: int) -> Padic:
 
 
 def delta_p_valuation(M: HeightMatrix, xi: Sequence[Padic], p: int,
-                      embedding: Optional[PadicEmbedding] = None,
                       prec: int = 48) -> Fraction | float:
     """min over J' (|J'| = rows-1... rows) of vp det(M_J' | M xi).
 
@@ -158,8 +155,7 @@ def delta_p_valuation(M: HeightMatrix, xi: Sequence[Padic], p: int,
     """
     if len(xi) != M.ncols:
         raise DomainError("xi must have one entry per column")
-    emb_rows = [[value_to_padic(e, p, prec, embedding) for e in row]
-                for row in M.entries]
+    emb_rows = [[value_to_padic(e, p, prec) for e in row] for row in M.entries]
     prod = []
     for row in emb_rows:
         acc = Padic.zero(p, prec)

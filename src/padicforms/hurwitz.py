@@ -11,7 +11,7 @@ from .characters import CharValue, DirichletCharacter, chi_units
 from .cyclotomic import CyclotomicElement, value_to_padic
 from .errors import DomainError
 from .padic import (Padic, fraction_mod_pk, phi_qp, qp, teichmuller, teichmuller_ext,
-                    teichmuller_rational)
+                    teichmuller_rational, vp_qp)
 from .polynomials import MAX_POWER_DEGREE
 from .volkenborn import check_hurwitz_domain, integral_pole_powers, pole_power_residues
 
@@ -211,7 +211,7 @@ def _sum_level(chi: DirichletCharacter, p: int, l: int) -> tuple[int, int]:
     l0 = int(vp_int(chi.conductor, p))
     if l < max(1, l0):
         raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
-    l_min = max(l0, 2 if p == 2 else 1)
+    l_min = max(l0, vp_qp(p))
     return chi.conductor // p ** l0 * p ** l_min, l_min
 
 
@@ -219,7 +219,7 @@ def _unit_weights(units: Iterable[tuple[int, CharValue]], p: int, e: int,
                   R: int) -> Iterator[tuple[int, int]]:
     """(j, chi(j) omega(j)^e mod p^R) for each (j, chi(j)) of units.
 
-    chi(j) is a root of unity, taken into Q_p by the default embedding;
+    chi(j) is a root of unity, taken into Q_p by the embedding of K;
     omega(j)^e is read exactly when it is +-1.
     """
     mod = p ** R

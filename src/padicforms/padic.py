@@ -16,6 +16,11 @@ def qp(p: int) -> int:
     return 4 if p == 2 else p
 
 
+def vp_qp(p: int) -> int:
+    """vp(q_p): 2 for p = 2, else 1; the least level l with |j/p^l|_p >= q_p."""
+    return 2 if p == 2 else 1
+
+
 def phi_qp(p: int) -> int:
     """Size of the torsion part of the p-adic units: 2 for p = 2, else p - 1."""
     return 2 if p == 2 else p - 1

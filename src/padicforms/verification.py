@@ -144,7 +144,7 @@ def check_valuation_formula(params: FormParameters, n: int,
         raise DomainError(f"s = {pr.s} below p Q D = {pr.pQD}")
     rn = rn or build_rn(pr, n)
     table = table or partial_fractions(rn)
-    predicted = valuation_formula_rhs(pr, n, chi)
+    predicted = valuation_formula_rhs(pr, n)
     observed = None
     attempts = 0
     for attempts in range(3):

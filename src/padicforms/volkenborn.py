@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import INF, batch_invert, bernoulli_number, check_prime, vp, vp_int
 from .errors import DomainError, PrecisionError
-from .padic import Padic, qp
+from .padic import Padic, qp, vp_qp
 from .polynomials import Poly, RationalFunction
 
 Q = Fraction
@@ -242,8 +242,7 @@ def check_hurwitz_domain(x: Fraction, p: int) -> int:
     if x == 0:
         raise DomainError("x must be nonzero")
     v = vp(x, p)
-    need = 2 if p == 2 else 1
-    if v > -need:
+    if v > -vp_qp(p):
         raise DomainError(
             f"|x|_p must be at least {qp(p)}: got vp({x}) = {v} at p = {p}")
     return -int(v)

@@ -532,6 +532,17 @@ def _outcome(capsys, argv):
     return code, blank.sub('"runtime_s":0', out), blank.sub('"runtime_s":0', err)
 
 
+def test_verify_integrality_reads_no_character_flags(capsys):
+    # the sweep draws its own configurations, so flags that choose_params or
+    # character_from_spec would refuse must not reach them
+    base = ["verify", "integrality", "--count", "1"]
+    want = run_cli(capsys, base)
+    assert want[0] == 0 and want[1] and not want[2]
+    for flags in (["--p", "2", "--l", "1", "--character", "quadratic:4"],
+                  ["--character", "bogus"]):
+        assert run_cli(capsys, base + flags) == want, flags
+
+
 def test_shared_parser_answers_as_a_fresh_parser_in_any_order(capsys, monkeypatch):
     # the oracle builds a new parser for every request
     with monkeypatch.context() as patch:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicforms.cyclotomic import (CyclotomicElement, PadicEmbedding, abs_norm,
-                                   cyclotomic_polynomial, euler_phi, padic_valuation,
-                                   resultant, scale_by_value, value_to_padic)
+from padicforms.cyclotomic import (CyclotomicElement, abs_norm, cyclotomic_polynomial,
+                                   euler_phi, padic_valuation, resultant, scale_by_value,
+                                   value_to_padic, zeta_image)
 from padicforms.errors import EmbeddingError, IntegralityError
 from padicforms.cyclotomic import assert_integral
 from padicforms.padic import Padic, teichmuller
@@ -73,34 +73,33 @@ def test_zeta_powers():
 
 
 def test_embedding_default_and_embed():
-    emb = PadicEmbedding.default(5, 4)
-    assert emb.g == 2  # omega(2) is a primitive 4th root
-    assert emb.root(6) == teichmuller(2, 5, 6) and emb.root(3) == teichmuller(2, 5, 3)
+    # omega(2) is the least primitive 4th root of unity mod 5
+    assert zeta_image(5, 4, 6) == teichmuller(2, 5, 6)
+    assert zeta_image(5, 4, 3) == teichmuller(2, 5, 3)
     i4 = CyclotomicElement.zeta(4)
-    img = i4.embed(emb, 2)
+    img = i4.embed(5, 2)
     assert (img.val, img.unit % 25) == (0, 7)  # = 7 mod 25
     # ring homomorphism on samples
     rng = random.Random(3)
     for _ in range(10):
         x, y = _random_element(rng, 4), _random_element(rng, 4)
-        lhs = (x * y).embed(emb, 4)
-        rhs = x.embed(emb, 4) * y.embed(emb, 4)
+        lhs = (x * y).embed(5, 4)
+        rhs = x.embed(5, 4) * y.embed(5, 4)
         assert lhs.agrees(rhs, min(lhs.prec, rhs.prec))
 
 
 def test_embedding_requires_roots_of_unity():
     with pytest.raises(EmbeddingError):
-        PadicEmbedding.default(5, 3)  # 3 does not divide 5 - 1
+        zeta_image(5, 3, 4)  # 3 does not divide 5 - 1
     with pytest.raises(EmbeddingError):
-        PadicEmbedding(7, 3, 3)  # 3 has order 6 mod 7, so omega(3) is no cube root
+        CyclotomicElement.zeta(3).embed(5, 4)
+    with pytest.raises(EmbeddingError):
+        zeta_image(2, 4, 4)  # phi(q_2) = 2
 
 
 def test_embedding_p2():
-    emb = PadicEmbedding.default(2, 2)
-    assert emb.g == 3 and emb.root(5) == Padic.from_fraction(-1, 2, 5)
-    assert PadicEmbedding(2, 2, 7).root(5) == emb.root(5)  # 7 = 3 mod q_2 = 4
-    with pytest.raises(EmbeddingError):
-        PadicEmbedding(2, 2, 5)  # 5 = 1 mod 4 has order 1
+    assert zeta_image(2, 2, 5) == Padic.from_fraction(-1, 2, 5)  # omega(3) = -1
+    assert zeta_image(2, 1, 5) == Padic.from_fraction(1, 2, 5)
 
 
 def test_assert_integral():
@@ -114,7 +113,6 @@ def test_assert_integral():
 
 def test_scale_by_value_paths():
     p = 5
-    emb = PadicEmbedding.default(p, 4)
     i = CyclotomicElement.zeta(4)
     for x in (Padic.from_fraction(Q(7, 25), p, 12), Padic.from_fraction(Q(3), p, 9),
               Padic.zero(p, 6)):
@@ -124,17 +122,15 @@ def test_scale_by_value_paths():
         # a rational element of Q(i) scales like its rational value
         assert scale_by_value(x, CyclotomicElement.from_rational(-1, 4)) == -x
         for c in (i, -i, i + 2):
-            want = x * c.embed(emb, x.relative_precision() + 2)
-            assert scale_by_value(x, c) == want
-            assert scale_by_value(x, c, emb) == want
+            assert scale_by_value(x, c) == x * c.embed(p, x.relative_precision() + 2)
     assert value_to_padic(Q(3, 5), p, 4) == Padic.from_fraction(Q(3, 5), p, 4)
-    assert value_to_padic(i, p, 8) == i.embed(emb, 8)
+    assert value_to_padic(i, p, 8) == i.embed(p, 8)
 
 
 def test_value_to_padic_keeps_every_requested_digit():
     # p in the coordinate denominators used to cost two digits of precision
     x = CyclotomicElement(4, [Q(1, 5), Q(1, 25)])
-    deep = x.embed(PadicEmbedding.default(5, 4), 60)
+    deep = x.embed(5, 60)
     for prec in (5, 10, 20):
         got = value_to_padic(x, 5, prec)
         assert got.prec == prec and got == deep.at_precision(prec), prec
@@ -156,25 +152,24 @@ def _order(g, p):
     return next((k for k in range(1, p) if pow(g, k, p) == 1), None)
 
 
+def _least_root(p, m):
+    """The least positive residue of order m mod p, which zeta_m goes to."""
+    return next(g for g in range(1, p) if _order(g, p) == m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SPLIT_PAIRS), st.integers(1, 40), st.randoms(use_true_random=False))
-def test_every_embedding_is_a_ring_homomorphism_given_by_its_root(pair, prec, rng):
-    # zeta_m may go to omega(g) for any g of order m; teichmuller(g, p, prec)
+def test_the_embedding_is_a_ring_homomorphism_given_by_its_root(pair, prec, rng):
+    # zeta_m goes to omega(g) for the least g of order m; teichmuller(g, p, prec)
     # lifts that root directly and is the oracle
     p, m = pair
-    for g in range(2 * p):
-        if _order(g, p) != m:
-            with pytest.raises(EmbeddingError):
-                PadicEmbedding(p, m, g)
-            continue
-        emb = PadicEmbedding(p, m, g)
-        root = teichmuller(g, p, prec)
-        assert emb.root(prec) == root
-        x, y = _random_element(rng, m), _random_element(rng, m)
-        ex, ey = x.embed(emb, prec), y.embed(emb, prec)
-        assert ex == _horner(x, root)
-        assert (x * y).embed(emb, prec).agrees(ex * ey, prec)
-        assert (x + y).embed(emb, prec).agrees(ex + ey, prec)
+    root = teichmuller(_least_root(p, m), p, prec)
+    assert zeta_image(p, m, prec) == root
+    x, y = _random_element(rng, m), _random_element(rng, m)
+    ex, ey = x.embed(p, prec), y.embed(p, prec)
+    assert ex == _horner(x, root)
+    assert (x * y).embed(p, prec).agrees(ex * ey, prec)
+    assert (x + y).embed(p, prec).agrees(ex + ey, prec)
 
 
 @st.composite
@@ -184,7 +179,7 @@ def _split_elements(draw):
     coord = st.builds(Q, st.integers(-60, 60), st.integers(1, 3 * p))
     y = CyclotomicElement(m, draw(st.lists(coord, min_size=euler_phi(m),
                                            max_size=euler_phi(m))))
-    g = PadicEmbedding.default(p, m).g
+    g = _least_root(p, m)
     pi = CyclotomicElement.from_rational(g, m) - CyclotomicElement.zeta(m)
     x = y * pi ** draw(st.integers(0, 6)) * Q(1, p ** draw(st.integers(0, 2)))
     return p, x
@@ -198,7 +193,7 @@ def test_padic_valuation_matches_a_deep_embedding(case):
     if x.is_zero():
         assert got == math.inf
         return
-    deep = x.embed(PadicEmbedding.default(p, x.m), 400)
+    deep = x.embed(p, 400)
     assert not deep.is_zero_at_precision() and got == deep.valuation()
 
 
@@ -207,9 +202,8 @@ def test_padic_valuation_rational_and_explicit_embedding():
     assert padic_valuation(CyclotomicElement.from_rational(Q(3, 25), 4), 5) == -2
     pi = 2 - CyclotomicElement.zeta(4)   # zeta -> omega(2) = 2 mod 5
     assert padic_valuation(pi ** 5, 5) == 5
-    assert padic_valuation(pi ** 5, 5, PadicEmbedding.default(5, 4)) == 5
-    # zeta -> omega(3) = -omega(2) sends 2 - i to 2 + i, a unit
-    assert padic_valuation(pi ** 5, 5, PadicEmbedding(5, 4, 3)) == 0
+    # the other embedding, zeta -> omega(3) = -omega(2), sends 2 - i to 2 + i, a unit
+    assert _horner(pi ** 5, teichmuller(3, 5, 6)).valuation() == 0
 
 
 def test_abs_norm():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from padicforms.arith import lcm_upto, vp
 from padicforms.characters import (char_make, character_from_spec, gen_bernoulli,
                                    quadratic_character, trivial_character)
-from padicforms.cyclotomic import CyclotomicElement, PadicEmbedding
+from padicforms.cyclotomic import CyclotomicElement
 from padicforms.errors import DegreeError, DomainError, IntegralityError
 from padicforms.forms import (build_rn, choose_params, family_form, form_identity,
                               form_scale, hurwitz_family, hurwitz_params, hurwitz_variant_form,
@@ -172,7 +172,7 @@ def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
     pr = choose_params(chi, 2, 64, l=2)
     rn = build_rn(pr, 3)
     total = weighted_integral_sum(rn, lvalue_family(pr, chi), 760, partial_fractions(rn))
-    assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3, chi)
+    assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3)
     assert calls == {"evaluate": 0, "fraction_mod_pk": 0}
 
 
@@ -391,24 +391,23 @@ def test_lambda_defining_ratios(desk):
 
 def test_valuation_formula_rhs_frozen(desk):
     # each term assembled exactly; the desk values are pinned
-    triv = trivial_character()
     pr2 = desk.workspace("p2-trivial").params
-    assert valuation_formula_rhs(pr2, 3, triv) == 623
+    assert valuation_formula_rhs(pr2, 3) == 623
     pr3 = desk.workspace("p3-trivial").params
-    assert valuation_formula_rhs(pr3, 2, triv) == 263
+    assert valuation_formula_rhs(pr3, 2) == 263
     assert per_x_valuation_hint(pr2, 3) == 622
 
 
 @pytest.mark.parametrize("p, s, l, n, want", [(5, 628, 1, 4, 3239), (13, 24, 1, 1, 26412)])
 def test_valuation_formula_rhs_quartic_character(p, s, l, n, want):
     # B_(3,chi) of the order-4 character mod 5 is irrational; its valuation
-    # under the default embedding is read from a 200-digit image
+    # under the embedding of K is read from a 200-digit image
     i = CyclotomicElement.zeta(4)
     chi = char_make(5, {1: CyclotomicElement.one(4), 2: i, 3: -i,
                         4: CyclotomicElement.from_rational(-1, 4)})
-    head = gen_bernoulli(3, chi).embed(PadicEmbedding.default(p, 4), 200)
+    head = gen_bernoulli(3, chi).embed(p, 200)
     pr = choose_params(chi, p, s, l=l)
-    assert valuation_formula_rhs(pr, n, chi) == \
+    assert valuation_formula_rhs(pr, n) == \
         per_x_valuation_hint(pr, n) + l + head.valuation() == want
 
 

@@ -205,7 +205,7 @@ def _quartic_character():
 
 
 def test_lp_value_quartic_character_l_stability():
-    # the default embedding sends chi(2) = i to omega(2), so chi = omega there
+    # the embedding of K sends chi(2) = i to omega(2), so chi = omega there
     # and each value is also an L-value of the trivial character
     chi, triv = _quartic_character(), trivial_character()
     for i, omega_exp, triv_exp in ((2, None, 0), (3, 1, 2), (-1, 1, 2)):
@@ -217,7 +217,7 @@ def test_lp_value_quartic_character_l_stability():
 
 
 def test_default_embedding_lifts_its_root_once_per_precision(monkeypatch):
-    # the default embedding is exact and shared, so a matrix over Q(i) lifts
+    # the embedding of K is exact and shared, so a matrix over Q(i) lifts
     # its root of unity once, and an L-value never twice to one precision
     lifts = []
 
@@ -403,17 +403,31 @@ def test_lp_value_agrees_with_the_two_branch_oracle(spec, p, i, extra, omega_exp
 # -- the nonpositive branch against the Kubota-Leopoldt interpolation
 
 
+def _omega(p):
+    """(omega, g): omega the character mod q_p with omega(g^k) = zeta^k, zeta = zeta_phi(q_p).
+
+    g is the residue that the embedding of Q(zeta) into Q_p sends zeta to,
+    read back from value_to_padic, so omega(j) goes to the Teichmuller lift
+    of j exactly when that image is the lift of g. For p = 2 and 3, zeta = -1
+    and omega is the quadratic character of conductor q_p.
+    """
+    q, phi = qp(p), phi_qp(p)
+    g = value_to_padic(CyclotomicElement.zeta(phi), p, 2).unit % q
+    return char_make(q, {pow(g, k, q): CyclotomicElement.zeta(phi, k) for k in range(phi)}), g
+
+
 def _interpolation_value(chi, p, i, omega_exp):
     """L_p(1-n, chi omega^k) = -(1 - psi(p) p^(n-1)) B_(n,psi)/n, n = 1 - i, k = omega_exp.
 
     psi is chi omega^(k-n) made primitive (Washington, Introduction to
-    Cyclotomic Fields, Thm 5.11). For p = 2 and 3, omega is the quadratic
-    character of conductor q_p, so psi is a Dirichlet character of its own
-    and this value does not go through the Hurwitz decomposition.
+    Cyclotomic Fields, Thm 5.11), with omega from _omega. So psi is a
+    Dirichlet character of its own, and this value does not go through the
+    Hurwitz decomposition. chi and omega must share a field or one be
+    rational-valued.
     """
     n = 1 - i
-    omega = quadratic_character(qp(p))
-    e = (omega_exp - n) % 2
+    omega, _ = _omega(p)
+    e = (omega_exp - n) % phi_qp(p)
     M = math.lcm(chi.modulus, omega.modulus)
     psi = char_make(M, {a: chi.value(a) * omega.value(a) ** e
                         for a in range(1, M + 1) if math.gcd(a, M) == 1})
@@ -442,6 +456,26 @@ def test_lp_value_matches_the_interpolation_formula(spec, p, i, omega_exp, extra
     got = lp_value(i, chi, p, l, omega_exp=omega_exp)
     assert got == _interpolation_value(chi, p, i, omega_exp)
     if want is not None:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["trivial", "quadratic:3", "quadratic:4"]), st.sampled_from([5, 7, 13]),
+       st.integers(1, 7), st.integers(0, 11), st.integers(0, 1))
+def test_lp_value_matches_the_interpolation_formula_at_p_from_5(spec, p, n, k, extra):
+    # here omega has values in Q(zeta_(p-1)) and meets lp_value's Teichmuller
+    # weights only through the embedding, so pin that link first
+    omega, g = _omega(p)
+    assert omega.order == p - 1
+    assert value_to_padic(CyclotomicElement.zeta(p - 1), p, 30) == teichmuller(g, p, 30)
+    chi = character_from_spec(spec)
+    k %= p - 1
+    l = max(1, int(vp(Q(chi.conductor), p))) + extra
+    got = lp_value(1 - n, chi, p, l, omega_exp=k)
+    want = _interpolation_value(chi, p, 1 - n, k)
+    if isinstance(got, Padic):
+        assert got.prec == 20 and got.agrees(value_to_padic(want, p, 20))
+    else:
         assert got == want
 
 

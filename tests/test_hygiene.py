@@ -86,12 +86,14 @@ def test_only_cyclotomic_embeds_field_elements():
 
 
 def test_only_cyclotomic_constructs_embeddings():
-    # the default embedding is exact, so no other module sizes or builds one;
-    # an explicit embedding only passes through value_to_padic and its kin
-    builders = sorted(name for name, tree in MODULES.items() if name != "cyclotomic"
-                      for node in ast.walk(tree) if isinstance(node, ast.Call)
-                      and "PadicEmbedding" in ast.unparse(node.func))
-    assert builders == []
+    # K has one embedding into Q_p, so no other module lifts zeta_m itself;
+    # its values enter Q_p through value_to_padic and its kin
+    callers = sorted(name for name, tree in MODULES.items() if name != "cyclotomic"
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and "zeta_image" in ast.unparse(node.func))
+    assert callers == []
+    assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "zeta_image"
+               for node in ast.walk(MODULES["cyclotomic"]))
 
 
 def _names(tree):
