@@ -47,7 +47,7 @@ EXIT_PRECONDITION = 3
 MAX_PREC = 1000       # --prec, --digits, --count and the unit shifts of --hurwitz
 MAX_TERMS = 2 ** 16   # p^--level (Riemann sum terms) and p^--l
 MAX_TABLE = 2 ** 18   # s^2 (n+1) of forms build and of the SIZED_CHECKS
-MAX_MODULUS = 1000    # the modulus of --character
+MAX_MODULUS = 1000    # the modulus of --character and the m of its values
 SIZED_CHECKS = ("chi-congruence", "fj-integral", "valuation", "growth", "rate-fit")
 
 
@@ -272,10 +272,12 @@ def _size_error(args) -> str | None:
         if 1 - k > MAX_POWER_DEGREE:
             return (f"need {flag} >= {1 - MAX_POWER_DEGREE}: the Bernoulli index "
                     f"1 - {flag[2:]} is at most {MAX_POWER_DEGREE}, got {k}")
-    modulus = _character_modulus(getattr(args, "character", "trivial"))
-    if modulus is not None and modulus > MAX_MODULUS:
-        return f"the --character modulus must be at most {MAX_MODULUS}, got {modulus}"
     check = getattr(args, "check", None)
+    if args.command in ("lvalue", "forms") or check not in (None, "all", "integrality"):
+        # only these requests build the character
+        error = _character_error(args.character)
+        if error:
+            return error
     sized = args.command == "forms" or check in SIZED_CHECKS
     if getattr(args, "hurwitz", None) and abs(math.ceil(Q(args.hurwitz)) - 1) > MAX_PREC:
         return f"--hurwitz {args.hurwitz} needs over {MAX_PREC} unit shifts into (0, 1]"
@@ -294,16 +296,24 @@ def _size_error(args) -> str | None:
     return None
 
 
-def _character_modulus(spec: str) -> int | None:
-    """The modulus a --character spec names, read before the character is
-    built; None when it names none (character_from_spec reports that)."""
+def _character_error(spec: str) -> str | None:
+    """Why a --character spec is too large to build, read before it is built:
+    its modulus and the m of each value over Q(zeta_m) must be at most
+    MAX_MODULUS. None also for a spec that names no modulus, which
+    character_from_spec refuses."""
     if spec.startswith("quadratic:"):
-        return int(spec.split(":", 1)[1])
-    if spec.startswith("{"):
+        modulus, m = int(spec.split(":", 1)[1]), 0
+    else:
         try:
-            return int(json.loads(spec)["modulus"])
+            obj = json.loads(spec)
+            modulus = int(obj["modulus"])
+            m = max((int(v["m"]) for v in obj["values"] if isinstance(v, dict)), default=0)
         except (ValueError, KeyError, TypeError):
             return None
+    if modulus > MAX_MODULUS:
+        return f"the --character modulus must be at most {MAX_MODULUS}, got {modulus}"
+    if m > MAX_MODULUS:
+        return f"a --character value lies in Q(zeta_m) with m = {m} > {MAX_MODULUS}"
     return None
 
 

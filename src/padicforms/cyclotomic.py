@@ -130,7 +130,8 @@ class CyclotomicElement:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coords))
+        # a rational element equals its Fraction, so it hashes as one
+        return hash(self.coords[0]) if self.is_rational() else hash((self.m, self.coords))
 
     def __repr__(self) -> str:
         return f"CyclotomicElement(m={self.m}, {list(self.coords)})"
@@ -309,10 +310,12 @@ def _clear_denominators(x: CyclotomicElement) -> tuple[int, CyclotomicElement]:
 
 
 def scale_by_value(x: Padic, c: CyclotomicElement | Fraction) -> Padic:
-    """x * c, with c taken into Q_p two digits beyond x's relative precision."""
+    """x * c, with c taken into Q_p at x's relative precision: exact for a
+    unit c, such as the character values (roots of unity) that
+    weighted_integral_sum passes."""
     if isinstance(c, Fraction):
         return x.mul_fraction(c)
-    return x * value_to_padic(c, x.p, x.relative_precision() + 2)
+    return x * value_to_padic(c, x.p, x.relative_precision())
 
 
 def assert_integral(x: CyclotomicElement | Fraction, context: str) -> None:

@@ -82,9 +82,6 @@ class FormParameters:
     def stride(self) -> int:
         return self.p ** (self.l + self.r)
 
-    def sigma(self, n: int) -> int:
-        return self.stride * n - 1
-
     @property
     def pQD(self) -> int:
         return self.p * self.Q * self.D
@@ -217,7 +214,7 @@ class RnFunction:
         read once per table; only the pole locations depend on x.
         """
         pr = self.params
-        return [PoleData(location=-(Fraction(x) + k), order=pr.s, floors=floors)
+        return [PoleData(location=-(Fraction(x) + k), floors=floors)
                 for k, floors in enumerate(table.floors(pr.p))]
 
 
@@ -573,6 +570,12 @@ def valuation_formula_rhs(params: FormParameters, n: int) -> int:
     return per_x_valuation_hint(params, n) + params.l + params.r - 1
 
 
+# the most vp(S) rose above per_x_valuation_hint over 1,104 identity shapes
+# (p in {2, 3}, both families, s <= 89, n <= 3; reached at p = 2, s = 59,
+# n = 2, quadratic:4); form_identity starts there when nothing is predicted
+HINT_SPREAD = 8
+
+
 def per_x_valuation_hint(params: FormParameters, n: int) -> int:
     """Predicted vp of a single integral of R_n(t + j/D), gcd(j, p) = 1."""
     pr = params
@@ -593,19 +596,13 @@ class IdentityReport:
     lhs: Padic
     rhs: Padic
     modulus_exp: int
-    observed_valuation: float
-    relative_digits: float
+    observed_valuation: int
+    relative_digits: int
     agrees: bool
 
     def to_json(self) -> dict:
-        return {
-            "modulus_exp": self.modulus_exp,
-            "observed_valuation": (None if self.observed_valuation == math.inf
-                                   else int(self.observed_valuation)),
-            "relative_digits": (None if self.relative_digits == math.inf
-                                else int(self.relative_digits)),
-            "agrees": self.agrees,
-        }
+        return {"modulus_exp": self.modulus_exp, "observed_valuation": self.observed_valuation,
+                "relative_digits": self.relative_digits, "agrees": self.agrees}
 
 
 def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
@@ -614,44 +611,35 @@ def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
 
     The left side integrates R_n directly; the right side goes through the
     partial fraction table and the family's values V_i. Agreement is
-    certified to `digits` significant p-digits beyond the observed
-    valuation of the left side: the target precision starts from the
-    predicted valuation and is raised until the left side reaches it.
+    certified to `digits` significant p-digits beyond the valuation of the
+    left side: S = sum_j w_j Int R_n(t+j/D) is taken modulo p^(start + digits),
+    start the family's prediction of vp(S) (exact under its hypotheses) or
+    else the single-integral hint + HINT_SPREAD, and once more, modulo
+    p^(vp(S) + digits), only if that left fewer than `digits` digits.
     """
     pr = family.params
     p = pr.p
-    C = form_scale(pr.s, rn.n)
-    vC = int(vp(C, p))
     predicted = family.predicted(rn.n)
-    if predicted is not None:
-        target = predicted + vC + digits + 4
-    else:
-        target = per_x_valuation_hint(pr, rn.n) + vC + digits + 8
-
-    for _ in range(4):
-        lhs_sum = weighted_integral_sum(rn, family, target - vC, table)
-        lhs = lhs_sum.mul_fraction(C).at_precision(
-            min(lhs_sum.prec + vC, target))
-        if not lhs.is_zero_at_precision():
-            needed = int(lhs.valuation()) + digits + 2
-            if lhs.prec >= needed:
-                break
-            target = needed
-        else:
-            target *= 2
+    start = (predicted if predicted is not None
+             else per_x_valuation_hint(pr, rn.n) + HINT_SPREAD)
+    S = weighted_integral_sum(rn, family, start + digits, table)
+    if S.is_zero_at_precision():
+        raise PrecisionError(f"the left side vanishes modulo p^{S.prec}, p = {p}")
+    if S.relative_precision() < digits:
+        S = weighted_integral_sum(rn, family, S.val + digits, table)
+    lhs = S.mul_fraction(form_scale(pr.s, rn.n))
+    target = lhs.prec
 
     weights = {i: lam * family.factor(i)
                for i, lam in enumerate(form.coeffs[1:], start=1) if lam != 0}
-    values = family.values({i: max(2, target - int(vp(w, p))) for i, w in weights.items()})
+    values = family.values({i: max(1, target - int(vp(w, p))) for i, w in weights.items()})
     rhs = value_to_padic(form.coeffs[0], p, target)
     for i, w in weights.items():
         rhs = rhs + values[i].mul_fraction(w)
-    k = min(lhs.prec, rhs.prec)
-    nu = lhs.valuation()
-    return IdentityReport(lhs=lhs, rhs=rhs.at_precision(k), modulus_exp=k,
-                          observed_valuation=nu,
-                          relative_digits=k - nu if nu != math.inf else math.inf,
-                          agrees=lhs.agrees(rhs, k))
+    return IdentityReport(lhs=lhs, rhs=rhs.at_precision(target), modulus_exp=target,
+                          observed_valuation=lhs.val,
+                          relative_digits=target - lhs.val,
+                          agrees=lhs.agrees(rhs, target))
 
 
 def evaluate_form_identity(params: FormParameters, n: int,

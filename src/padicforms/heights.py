@@ -189,7 +189,6 @@ class RateFit:
 
     tau_hat: float        # slope of log H_K against sigma(n)
     tau_p_hat: float      # slope of -log |Lambda(1, theta)|_p against sigma(n)
-    points: tuple
 
 
 def fit_rates(points: Sequence[tuple[int, float, float]], p: int) -> RateFit:
@@ -212,4 +211,4 @@ def fit_rates(points: Sequence[tuple[int, float, float]], p: int) -> RateFit:
 
     tau_hat = slope([h for _, h, _ in points])
     tau_p_hat = slope([nu * math.log(p) for _, _, nu in points])
-    return RateFit(tau_hat=tau_hat, tau_p_hat=tau_p_hat, points=tuple(points))
+    return RateFit(tau_hat=tau_hat, tau_p_hat=tau_p_hat)

@@ -228,9 +228,9 @@ class Padic:
 def teichmuller(x: Fraction | int, p: int, prec: int) -> Padic:
     """The torsion part of a p-adic unit x, modulo p^prec.
 
-    Satisfies w^phi(q_p) = 1 and w = x mod q_p. Computed by iterating
-    y -> y^p, which gains one digit per step; for p = 2 the value is the
-    sign of x mod 4.
+    Satisfies w^phi(q_p) = 1 and w = x mod q_p. For odd p it is
+    y^(p^(prec-1)) mod p^prec, y = x mod p^prec: each power y -> y^p gains
+    one digit. For p = 2 the value is the sign of x mod 4.
     """
     check_prime(p)
     x = Fraction(x)
@@ -241,14 +241,8 @@ def teichmuller(x: Fraction | int, p: int, prec: int) -> Padic:
     if p == 2:
         sign = 1 if x.numerator * x.denominator % 4 == 1 else -1
         return Padic.from_fraction(sign, 2, prec)
-    mod = p ** prec
     y = fraction_mod_pk(x, p, prec)
-    for _ in range(prec):
-        y2 = pow(y, p, mod)
-        if y2 == y:
-            break
-        y = y2
-    return Padic(p, 0, y, prec)
+    return Padic(p, 0, pow(y, p ** (prec - 1), p ** prec), prec)
 
 
 def teichmuller_rational(x: Fraction | int, p: int) -> Optional[Fraction]:

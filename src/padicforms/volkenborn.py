@@ -103,11 +103,11 @@ class PoleData:
     """One pole t = location of the integrand, with coefficient floors.
 
     floors[i-1] is a lower bound for vp of the coefficient of
-    (t - location)^-i in the partial fraction decomposition.
+    (t - location)^-i in the partial fraction decomposition, so the pole
+    has order len(floors).
     """
 
     location: Fraction
-    order: int
     floors: tuple[Fraction | int, ...]
 
     def height(self, p: int) -> int:
@@ -183,8 +183,7 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
         poly_part, terms = f.partial_fractions()
         for c in terms:
             _check_mahler_pole(c, p)
-        poles = [PoleData(location=c, order=len(alphas),
-                          floors=tuple(vp(a, p) for a in alphas))
+        poles = [PoleData(location=c, floors=tuple(vp(a, p) for a in alphas))
                  for c, alphas in terms.items()]
         poly_deg = poly_part.degree()
         poly_floor = min((vp(c, p) for c in poly_part.coeffs if c != 0), default=INF)
@@ -207,12 +206,13 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     while (err := mahler_error_valuation(T, p, M)) < precision:
         M += math.ceil((precision - err) / hmax)
 
-    maxw = vdp_length(M + 1, p) + 1
-    rel = precision - v_floor + maxw + 2
+    # maxw = max vp(m + 1) over m <= M; over p^(v_floor - maxw), the term
+    # (-1)^m (Delta^m f)(0) / (m + 1) is the integer (-1)^m c unit^-1 p^(maxw - w),
+    # known mod p^rel, and so is the sum: the value is known mod p^precision
+    maxw = vdp_length(M + 1, p) - 1
+    rel = precision - v_floor + maxw
     mod = p ** rel
 
-    # over p^(v_floor - maxw), the term (-1)^m (Delta^m f)(0) / (m + 1) is the
-    # integer (-1)^m c unit^-1 p^(maxw - w), known mod p^rel, and so is the sum
     total = 0
     row = f.residues(M + 1, p, v_floor, rel)
     for m in range(M + 1):

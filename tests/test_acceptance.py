@@ -9,15 +9,12 @@ import random
 import time
 from fractions import Fraction as Q
 
-import pytest
-
 from padicforms.arith import bernoulli_poly, vp
-from padicforms.catalog import (CATALOG, check_config_integrality,
-                                integrality_check, random_small_configurations)
+from padicforms.catalog import (check_config_integrality, integrality_check,
+                                random_small_configurations)
 from padicforms.characters import (gen_bernoulli, quadratic_character,
                                    trivial_character)
-from padicforms.cyclotomic import CyclotomicElement
-from padicforms.forms import evaluate_form_identity, hurwitz_variant_form, lambda_form
+from padicforms.forms import evaluate_form_identity, hurwitz_variant_form
 from padicforms.heights import (HeightMatrix, delta_p_valuation, dimension_bound,
                                 fit_rates, height_K, height_p_valuation)
 from padicforms.hurwitz import lp_value
@@ -41,7 +38,7 @@ def test_criterion_01_engine_agreement():
     for x, p in ((Q(1, 5), 5), (Q(2, 25), 5), (Q(1, 4), 2)):
         t0 = time.monotonic()
         f = RationalFunction(Poly([1]), Poly([x, 1]))
-        pole = [PoleData(location=-x, order=1, floors=(0,))]
+        pole = [PoleData(location=-x, floors=(0,))]
         cert = rational_wavelet_tail_bound(pole, p)  # the weaker certificate
         mah = integral_mahler(f, p, 10, pole_data=pole)
         rie = integral_riemann(f, p, 8, precision=10)

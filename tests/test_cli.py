@@ -12,7 +12,7 @@ import pytest
 import padicforms
 from padicforms import cli
 from padicforms.cli import dispatch
-from padicforms.cyclotomic import CyclotomicElement
+from padicforms.cyclotomic import CyclotomicElement, euler_phi
 from padicforms.hurwitz import zeta_p_pos
 from padicforms.jsonio import (cyclotomic_from_json, cyclotomic_to_json, dumps, int_to_str,
                                rational_from_json, rational_to_json)
@@ -101,6 +101,16 @@ def test_integrate_huge_denominator_and_high_order_pole(x, k, p, prec):
     assert json.loads(proc.stdout)["value"] == integral_pole_powers(x, p, {k: prec})[k].to_json()
 
 
+def quartic_over(m):
+    """The order-4 character mod 5 as JSON, with i = zeta_m^(m/4) written over
+    Q(zeta_m); needs 4 | m and m/4 < phi(m)."""
+    def power(sign):
+        coords = ["0"] * euler_phi(m)
+        coords[m // 4] = sign
+        return {"m": m, "coords": coords}
+    return json.dumps({"modulus": 5, "values": ["1", power("1"), power("-1"), "-1", "0"]})
+
+
 def run_cli_subprocess(argv, timeout=60):
     """The CLI in a subprocess with a timeout, so that a slow request fails
     its test instead of hanging the suite."""
@@ -147,10 +157,12 @@ def test_integrate_two_poles_one_with_huge_denominator(prec):
     ["lvalue", "--i", "-8", "--p", "5", "--l", "1", "--character", "quadratic:10007"],
     ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--l", "2", "--character",
      '{"modulus": 1000000000000, "values": []}'],
+    ["lvalue", "--i", "-1", "--p", "5", "--l", "1", "--character", quartic_over(10012)],
 ], ids=["exponent", "riemann-level", "negative-level", "lvalue-l", "lvalue-huge-l",
         "prec", "hurwitz-shifts", "forms-s", "forms-huge-l", "rate-fit-ns",
         "chi-congruence-n", "count", "digits", "zeta-bernoulli-index",
-        "lvalue-bernoulli-index", "character-modulus", "json-character-modulus"])
+        "lvalue-bernoulli-index", "character-modulus", "json-character-modulus",
+        "json-character-value-field"])
 def test_size_limits_exit2(argv):
     proc = run_cli_subprocess(argv, timeout=30)
     assert proc.returncode == 2 and not proc.stdout, proc.stderr
@@ -230,6 +242,37 @@ def test_size_limits_sit_at_their_bounds():
     # a spec that names no modulus is left to character_from_spec to refuse
     for spec in ("trivial", "{bad", '{"values": []}', "[1]"):
         assert error(lvalue + [spec]) is None
+    # and a value over Q(zeta_m) needs m <= MAX_MODULUS (phi(1004) = 500)
+    assert error(lvalue + [quartic_over(MAX_MODULUS)]) is None
+    assert error(lvalue + [quartic_over(1004)]) is not None
+
+
+def test_the_character_cap_applies_only_where_a_character_is_built(capsys):
+    from padicforms.cli import _size_error, build_parser
+
+    def error(argv):
+        return _size_error(build_parser().parse_args(argv + ["--character", "quadratic:1009"]))
+
+    # verify all and verify integrality read no --character
+    code, out, err = run_cli(capsys, ["verify", "integrality", "--count", "1",
+                                      "--character", "quadratic:1009"])
+    assert code == 0 and not err
+    assert json.loads(out)["verdict"] == "pass"
+    assert error(["verify", "all", "--catalog"]) is None
+    assert error(["verify", "integrality"]) is None
+    for argv in (["lvalue", "--i", "-1", "--p", "5", "--l", "1"],
+                 ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--l", "2"],
+                 ["verify", "lambert"], ["verify", "valuation"], ["verify", "rate-fit"],
+                 ["verify", "chi-congruence"], ["verify", "fj-integral"],
+                 ["verify", "growth"]):
+        assert error(argv) is not None, argv
+
+
+def test_a_character_value_over_a_large_cyclotomic_field_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["lvalue", "--i", "-1", "--p", "5", "--l", "1",
+                                      "--character", quartic_over(1004)])
+    assert code == 2 and not out
+    assert "m = 1004" in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize("argv", [

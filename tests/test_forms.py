@@ -11,8 +11,8 @@ from padicforms.arith import lcm_upto, vp
 from padicforms.characters import (char_make, character_from_spec, gen_bernoulli,
                                    quadratic_character, trivial_character)
 from padicforms.cyclotomic import CyclotomicElement
-from padicforms.errors import DegreeError, DomainError, IntegralityError
-from padicforms.forms import (build_rn, choose_params, family_form, form_identity,
+from padicforms.errors import DegreeError, DomainError, PrecisionError
+from padicforms.forms import (HINT_SPREAD, build_rn, choose_params, family_form, form_identity,
                               form_scale, hurwitz_family, hurwitz_params, hurwitz_variant_form,
                               lambda_form, lvalue_family, partial_fractions,
                               per_x_valuation_hint, rho_higher, rho_zero,
@@ -56,7 +56,6 @@ def test_choose_params_examples():
     triv = trivial_character()
     pr = choose_params(triv, 2, 16, l=1)
     assert (pr.Q, pr.D, pr.N(1), pr.N(3)) == (4, 2, 2, 6)
-    assert pr.sigma(5) == 2 * 5 - 1
     pr4 = choose_params(quadratic_character(4), 2, 64, l=2)
     assert (pr4.Q, pr4.D, pr4.pQD) == (8, 4, 64)
     # default l for p = 2 is floored at 2
@@ -204,6 +203,87 @@ def test_form_identity_asks_for_every_value_at_once(spec, p, s, l, n):
     assert table.floors(p) is table.floors(p)
     assert [pd.floors for pd in rn.pole_data_shifted(Q(1, pr.D), table)] == \
         [tuple(vp(table.r(i, k), p) for i in range(1, s + 1)) for k in range(n + 1)]
+
+
+def _sum_precisions(monkeypatch):
+    """The precision of every weighted_integral_sum that form_identity takes."""
+    from padicforms import forms
+
+    asked = []
+    original = forms.weighted_integral_sum
+
+    def counting(rn, family, precision, table):
+        asked.append(precision)
+        return original(rn, family, precision, table)
+
+    monkeypatch.setattr(forms, "weighted_integral_sum", counting)
+    return asked
+
+
+def _hurwitz_shape():
+    # x0 = 1/4 at p = 2, s = 25, n = 3: the least s with a decaying R_n, and
+    # the stride p^l = 4 divides n + 1, so vp(S) is predicted
+    x0 = Q(1, 4)
+    pr, _ = hurwitz_params(x0, 2, 25, l=2)
+    family = hurwitz_family(pr, x0)
+    rn = build_rn(pr, 3)
+    table = partial_fractions(rn)
+    return family, family_form(family, table), rn, table
+
+
+def test_form_identity_states_exactly_the_requested_digits(monkeypatch):
+    # under its hypotheses the family predicts vp(S) exactly, so one sum
+    # modulo p^(predicted + digits) leaves exactly `digits` digits
+    family, form, rn, table = _hurwitz_shape()
+    predicted = family.predicted(3)
+    asked = _sum_precisions(monkeypatch)
+    for digits in (1, 7, 20):
+        report = form_identity(family, form, rn, table, digits)
+        assert report.agrees and report.relative_digits == digits
+        assert report.observed_valuation == predicted + vp(form_scale(25, 3), 2)
+        assert report.modulus_exp == report.observed_valuation + digits
+    assert asked == [predicted + digits for digits in (1, 7, 20)]
+
+
+def test_form_identity_takes_the_sum_at_most_twice(monkeypatch):
+    family, form, rn, table = _hurwitz_shape()
+    true = family.predicted(3)
+    asked = _sum_precisions(monkeypatch)
+
+    def starting_at(start):
+        return dataclasses.replace(family, predicted=lambda n: start)
+
+    # a start 5 below vp(S) leaves 15 digits, so S is taken again at vp(S) + 20
+    report = form_identity(starting_at(true - 5), form, rn, table, 20)
+    assert asked == [true + 15, true + 20]
+    assert report.agrees and report.relative_digits == 20
+    # a start above vp(S) only adds digits
+    asked.clear()
+    report = form_identity(starting_at(true + 3), form, rn, table, 20)
+    assert asked == [true + 23]
+    assert report.agrees and report.relative_digits == 23
+    # a left side that vanishes modulo p^(start + digits) names that modulus
+    asked.clear()
+    with pytest.raises(PrecisionError, match=rf"modulo p\^{true - 5}, p = 2"):
+        form_identity(starting_at(true - 25), form, rn, table, 20)
+    assert asked == [true - 5]
+
+
+def test_form_identity_without_a_prediction_starts_at_the_hint_spread(monkeypatch):
+    # p = 2, s = 59, n = 2, quadratic:4 breaks the hypotheses (s < pQD), and
+    # its vp(S) sits the full HINT_SPREAD above the single-integral hint
+    chi = quadratic_character(4)
+    pr = choose_params(chi, 2, 59, l=2)
+    family = lvalue_family(pr, chi)
+    assert family.predicted(2) is None
+    rn = build_rn(pr, 2)
+    table = partial_fractions(rn)
+    asked = _sum_precisions(monkeypatch)
+    report = form_identity(family, family_form(family, table), rn, table, 20)
+    hint = per_x_valuation_hint(pr, 2)
+    assert asked == [hint + HINT_SPREAD + 20]
+    assert report.observed_valuation - vp(form_scale(59, 2), 2) == hint + HINT_SPREAD
+    assert report.agrees and report.relative_digits == 20
 
 
 def test_build_rn_degree_error():

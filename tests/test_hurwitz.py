@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -459,24 +460,26 @@ def test_lp_value_matches_the_interpolation_formula(spec, p, i, omega_exp, extra
         assert got == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["trivial", "quadratic:3", "quadratic:4"]), st.sampled_from([5, 7, 13]),
-       st.integers(1, 7), st.integers(0, 11), st.integers(0, 1))
-def test_lp_value_matches_the_interpolation_formula_at_p_from_5(spec, p, n, k, extra):
-    # here omega has values in Q(zeta_(p-1)) and meets lp_value's Teichmuller
-    # weights only through the embedding, so pin that link first
-    omega, g = _omega(p)
-    assert omega.order == p - 1
-    assert value_to_padic(CyclotomicElement.zeta(p - 1), p, 30) == teichmuller(g, p, 30)
-    chi = character_from_spec(spec)
-    k %= p - 1
-    l = max(1, int(vp(Q(chi.conductor), p))) + extra
-    got = lp_value(1 - n, chi, p, l, omega_exp=k)
-    want = _interpolation_value(chi, p, 1 - n, k)
-    if isinstance(got, Padic):
-        assert got.prec == 20 and got.agrees(value_to_padic(want, p, 20))
-    else:
-        assert got == want
+def test_lp_value_matches_the_interpolation_formula_at_p_from_5():
+    # the whole grid, 924 cases: a fault in a few of them (one embedding at
+    # p = 13, say) would slip past a random sample of it
+    for p in (5, 7, 13):
+        # here omega has values in Q(zeta_(p-1)) and meets lp_value's Teichmuller
+        # weights only through the embedding, so pin that link first
+        omega, g = _omega(p)
+        assert omega.order == p - 1
+        assert value_to_padic(CyclotomicElement.zeta(p - 1), p, 30) == teichmuller(g, p, 30)
+        for spec in ("trivial", "quadratic:3", "quadratic:4"):
+            chi = character_from_spec(spec)
+            for n, k, extra in itertools.product(range(1, 8), range(p - 1), (0, 1)):
+                l = max(1, int(vp(Q(chi.conductor), p))) + extra
+                got = lp_value(1 - n, chi, p, l, omega_exp=k)
+                want = _interpolation_value(chi, p, 1 - n, k)
+                if isinstance(got, Padic):
+                    assert got.prec == 20 and got.agrees(value_to_padic(want, p, 20)), \
+                        (spec, p, n, k, extra)
+                else:
+                    assert got == want, (spec, p, n, k, extra)
 
 
 @pytest.mark.parametrize("spec, p", [("trivial", 2), ("trivial", 5), ("quadratic:3", 3),

@@ -42,10 +42,15 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+TESTS = {path.name: ast.parse(path.read_text())
+         for path in Path(__file__).resolve().parent.glob("*.py")}
+
+
 def test_no_module_has_an_unused_import():
-    # __init__ imports only to re-export
-    unused = {name: _unused_imports(tree) for name, tree in MODULES.items()
-              if name != "__init__"}
+    # __init__ imports only to re-export; the test modules are read too
+    trees = {**{name: tree for name, tree in MODULES.items() if name != "__init__"},
+             **{f"tests/{name}": tree for name, tree in TESTS.items()}}
+    unused = {name: _unused_imports(tree) for name, tree in trees.items()}
     assert {name: found for name, found in unused.items() if found} == {}
 
 

@@ -93,6 +93,25 @@ def test_teichmuller_uniqueness_oracle(p, prec):
         assert teichmuller(a, p, prec).unit == roots[0]
 
 
+def _teichmuller_by_iteration(x, p, prec):
+    """y -> y^p from x mod p^prec until it stops moving: the fixed point."""
+    mod = p ** prec
+    y = fraction_mod_pk(x, p, prec)
+    while (z := pow(y, p, mod)) != y:
+        y = z
+    return y
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 97])
+def test_teichmuller_is_the_fixed_point_of_the_p_th_power(p):
+    for x in list(range(1, 63)) + [Q(3, 7), Q(-5, 11), Q(22, 9), Q(-1)]:
+        if vp(Q(x), p) != 0:
+            continue
+        for prec in (1, 2, 5, 17, 60):
+            assert teichmuller(x, p, prec) == Padic(p, 0, _teichmuller_by_iteration(x, p, prec),
+                                                     prec), (x, prec)
+
+
 def test_teichmuller_defining_congruences():
     for p in (2, 3, 5, 7):
         for a in (1, 2, 3, 5, 7, 11):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction as Q
 
@@ -8,13 +9,13 @@ from padicforms import catalog
 from padicforms.catalog import (MINI_DESK, CatalogInstance, InstanceWorkspace, RandomConfig,
                                 check_config_integrality, integrality_check,
                                 random_small_configurations)
-from padicforms.characters import quadratic_character, trivial_character
-from padicforms.errors import DomainError, IntegralityError
+from padicforms.characters import trivial_character
+from padicforms.errors import DomainError, IntegralityError, PrecisionError
 from padicforms.forms import choose_params, family_form
-from padicforms.lambertw import Interval, ell_param, ln_interval
+from padicforms.lambertw import Interval, ln_interval
 from padicforms.verification import (characteristic_Xjn, check_chi_congruence,
                                      check_fj_integral, check_valuation_formula,
-                                     growth_bound, growth_bound_check,
+                                     form_sequence, growth_bound, growth_bound_check,
                                      lambert_inequality_check, tau_p)
 
 
@@ -59,6 +60,39 @@ def test_valuation_formula_desk_p3(desk):
     ws = desk.workspace("p3-trivial")
     rep = check_valuation_formula(ws.params, 2, ws.chi, rn=ws.rn, table=ws.table)
     assert rep.verdict and rep.expected == rep.observed == "263"
+
+
+def test_valuation_formula_decides_on_one_sum(desk, monkeypatch, capsys):
+    from padicforms import cli, verification
+
+    ws = desk.workspace("p3-trivial")
+    asked = []
+    original = verification.chi_weighted_integral_sum
+
+    def counting(rn, chi, precision, table=None):
+        asked.append(precision)
+        return original(rn, chi, precision, table=table)
+
+    monkeypatch.setattr(verification, "chi_weighted_integral_sum", counting)
+    rep = check_valuation_formula(ws.params, 2, ws.chi, rn=ws.rn, table=ws.table)
+    assert asked == [264] and rep.verdict and rep.observed == "263" and rep.detail == {}
+    # a prediction above vp(S) = 263: the sum is nonzero and its valuation exact
+    monkeypatch.setattr(verification, "valuation_formula_rhs", lambda pr, n: 270)
+    rep = check_valuation_formula(ws.params, 2, ws.chi, rn=ws.rn, table=ws.table)
+    assert not rep.verdict and (rep.expected, rep.observed) == ("270", "263")
+    # a prediction below it: the sum vanishes modulo p^259, and that fails too
+    monkeypatch.setattr(verification, "valuation_formula_rhs", lambda pr, n: 258)
+    rep = check_valuation_formula(ws.params, 2, ws.chi, rn=ws.rn, table=ws.table)
+    assert not rep.verdict and (rep.expected, rep.observed) == ("258", ">= 259")
+    assert asked == [264, 271, 259]
+    # the rate fit reads no valuation that its check did not verify
+    with pytest.raises(PrecisionError, match="n = 2"):
+        form_sequence(ws.params, ws.chi, [2])
+    # and the CLI reports the failed check with exit code 1
+    code = cli.dispatch(["verify", "valuation", "--p", "3", "--s", "82", "--l", "1",
+                         "--n", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["verdict"] == "fail" and out["observed"] == ">= 259"
 
 
 def test_valuation_formula_hypothesis_errors(desk):

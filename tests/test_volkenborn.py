@@ -275,7 +275,7 @@ def test_engine_agreement_small_levels(p, h):
     x = Q(1, p ** h)
     f = RationalFunction(Poly([1]), Poly([x, 1]))
     cert = 2 * h - 1
-    pole = [PoleData(location=-x, order=1, floors=(0,))]
+    pole = [PoleData(location=-x, floors=(0,))]
     assert rational_wavelet_tail_bound(pole, p) == cert
     mah = integral_mahler(f, p, cert + 6, pole_data=pole)
     for level in (2, 5, 8):
@@ -404,7 +404,7 @@ def test_translation_formula_random_rational():
 
 def _mahler_pole_power(x, k, p, precision):
     """The Mahler engine on (x+t)^-k with single-pole floors: the oracle."""
-    pole = [PoleData(location=-x, order=k, floors=(INF,) * (k - 1) + (0,))]
+    pole = [PoleData(location=-x, floors=(INF,) * (k - 1) + (0,))]
     f = RationalFunction(Poly([1]), Poly([x, 1]) ** k)
     return integral_mahler(f, p, precision, pole_data=pole)
 
