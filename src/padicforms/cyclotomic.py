@@ -123,7 +123,11 @@ class CyclotomicElement:
         return Poly(self.coords)
 
     def __eq__(self, other) -> bool:
+        # a rational element equals every element of its value, whatever
+        # the field, so equality stays transitive through Fractions
         if isinstance(other, CyclotomicElement):
+            if self.is_rational() and other.is_rational():
+                return self.coords[0] == other.coords[0]
             return self.m == other.m and self.coords == other.coords
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coords[0] == other

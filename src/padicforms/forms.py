@@ -5,24 +5,28 @@ R_n(t) = n!^s * packedmultinomial(N, n)^Q * binom(Dt + N, N)^Q * (Dt)^(2+delta) 
 has poles of order s at 0, -1, ..., -n. Its partial fraction coefficients
 r_(i,k) are read off the truncated power series of R_n(t) (t+k)^s at each
 pole, in integers: every linear factor of R_n at a pole is a prefix of the
-products prod_(m<=M) (y + m), which one sweep gives for every pole at once;
-the factors are multiplied by polynomials.series_mul and raised to powers by
-polynomials.power_numerators, the integer form of the series_pow recurrence,
-and each coefficient becomes a Fraction once, at the end. The coefficients
+products prod_(m<=M) (y + m), which one sweep gives for every pole at once,
+and the series of their product of powers comes from one integer recurrence
+per pole (polynomials.power_numerators), or from two joined by series_mul
+where that costs fewer products. The table keeps every r_(i,k) as an integer
+over one common denominator. The coefficients
 
     rho_i = i * sum_k r_(i,k)                (independent of any argument x)
     rho_(0,x) = -sum_(i,k) sum_(v<k) i r_(i,k) (v+x)^(-i-1)
 
 assemble integral linear forms whose values at p-adic L-values and Hurwitz
-zeta values are checked against direct Volkenborn integrals of R_n.
+zeta values are checked against direct Volkenborn integrals of R_n. They too
+are summed in integers, and a Fraction is formed only where a value is
+returned: once per rho_i and lambda_i, and once per v in rho_(0,x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import (batch_invert, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
@@ -294,33 +298,46 @@ def build_rn(params: FormParameters, n: int) -> RnFunction:
 
 @dataclass(frozen=True)
 class PartialFractionTable:
-    """r_(i,k) for 1 <= i <= s, 0 <= k <= n: R_n = sum r_(i,k)/(t+k)^i."""
+    """r_(i,k) for 1 <= i <= s, 0 <= k <= n: R_n = sum r_(i,k)/(t+k)^i.
+
+    The table keeps integers: r_(i,k) = nums[i-1][k] / den, with one common
+    denominator den > 0. rows, the same coefficients as Fractions, is built
+    on first read and kept.
+    """
 
     n: int
     s: int
-    rows: tuple[tuple[Fraction, ...], ...]  # rows[i-1][k]
+    nums: tuple[tuple[int, ...], ...]  # nums[i-1][k]
+    den: int
     _floors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_rows(cls, n: int, s: int,
+                  rows: Sequence[Sequence[Fraction | int]]) -> PartialFractionTable:
+        """The table whose coefficients are rows[i-1][k], any rationals."""
+        rows = [[Q(c) for c in row] for row in rows]
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        return cls(n=n, s=s, den=den,
+                   nums=tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                              for row in rows))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:  # rows[i-1][k]
+        return tuple(tuple(Q(c, self.den) for c in row) for row in self.nums)
 
     def r(self, i: int, k: int) -> Fraction:
         return self.rows[i - 1][k]
 
-    def floors(self, p: int) -> tuple[tuple[Fraction | int, ...], ...]:
+    def floors(self, p: int) -> tuple[tuple[int | float, ...], ...]:
         """vp(r_(i,k)) for i = 1..s, one tuple per pole k; computed once per p."""
         if p not in self._floors:
-            self._floors[p] = tuple(tuple(vp(c, p) for c in col) for col in zip(*self.rows))
+            v_den = vp_int(self.den, p)
+            self._floors[p] = tuple(tuple(vp_int(c, p) - v_den for c in col)
+                                    for col in zip(*self.nums))
         return self._floors[p]
 
-    def reconstruct(self, t: Fraction) -> Fraction:
-        acc = Q(0)
-        for i in range(1, self.s + 1):
-            for k in range(self.n + 1):
-                c = self.rows[i - 1][k]
-                if c:
-                    acc += c / (Q(t) + k) ** i
-        return acc
-
     def max_abs(self) -> Fraction:
-        return max(abs(c) for row in self.rows for c in row)
+        return Q(max(abs(c) for row in self.nums for c in row), self.den)
 
 
 def partial_fractions(rn: RnFunction) -> PartialFractionTable:
@@ -330,11 +347,28 @@ def partial_fractions(rn: RnFunction) -> PartialFractionTable:
     the products of (y + m) and of (y - m) over m = 1..M, so that
     g_M(y) = (-1)^M f_M(-y). Then R_n(t) (t+k)^s is prefactor/N!^Q times
 
-        x^z (x - Dk)^(2+delta) [f_(N-Dk)(x) g_(Dk-1)(x)]^Q [f_(n-k)(u) g_k(u)]^(-s),
+        x^z (x - Dk)^(2+delta) B(x)^Q cof(u)^(-s),
+        B = f_(N-Dk) g_(Dk-1),  cof = f_(n-k) g_k,
 
     where z = Q for k >= 1 (the factor Dt + Dk = x of binom(Dt + N, N)),
     and z = 0 and g_(-1) = 1 at k = 0. One sweep of f_M, truncated at length
     s, serves every pole; r_(i,k) is the coefficient of u^(s-i).
+
+    Every root of cof divides d_n, so the u^(z+j) coefficient is
+    scale D^z h[j] / (cof(0)^s d_n^j) with scale = prefactor/N!^Q and h an
+    integer series, and the table keeps r_(i,k) over the one denominator
+    scale.den n!^s d_n^(s-1). h comes from polynomials.power_numerators in
+    one of two groupings of the same series, L = s - z terms long:
+
+    - one recurrence for the whole product B(Du)^Q (u - k)^(2+delta) cof^(-s)
+      (at k = 0 the monomial x^(2+delta) is a shift), of order r at most
+      deg B + deg cof + 1, at about 2 L r products;
+    - B^Q and cof^(-s) apart, joined by series_mul: about L min(deg B, L)
+      products for the first power and L^2/2 for the product.
+
+    A pole takes the single recurrence when it costs fewer products
+    (_single_recurrence). Both give the same h, so the rule moves only the
+    time.
     """
     pr, n, N = rn.params, rn.n, rn.N
     s, D, q, mono = pr.s, pr.D, pr.Q, rn.mono_exp
@@ -344,27 +378,44 @@ def partial_fractions(rn: RnFunction) -> PartialFractionTable:
     def g(M: int) -> list[int]:
         return [(-1) ** (M + j) * c for j, c in enumerate(f[M])]
 
+    def pole_numerators(k: int, L: int, binom: list[int], cof: list[int]) -> list[int]:
+        """h[j] = cof(0)^s d_n^j [u^j] B(Du)^Q (Du - Dk)^mono cof(u)^(-s), j < L."""
+        deg_b = max(j for j, c in enumerate(binom) if c)
+        order = deg_b + min(n, L - 1) + (1 if k and mono else 0)
+        if not _single_recurrence(deg_b, order, L):
+            monomial = [math.comb(mono, j) * (-D * k) ** (mono - j) for j in range(mono + 1)]
+            a = series_mul(power_numerators([(binom, q)], 1, L), monomial, L)  # in x
+            a = [c * (D * dn) ** j for j, c in enumerate(a)]
+            return series_mul(a, power_numerators([(cof, -s)], dn, L), L)
+        factors = [([c * D ** j for j, c in enumerate(binom)], q), (cof, -s)]  # B(Du)
+        if not k:  # (Du)^mono is a shift
+            h = power_numerators(factors, dn, L - mono)
+            return [0] * mono + [c * (D * dn) ** mono for c in h]
+        if mono:  # (Du - Dk)^mono = D^mono (u - k)^mono
+            factors.append(([-k, 1], mono))
+        return [c * D ** mono for c in power_numerators(factors, dn, L)]
+
     scale = Q(rn.prefactor, math.factorial(N) ** q)
-    dn = lcm_upto(n)
+    dn, nfact = lcm_upto(n), math.factorial(n)
     cols = []
     for k in range(n + 1):
         z = q if k else 0
         L = s - z
-        binom = series_mul(f[N - D * k], g(max(D * k - 1, 0)), L)
-        monomial = [math.comb(mono, j) * (-D * k) ** (mono - j) for j in range(mono + 1)]
-        a = series_mul(power_numerators(binom, q, 1, L), monomial, L)  # in x
         cof = series_mul(f[n - k], g(k), L)
-        # x -> D u; every root of the cofactor divides d_n, so its (-s)-th
-        # power has numerators over c0^s d_n^j, and the u^(z+j) coefficient
-        # is scale D^z h[j] / (c0^s d_n^j)
-        a = [c * (D * dn) ** j for j, c in enumerate(a)]
-        h = series_mul(a, power_numerators(cof, -s, dn, L), L)
-        top, bottom = scale.numerator * D ** z, scale.denominator * cof[0] ** s
-        col = [Q(0)] * s
+        h = pole_numerators(k, L, series_mul(f[N - D * k], g(max(D * k - 1, 0)), L), cof)
+        top = scale.numerator * D ** z * (nfact // cof[0]) ** s
+        col = [0] * s
         for j, c in enumerate(h):
-            col[s - 1 - z - j] = Q(top * c, bottom * dn ** j)
+            col[s - 1 - z - j] = top * c * dn ** (s - 1 - j)
         cols.append(col)
-    return PartialFractionTable(n=n, s=s, rows=tuple(zip(*cols)))
+    return PartialFractionTable(n=n, s=s, nums=tuple(zip(*cols)),
+                                den=scale.denominator * nfact ** s * dn ** (s - 1))
+
+
+def _single_recurrence(deg_b: int, order: int, L: int) -> bool:
+    """Whether one recurrence of this order (2 L order products) costs less
+    than the power of B and the series_mul (L min(deg B, L) + L^2/2)."""
+    return 4 * order < 2 * min(deg_b, L) + L
 
 
 def _prefix_products(wanted: set[int], L: int) -> dict[int, list[int]]:
@@ -384,26 +435,32 @@ def rho_higher(table: PartialFractionTable, i: int) -> Fraction:
     """rho_i = i sum_k r_(i,k); independent of the Hurwitz argument."""
     if not 1 <= i <= table.s:
         raise DomainError(f"need 1 <= i <= {table.s}")
-    return i * sum(table.rows[i - 1], Q(0))
+    return Q(i * sum(table.nums[i - 1]), table.den)
 
 
 def rho_zero(table: PartialFractionTable, x: Fraction) -> Fraction:
-    """rho_(0,x) = -sum_(i,k) sum_(v=0..k-1) i r_(i,k) (v+x)^(-i-1)."""
+    """rho_(0,x) = -sum_(i,k) sum_(v=0..k-1) i r_(i,k) (v+x)^(-i-1).
+
+    With x = u/w, b = v w + u and W_i = sum_(k>v) nums[i-1][k], the terms at
+    one v sum to w^2 T / (den b^(s+1)) with T = sum_i i W_i w^(i-1) b^(s-i),
+    an integer that one Horner pass over i gives; w^2/den is applied once.
+    """
     x = Fraction(x)
+    u, w, s = x.numerator, x.denominator, table.s
+    w_pow = [w ** i for i in range(s)]
     acc = Q(0)
-    weights = [Q(0)] * table.s  # weights[i-1] = sum_(k=v+1..n) r_(i,k)
+    weights = [0] * s  # weights[i-1] = sum_(k=v+1..n) nums[i-1][k]
     for v in range(table.n - 1, -1, -1):
-        base = v + x
-        if base == 0:
+        b = v * w + u
+        if b == 0:
             raise DomainError(f"x = {x} hits the pole at v = {v}")
-        inv = 1 / base
-        power = inv * inv  # (v+x)^(-2) = i=1 term
-        for i in range(1, table.s + 1):
-            weights[i - 1] += table.rows[i - 1][v + 1]
-            if weights[i - 1]:
-                acc += i * weights[i - 1] * power
-            power *= inv
-    return -acc
+        T = 0
+        for i, row in enumerate(table.nums, start=1):
+            weights[i - 1] += row[v + 1]
+            T = T * b + i * weights[i - 1] * w_pow[i - 1]
+        if T:
+            acc += Q(T, b ** (s + 1))
+    return -acc * (w * w) / table.den
 
 
 # -- the two families of linear forms -----------------------------------------------
@@ -498,7 +555,8 @@ def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOv
 
     C = form_scale(s, n). The forms are integral by one lemma, asserted here
     for every table: C rho_(0,j/D) and (s-i)! d_n^(s-i) rho_i are integers.
-    The second implies lambda_i is, since (s-i)! d_n^(s-i) divides C.
+    The second implies lambda_i is, since (s-i)! d_n^(s-i) divides C; it is
+    checked on the table's integers, as den | (s-i)! d_n^(s-i) i sum_k nums.
     Violations raise IntegralityError (an implementation bug, not input).
     """
     pr = family.params
@@ -512,11 +570,15 @@ def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOv
     assert_integral(lam0, "lambda_0")
     coeffs: list[CharValue] = [lam0]
     scale = C * pr.s * dn  # s! d_n^s, divided down to (s-i)! d_n^(s-i)
-    for i in range(1, pr.s + 1):
+    D_pow = pr.D ** family.shift
+    for i, row in enumerate(table.nums, start=1):
         scale //= (pr.s - i + 1) * dn
-        rho = rho_higher(table, i)
-        assert_integral(scale * rho, f"rho_{i} lemma: (s-{i})! d_n^(s-{i}) rho_{i}")
-        coeffs.append(C * Q(pr.D) ** (i + family.shift) * rho)
+        D_pow *= pr.D
+        rho = i * sum(row)  # rho_i = rho / den
+        if scale * rho % table.den:
+            assert_integral(Q(scale * rho, table.den),
+                            f"rho_{i} lemma: (s-{i})! d_n^(s-{i}) rho_{i}")
+        coeffs.append(Q(C * rho // table.den * D_pow))
     return LinearFormOverK(coeffs=tuple(coeffs), params=pr, n=table.n,
                            field_m=family.field_m)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonSplitDenominator, PrecisionError
@@ -43,13 +43,6 @@ class Poly:
     @classmethod
     def x(cls) -> Poly:
         return cls([0, 1])
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Fraction | int]) -> Poly:
-        out = cls.const(1)
-        for r in roots:
-            out = out * cls([-as_fraction(r), 1])
-        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -213,30 +206,45 @@ def series_pow(a: Sequence[Fraction], e: int, L: int) -> list[Fraction]:
     B = [x.numerator * (c // x.denominator) for x in b]
     d = B[0] if e < 0 else 1
     top, bottom = c ** max(-e, 0), c ** max(e, 0) * d ** max(-e, 0)
-    g = power_numerators(B, e, d, L - shift)[:L - shift]
+    g = power_numerators([(B, e)], d, L - shift)[:L - shift]
     return [Q(0)] * shift + [Q(top * x, bottom * d ** m) for m, x in enumerate(g)]
 
 
-def power_numerators(b: list[int], e: int, d: int, L: int) -> list[int]:
-    """Integers G with b^e = b0^min(e, 0) sum_m G[m] (y/d)^m, to length L.
+def power_numerators(factors: Sequence[tuple[Sequence[int], int]], d: int,
+                     L: int) -> list[int]:
+    """Integers G with prod_j b_j^e_j = c sum_m G[m] (y/d)^m to length L.
 
-    b is an integer series with b0 = b[0] != 0. The power g = b^e satisfies
-    b g' = e b' g, so m b0 g[m] = sum_(k=1..m) ((e+1)k - m) b[k] g[m-k]
-    (Knuth, TAOCP vol. 2, 4.7). With g[m] = b0^min(e, 0) G[m] / d^m it reads
+    Each factor is an integer series b_j with b_j[0] != 0 and an integer
+    exponent e_j, and c = prod_j b_j[0]^min(e_j, 0). With A = prod_j b_j and
+    E = sum_j e_j b_j' prod_(i != j) b_i, the product g satisfies A g' = E g,
+    so m A[0] g[m] = sum_(k=1..m) (E[k-1] - (m-k) A[k]) g[m-k] (for one
+    factor E = e b', Knuth, TAOCP vol. 2, 4.7). With g[m] = c G[m] / d^m it
+    reads
 
-        m b0 G[m] = sum_k ((e+1)k - m) b[k] d^k G[m-k],   G[0] = b0^max(e, 0).
+        m A[0] G[m] = sum_k (E[k-1] + k A[k] - m A[k]) d^k G[m-k],
+        G[0] = prod_j b_j[0]^max(e_j, 0).
 
     The caller picks d so that every G[m] is an integer, which makes every
-    division exact: d = 1 when e >= 0, and d = b0 serves any e. A power of a
-    degree-r polynomial costs O(L r) products.
+    division exact: d = 1 when every e_j >= 0, and d = b[0] serves one factor
+    b with any e. The recurrence has order r = deg A, so its cost is about
+    2 L r products, whatever the exponents.
     """
-    b0 = b[0]
-    w = [c * d ** k for k, c in enumerate(b[:L])]
-    top = max((k for k, c in enumerate(w) if c), default=0)
-    g = [b0 ** max(e, 0)]
+    if L < 1:
+        return []
+    polys = [b[:1 + max(k for k, c in enumerate(b[:L]) if c)] for b, _ in factors]
+    A, E = [1], [0]
+    for (_, e), b in zip(factors, polys):  # (A, E) -> (A b, E b + e A b')
+        db = [k * c for k, c in enumerate(b)][1:]
+        E = [x + e * y for x, y in zip(series_mul(E, b, L), series_mul(A, db, L))]
+        A = series_mul(A, b, L)
+    top = max((k for k in range(1, L) if A[k] or E[k - 1]), default=0)  # the order
+    V = [A[k] * d ** k for k in range(top + 1)]
+    U = [0] + [(E[k - 1] + k * A[k]) * d ** k for k in range(1, top + 1)]
+    g = [prod(b[0] ** max(e, 0) for (_, e), b in zip(factors, polys))]
+    a0 = A[0]
     for m in range(1, L):
-        acc = sum(((e + 1) * k - m) * w[k] * g[m - k] for k in range(1, min(m, top) + 1))
-        g.append(acc // (m * b0))
+        acc = sum((U[k] - m * V[k]) * g[m - k] for k in range(1, min(m, top) + 1))
+        g.append(acc // (m * a0))
     return g
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -110,6 +111,17 @@ def test_a_rational_element_hashes_as_its_fraction():
     assert hash(CyclotomicElement.from_rational(3, 6)) == hash(3)
     i = CyclotomicElement.zeta(4)
     assert len({i, CyclotomicElement(4, [0, 1]), -i}) == 2
+
+
+def test_rational_elements_are_equal_across_fields():
+    # equality is transitive: a == 1/2 == b forces a == b, whatever the m,
+    # so a set holds one element in every order of insertion
+    a = CyclotomicElement.from_rational(Q(1, 2), 4)
+    b = CyclotomicElement.from_rational(Q(1, 2), 1)
+    assert a == b and b == a
+    for order in itertools.permutations([a, Q(1, 2), b]):
+        assert len(set(order)) == 1, order
+    assert CyclotomicElement.from_rational(Q(1, 3), 4) != b
 
 
 def test_assert_integral():

@@ -10,8 +10,17 @@ from padicforms.characters import character_from_spec
 from padicforms.errors import DomainError, NonSplitDenominator
 from padicforms.forms import build_rn, choose_params, hurwitz_params, partial_fractions
 from padicforms.polynomials import (MAX_POWER_DEGREE, Poly, RationalFunction,
-                                    _rational_roots, parse_rational_function, series_inv,
-                                    series_mul, series_pow, series_trunc)
+                                    _rational_roots, parse_rational_function,
+                                    power_numerators, series_inv, series_mul, series_pow,
+                                    series_trunc)
+
+
+def poly_from_roots(roots):
+    """prod_r (t - r) as a Poly."""
+    out = Poly.const(1)
+    for r in roots:
+        out = out * Poly([-Q(r), 1])
+    return out
 
 
 def test_poly_basics():
@@ -46,7 +55,7 @@ def test_poly_divmod_roundtrip():
 
 
 def test_from_roots_and_content():
-    p = Poly.from_roots([1, Q(1, 2)])
+    p = poly_from_roots([1, Q(1, 2)])
     assert p(1) == 0 and p(Q(1, 2)) == 0
     content, prim = Poly([Q(2, 3), Q(4, 3)]).content_primitive()
     assert content == Q(2, 3) and prim == [1, 2]
@@ -114,10 +123,33 @@ def test_series_pow_matches_squaring_oracle(zeros, tail, e, L):
         assert series_inv(a, L) == _inv_oracle(a, L)
 
 
+# (b[0] != 0, the rest of b, e) for 1 to 4 factors b^e
+_factors = st.lists(st.tuples(st.integers(-9, 9).filter(bool),
+                              st.lists(st.integers(-9, 9), max_size=6), st.integers(-6, 8)),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors, st.integers(1, 14))
+@example([(-1, [1], 0), (8, [5], 1), (-8, [-3], 0)], 2)  # A[1] = 0 but E[0] != 0
+def test_power_numerators_of_a_product_match_the_squaring_oracle(factors, L):
+    # prod_j b_j^e_j = c sum_m G[m] (y/d)^m with c = prod_j b_j[0]^min(e_j, 0),
+    # in integers when d is the product of b_j[0] over the negative e_j
+    factors = [([b0] + tail, e) for b0, tail, e in factors]
+    d = math.prod(b[0] for b, e in factors if e < 0)
+    c = math.prod(Q(b[0]) ** min(e, 0) for b, e in factors)
+    want = series_trunc([Q(1)], L)
+    for b, e in factors:
+        want = series_mul(want, _pow_oracle([Q(x) for x in b], e, L), L)
+    got = power_numerators(factors, d, L)
+    assert all(type(x) is int for x in got)
+    assert [c * x / Q(d) ** m for m, x in enumerate(got)] == want
+
+
 def _binom_t(rn):
     """binom(D t + N, N) as a polynomial in t."""
     D, N = rn.params.D, rn.N
-    return Poly.from_roots([Q(-v, D) for v in range(1, N + 1)]).scale(Q(D ** N, math.factorial(N)))
+    return poly_from_roots([Q(-v, D) for v in range(1, N + 1)]).scale(Q(D ** N, math.factorial(N)))
 
 
 def _oracle_table_rows(rn):
@@ -130,7 +162,7 @@ def _oracle_table_rows(rn):
         if rn.mono_exp:
             mono = Poly([-pr.D * k, pr.D]) ** rn.mono_exp
             out = series_mul(out, series_trunc(mono.coeffs, s), s)
-        cof = Poly.from_roots([k - j for j in range(rn.n + 1) if j != k])
+        cof = poly_from_roots([k - j for j in range(rn.n + 1) if j != k])
         inv = _inv_oracle(series_trunc(cof.coeffs, s), s)
         out = series_mul(out, _pow_oracle(inv, pr.s, s), s)
         cols.append([out[s - i] for i in range(1, s + 1)])
@@ -187,6 +219,22 @@ def test_partial_fraction_tables_match_squaring_oracle(shape, steps):
     assert partial_fractions(rn).rows == _oracle_table_rows(rn)
 
 
+def test_both_groupings_of_every_pole_give_the_same_table(monkeypatch):
+    # partial_fractions reads each pole either from one product-of-powers
+    # recurrence or from two powers joined by series_mul; force each in turn
+    from padicforms import forms
+
+    def rows(rn, grouped):
+        monkeypatch.setattr(forms, "_single_recurrence", lambda *cost: grouped)
+        return partial_fractions(rn).rows
+
+    # the shapes of the squaring oracle, and the p = 5, s = 252 item of the
+    # integrality benchmark
+    for head, p, l, n in _oracle_shapes() + [(Q(3, 5), 5, 1, 1)]:
+        rn = build_rn(_rn_params(head, p, l, _admissible_s(head, p, l, n, 1 if p < 5 else 0)), n)
+        assert rows(rn, True) == rows(rn, False), (head, p, l, n)
+
+
 def test_rational_function_eval_and_calc():
     f = RationalFunction(Poly([1]), Poly([0, 1]))  # 1/t
     assert f(2) == Q(1, 2)
@@ -201,7 +249,7 @@ def test_rational_function_eval_and_calc():
 
 
 def test_den_factorization():
-    f = RationalFunction(Poly([1]), Poly.from_roots([Q(1, 2), Q(1, 2), -3]))
+    f = RationalFunction(Poly([1]), poly_from_roots([Q(1, 2), Q(1, 2), -3]))
     lc, roots = f.den_factorization()
     assert roots == {Q(1, 2): 2, Q(-3): 1}
     with pytest.raises(NonSplitDenominator):
@@ -210,7 +258,7 @@ def test_den_factorization():
 
 def _derivative_pf_oracle(f: RationalFunction, c: Q, e: int):
     """[a_1..a_e] via a_i = (d/dt)^(e-i) [f (t-c)^e] / (e-i)! at t = c."""
-    reduced_den, rem = f.den.divmod(Poly.from_roots([c]) ** e)
+    reduced_den, rem = f.den.divmod(poly_from_roots([c]) ** e)
     assert rem.is_zero()
     g = RationalFunction(f.num, reduced_den)
     out = []
@@ -230,7 +278,7 @@ def test_partial_fractions_against_derivative_oracle():
                  Q(-rng.randint(1, 3), 2): rng.randint(1, 2)}
         den = Poly([1])
         for c, e in roots.items():
-            den = den * Poly.from_roots([c]) ** e
+            den = den * poly_from_roots([c]) ** e
         num = Poly([rng.randint(-9, 9) for _ in range(den.degree() - 1)] or [1])
         f = RationalFunction(num, den)
         poly_part, terms = f.partial_fractions()
@@ -242,7 +290,7 @@ def test_partial_fractions_against_derivative_oracle():
 def test_partial_fractions_reconstruction():
     rng = random.Random(9)
     for _ in range(10):
-        den = Poly.from_roots([1, 1, -2, Q(5, 2)])
+        den = poly_from_roots([1, 1, -2, Q(5, 2)])
         num = Poly([rng.randint(-9, 9) for _ in range(4)])
         f = RationalFunction(num, den)
         poly_part, terms = f.partial_fractions()
@@ -317,7 +365,7 @@ _small_rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 30))
        mults=st.lists(st.integers(1, 3), min_size=5, max_size=5),
        quadratic=st.sampled_from([None, (2, 0, -1), (1, 1, 1), (5, 0, 3)]))
 def test_rational_roots_match_divisor_search(roots, mults, quadratic):
-    den = Poly.from_roots(roots)
+    den = poly_from_roots(roots)
     if quadratic is not None:
         den = den * Poly(list(reversed(quadratic)))
     prim = Poly(den.content_primitive()[1])
@@ -325,7 +373,7 @@ def test_rational_roots_match_divisor_search(roots, mults, quadratic):
         == sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
     full = Poly.const(1)
     for root, m in zip(roots, mults):
-        full = full * Poly.from_roots([root]) ** m
+        full = full * poly_from_roots([root]) ** m
     if quadratic is None:
         _, found = RationalFunction(Poly([1]), full.scale(Q(3, 7))).den_factorization()
         assert found == dict(zip(roots, mults))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction as Q
@@ -11,7 +10,7 @@ from padicforms.catalog import (MINI_DESK, CatalogInstance, InstanceWorkspace, R
                                 random_small_configurations)
 from padicforms.characters import trivial_character
 from padicforms.errors import DomainError, IntegralityError, PrecisionError
-from padicforms.forms import choose_params, family_form
+from padicforms.forms import PartialFractionTable, choose_params, family_form
 from padicforms.lambertw import Interval, ln_interval
 from padicforms.verification import (characteristic_Xjn, check_chi_congruence,
                                      check_fj_integral, check_valuation_formula,
@@ -171,7 +170,7 @@ def _doctored(table, i, extra):
     rho_(0,x) moves, since r_(i,0) enters none of them."""
     rows = [list(row) for row in table.rows]
     rows[i - 1][0] += extra
-    return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+    return PartialFractionTable.from_rows(table.n, table.s, rows)
 
 
 @pytest.mark.parametrize("x", [None, Q(1, 4)], ids=["L", "hurwitz"])

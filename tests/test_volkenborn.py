@@ -17,6 +17,8 @@ from padicforms.volkenborn import (PoleData, check_hurwitz_domain, integral_mahl
                                    mahler_error_valuation, rational_wavelet_tail_bound,
                                    translate_integral, vdp_length)
 
+from test_polynomials import poly_from_roots
+
 
 # -- oracles: the van der Put expansion, exact Riemann sums and Mahler coefficients
 
@@ -218,7 +220,7 @@ def test_mahler_binomial_integrals():
     # Int binom(t, m) = (-1)^m/(m+1) for m <= 12, exactly
     for m in range(13):
         b = Poly.const(Q(1, math.factorial(m)))
-        b = b * Poly.from_roots(list(range(m))) if m else Poly.const(1)
+        b = b * poly_from_roots(list(range(m))) if m else Poly.const(1)
         for p in (2, 3):
             assert integral_mahler(RationalFunction(b), p) == Q((-1) ** m, m + 1)
 
@@ -389,7 +391,7 @@ def test_translation_formula_random_rational():
             u = rng.choice([1, 3, 7])
             if u % p == 0:
                 u += 1
-            den = den * Poly.from_roots([Q(u, p ** h)]) ** rng.randint(1, 2)
+            den = den * poly_from_roots([Q(u, p ** h)]) ** rng.randint(1, 2)
         num = Poly([rng.randint(-9, 9) for _ in range(max(1, den.degree() - 1))])
         if num.is_zero():
             num = Poly([1])
