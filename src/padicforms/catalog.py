@@ -35,9 +35,7 @@ class CatalogInstance:
         return character_from_spec(self.character)
 
     def params(self) -> FormParameters:
-        if self.hurwitz_x is not None:
-            return hurwitz_params(self.hurwitz_x, self.p, self.s, l=self.l)[0]
-        return choose_params(self.chi(), self.p, self.s, l=self.l)
+        return _config_params(self.chi(), self.hurwitz_x, self.p, self.s, self.l)
 
 
 CATALOG: tuple[CatalogInstance, ...] = (

@@ -7,9 +7,8 @@ r_(i,k) are read off the truncated power series of R_n(t) (t+k)^s at each
 pole, in integers: every linear factor of R_n at a pole is a prefix of the
 products prod_(m<=M) (y + m), which one sweep gives for every pole at once,
 and the series of their product of powers comes from one integer recurrence
-per pole (polynomials.power_numerators), or from two joined by series_mul
-where that costs fewer products. The table keeps every r_(i,k) as an integer
-over one common denominator. The coefficients
+per pole (polynomials.power_numerators). The table keeps every r_(i,k) as an
+integer over one common denominator. The coefficients
 
     rho_i = i * sum_k r_(i,k)                (independent of any argument x)
     rho_(0,x) = -sum_(i,k) sum_(v<k) i r_(i,k) (v+x)^(-i-1)
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .arith import (batch_invert, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
@@ -311,22 +310,9 @@ class PartialFractionTable:
     den: int
     _floors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_rows(cls, n: int, s: int,
-                  rows: Sequence[Sequence[Fraction | int]]) -> PartialFractionTable:
-        """The table whose coefficients are rows[i-1][k], any rationals."""
-        rows = [[Q(c) for c in row] for row in rows]
-        den = math.lcm(*(c.denominator for row in rows for c in row))
-        return cls(n=n, s=s, den=den,
-                   nums=tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                              for row in rows))
-
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:  # rows[i-1][k]
         return tuple(tuple(Q(c, self.den) for c in row) for row in self.nums)
-
-    def r(self, i: int, k: int) -> Fraction:
-        return self.rows[i - 1][k]
 
     def floors(self, p: int) -> tuple[tuple[int | float, ...], ...]:
         """vp(r_(i,k)) for i = 1..s, one tuple per pole k; computed once per p."""
@@ -355,20 +341,12 @@ def partial_fractions(rn: RnFunction) -> PartialFractionTable:
     s, serves every pole; r_(i,k) is the coefficient of u^(s-i).
 
     Every root of cof divides d_n, so the u^(z+j) coefficient is
-    scale D^z h[j] / (cof(0)^s d_n^j) with scale = prefactor/N!^Q and h an
-    integer series, and the table keeps r_(i,k) over the one denominator
-    scale.den n!^s d_n^(s-1). h comes from polynomials.power_numerators in
-    one of two groupings of the same series, L = s - z terms long:
-
-    - one recurrence for the whole product B(Du)^Q (u - k)^(2+delta) cof^(-s)
-      (at k = 0 the monomial x^(2+delta) is a shift), of order r at most
-      deg B + deg cof + 1, at about 2 L r products;
-    - B^Q and cof^(-s) apart, joined by series_mul: about L min(deg B, L)
-      products for the first power and L^2/2 for the product.
-
-    A pole takes the single recurrence when it costs fewer products
-    (_single_recurrence). Both give the same h, so the rule moves only the
-    time.
+    scale D^(z+2+delta) h[j] / (cof(0)^s d_n^j) with scale = prefactor/N!^Q
+    and h an integer series, and the table keeps r_(i,k) over the one
+    denominator scale.den n!^s d_n^(s-1). h, L = s - z terms long, comes from
+    one polynomials.power_numerators recurrence for the whole product
+    B(Du)^Q (u - k)^(2+delta) cof(u)^(-s); at k = 0 the monomial is u^(2+delta),
+    a shift.
     """
     pr, n, N = rn.params, rn.n, rn.N
     s, D, q, mono = pr.s, pr.D, pr.Q, rn.mono_exp
@@ -378,44 +356,26 @@ def partial_fractions(rn: RnFunction) -> PartialFractionTable:
     def g(M: int) -> list[int]:
         return [(-1) ** (M + j) * c for j, c in enumerate(f[M])]
 
-    def pole_numerators(k: int, L: int, binom: list[int], cof: list[int]) -> list[int]:
-        """h[j] = cof(0)^s d_n^j [u^j] B(Du)^Q (Du - Dk)^mono cof(u)^(-s), j < L."""
-        deg_b = max(j for j, c in enumerate(binom) if c)
-        order = deg_b + min(n, L - 1) + (1 if k and mono else 0)
-        if not _single_recurrence(deg_b, order, L):
-            monomial = [math.comb(mono, j) * (-D * k) ** (mono - j) for j in range(mono + 1)]
-            a = series_mul(power_numerators([(binom, q)], 1, L), monomial, L)  # in x
-            a = [c * (D * dn) ** j for j, c in enumerate(a)]
-            return series_mul(a, power_numerators([(cof, -s)], dn, L), L)
-        factors = [([c * D ** j for j, c in enumerate(binom)], q), (cof, -s)]  # B(Du)
-        if not k:  # (Du)^mono is a shift
-            h = power_numerators(factors, dn, L - mono)
-            return [0] * mono + [c * (D * dn) ** mono for c in h]
-        if mono:  # (Du - Dk)^mono = D^mono (u - k)^mono
-            factors.append(([-k, 1], mono))
-        return [c * D ** mono for c in power_numerators(factors, dn, L)]
-
     scale = Q(rn.prefactor, math.factorial(N) ** q)
     dn, nfact = lcm_upto(n), math.factorial(n)
     cols = []
     for k in range(n + 1):
         z = q if k else 0
         L = s - z
+        binom = series_mul(f[N - D * k], g(max(D * k - 1, 0)), L)
         cof = series_mul(f[n - k], g(k), L)
-        h = pole_numerators(k, L, series_mul(f[N - D * k], g(max(D * k - 1, 0)), L), cof)
-        top = scale.numerator * D ** z * (nfact // cof[0]) ** s
+        factors = [([c * D ** j for j, c in enumerate(binom)], q), (cof, -s)]  # B(Du)
+        if k and mono:  # (Du - Dk)^mono = D^mono (u - k)^mono
+            factors.append(([-k, 1], mono))
+        shift = 0 if k else mono  # (Du)^mono = D^mono u^mono
+        h = [0] * shift + [c * dn ** shift for c in power_numerators(factors, dn, L - shift)]
+        top = scale.numerator * D ** (z + mono) * (nfact // cof[0]) ** s
         col = [0] * s
         for j, c in enumerate(h):
             col[s - 1 - z - j] = top * c * dn ** (s - 1 - j)
         cols.append(col)
     return PartialFractionTable(n=n, s=s, nums=tuple(zip(*cols)),
                                 den=scale.denominator * nfact ** s * dn ** (s - 1))
-
-
-def _single_recurrence(deg_b: int, order: int, L: int) -> bool:
-    """Whether one recurrence of this order (2 L order products) costs less
-    than the power of B and the series_mul (L min(deg B, L) + L^2/2)."""
-    return 4 * order < 2 * min(deg_b, L) + L
 
 
 def _prefix_products(wanted: set[int], L: int) -> dict[int, list[int]]:

@@ -227,7 +227,8 @@ def power_numerators(factors: Sequence[tuple[Sequence[int], int]], d: int,
     The caller picks d so that every G[m] is an integer, which makes every
     division exact: d = 1 when every e_j >= 0, and d = b[0] serves one factor
     b with any e. The recurrence has order r = deg A, so its cost is about
-    2 L r products, whatever the exponents.
+    2 L r products, whatever the exponents; the sum is taken by Horner's rule
+    in d, so that no product carries a power of d.
     """
     if L < 1:
         return []
@@ -238,12 +239,13 @@ def power_numerators(factors: Sequence[tuple[Sequence[int], int]], d: int,
         E = [x + e * y for x, y in zip(series_mul(E, b, L), series_mul(A, db, L))]
         A = series_mul(A, b, L)
     top = max((k for k in range(1, L) if A[k] or E[k - 1]), default=0)  # the order
-    V = [A[k] * d ** k for k in range(top + 1)]
-    U = [0] + [(E[k - 1] + k * A[k]) * d ** k for k in range(1, top + 1)]
+    U = [0] + [E[k - 1] + k * A[k] for k in range(1, top + 1)]
     g = [prod(b[0] ** max(e, 0) for (_, e), b in zip(factors, polys))]
     a0 = A[0]
     for m in range(1, L):
-        acc = sum((U[k] - m * V[k]) * g[m - k] for k in range(1, min(m, top) + 1))
+        acc = 0
+        for k in range(min(m, top), 0, -1):
+            acc = (acc + (U[k] - m * A[k]) * g[m - k]) * d
         g.append(acc // (m * a0))
     return g
 

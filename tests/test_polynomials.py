@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padicforms.arith import lcm_upto
 from padicforms.characters import character_from_spec
 from padicforms.errors import DomainError, NonSplitDenominator
 from padicforms.forms import build_rn, choose_params, hurwitz_params, partial_fractions
@@ -219,20 +220,41 @@ def test_partial_fraction_tables_match_squaring_oracle(shape, steps):
     assert partial_fractions(rn).rows == _oracle_table_rows(rn)
 
 
-def test_both_groupings_of_every_pole_give_the_same_table(monkeypatch):
-    # partial_fractions reads each pole either from one product-of-powers
-    # recurrence or from two powers joined by series_mul; force each in turn
-    from padicforms import forms
+def _two_power_rows(rn):
+    """r_(i,k) with each pole's series taken as two powers joined by series_mul.
 
-    def rows(rn, grouped):
-        monkeypatch.setattr(forms, "_single_recurrence", lambda *cost: grouped)
-        return partial_fractions(rn).rows
+    At the pole -k, with u = t + k and x = D u, R_n(t) (t+k)^s is
+    prefactor/N!^Q times x^z (x - Dk)^(2+delta) B(x)^Q cof(u)^(-s) (see
+    forms.partial_fractions). Here B^Q is one power_numerators call at d = 1,
+    times the monomial, and cof^(-s) another at d = d_n; their series_mul
+    product h gives the u^(z+j) coefficient scale D^z h[j] / (cof(0)^s d_n^j).
+    """
+    pr, n, N = rn.params, rn.n, rn.N
+    s, D, q, mono = pr.s, pr.D, pr.Q, rn.mono_exp
+    scale, dn = Q(rn.prefactor, math.factorial(N) ** q), lcm_upto(n)
+    cols = []
+    for k in range(n + 1):
+        z = q if k else 0
+        L = s - z
+        binom = poly_from_roots([-m for m in range(1, N - D * k + 1)] + list(range(1, D * k)))
+        cof = poly_from_roots([-m for m in range(1, n - k + 1)] + list(range(1, k + 1)))
+        binom, cof = ([int(c) for c in f.coeffs] for f in (binom, cof))
+        monomial = [math.comb(mono, j) * (-D * k) ** (mono - j) for j in range(mono + 1)]
+        a = series_mul(power_numerators([(binom, q)], 1, L), monomial, L)  # in x
+        a = [c * (D * dn) ** j for j, c in enumerate(a)]
+        h = series_mul(a, power_numerators([(cof, -s)], dn, L), L)
+        top = scale * D ** z / Q(cof[0]) ** s
+        cols.append([top * Q(h[s - i - z], dn ** (s - i - z)) if i <= L else Q(0)
+                     for i in range(1, s + 1)])
+    return tuple(zip(*cols))
 
+
+def test_one_recurrence_per_pole_matches_the_two_power_grouping():
     # the shapes of the squaring oracle, and the p = 5, s = 252 item of the
     # integrality benchmark
     for head, p, l, n in _oracle_shapes() + [(Q(3, 5), 5, 1, 1)]:
         rn = build_rn(_rn_params(head, p, l, _admissible_s(head, p, l, n, 1 if p < 5 else 0)), n)
-        assert rows(rn, True) == rows(rn, False), (head, p, l, n)
+        assert partial_fractions(rn).rows == _two_power_rows(rn), (head, p, l, n)
 
 
 def test_rational_function_eval_and_calc():

@@ -10,12 +10,13 @@ from padicforms.catalog import (MINI_DESK, CatalogInstance, InstanceWorkspace, R
                                 random_small_configurations)
 from padicforms.characters import trivial_character
 from padicforms.errors import DomainError, IntegralityError, PrecisionError
-from padicforms.forms import PartialFractionTable, choose_params, family_form
+from padicforms.forms import choose_params, family_form
 from padicforms.lambertw import Interval, ln_interval
 from padicforms.verification import (characteristic_Xjn, check_chi_congruence,
                                      check_fj_integral, check_valuation_formula,
                                      form_sequence, growth_bound, growth_bound_check,
                                      lambert_inequality_check, tau_p)
+from test_forms import table_from_rows
 
 
 def test_chi_congruence_tiny_instance():
@@ -170,7 +171,7 @@ def _doctored(table, i, extra):
     rho_(0,x) moves, since r_(i,0) enters none of them."""
     rows = [list(row) for row in table.rows]
     rows[i - 1][0] += extra
-    return PartialFractionTable.from_rows(table.n, table.s, rows)
+    return table_from_rows(table.n, table.s, rows)
 
 
 @pytest.mark.parametrize("x", [None, Q(1, 4)], ids=["L", "hurwitz"])
