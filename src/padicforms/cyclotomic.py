@@ -313,15 +313,6 @@ def _clear_denominators(x: CyclotomicElement) -> tuple[int, CyclotomicElement]:
     return c, x * c
 
 
-def scale_by_value(x: Padic, c: CyclotomicElement | Fraction) -> Padic:
-    """x * c, with c taken into Q_p at x's relative precision: exact for a
-    unit c, such as the character values (roots of unity) that
-    weighted_integral_sum passes."""
-    if isinstance(c, Fraction):
-        return x.mul_fraction(c)
-    return x * value_to_padic(c, x.p, x.relative_precision())
-
-
 def assert_integral(x: CyclotomicElement | Fraction, context: str) -> None:
     """Hard failure when a value that must be an algebraic integer is not."""
     if isinstance(x, Fraction):

@@ -13,10 +13,12 @@ integer over one common denominator. The coefficients
     rho_i = i * sum_k r_(i,k)                (independent of any argument x)
     rho_(0,x) = -sum_(i,k) sum_(v<k) i r_(i,k) (v+x)^(-i-1)
 
-assemble integral linear forms whose values at p-adic L-values and Hurwitz
-zeta values are checked against direct Volkenborn integrals of R_n. They too
-are summed in integers, and a Fraction is formed only where a value is
-returned: once per rho_i and lambda_i, and once per v in rho_(0,x).
+assemble integral linear forms in p-adic L-values and Hurwitz zeta values.
+They too are summed in integers, and a Fraction is formed only where a value
+is returned: once per rho_i and lambda_i, and once per v in rho_(0,x). Each
+form is checked against the left side of its identity, one Volkenborn
+integral of sum_j w_j R_n(t + j/D) (ShiftedRn), whose unit weights enter
+Z/p^rel as the right side's do.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Callable, Mapping, Optional
 from .arith import (batch_invert, factorial_valuation, lcm_upto,
                     multinomial_packed, rising_factorial, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
-from .cyclotomic import abs_norm, assert_integral, scale_by_value, value_to_padic
+from .cyclotomic import abs_norm, assert_integral, value_to_padic
 from .errors import DegreeError, DomainError, PrecisionError
-from .hurwitz import check_hurwitz_domain, lp_values, reduce_to_unit_interval
+from .hurwitz import check_hurwitz_domain, lp_values, reduce_to_unit_interval, unit_weights
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational, vp_qp
 from .polynomials import power_numerators, series_mul
@@ -205,41 +207,38 @@ class RnFunction:
             out *= (pr.D * Q(t)) ** self.mono_exp
         return out / rising ** pr.s
 
-    def shifted(self, x: Fraction) -> ShiftedRn:
-        """t -> R_n(t + x), for the Mahler engine."""
-        return ShiftedRn(self, Fraction(x))
-
-    def pole_data_shifted(self, x: Fraction,
-                          table: "PartialFractionTable") -> list[PoleData]:
-        """Pole data of t -> R_n(t + x) for the Mahler engine.
-
-        The floors are the exact valuations of the coefficients r_(i,k),
-        read once per table; only the pole locations depend on x.
-        """
-        pr = self.params
-        return [PoleData(location=-(Fraction(x) + k), floors=floors)
-                for k, floors in enumerate(table.floors(pr.p))]
-
 
 @dataclass(frozen=True)
 class ShiftedRn:
-    """t -> R_n(t + x), evaluated from the integer factors of R_n.
+    """t -> sum_j w_j R_n(t + j/D), evaluated from the integer factors of R_n.
 
-    With x = u/w and m = u + w t for an integer t,
+    With x = j/D = u/w and m = u + w t for an integer t,
 
         R_n(x + t) = c prod_(v=1..N) (D m + v w)^Q (D m)^(2+delta) / prod_(i=0..n) (m + i w)^s,
 
     where c = n!^s packed^Q / N!^Q * w^((n+1)s - NQ - (2+delta)). Every
-    factor is a small integer.
+    factor is a small integer. The weights w_j are p-adic units, so the
+    sum has the poles of every shift, each with the floors of R_n.
     """
 
     rn: RnFunction
-    x: Fraction
-
-    def __call__(self, a: int) -> Fraction:
-        return self.rn.evaluate(self.x + a)
+    weights: tuple[tuple[int, CharValue], ...]
 
     def residues(self, count: int, p: int, v_floor: int, rel: int) -> list[int]:
+        """sum_j w_j R_n(j/D + a) / p^v_floor mod p^rel for 0 <= a < count.
+
+        Each w_j enters Z/p^rel through hurwitz.unit_weights, the rule of
+        the right side, which refuses a weight that is not a p-adic unit.
+        """
+        mod, D = p ** rel, self.rn.params.D
+        total = [0] * count
+        for j, weight in unit_weights(self.weights, p, 0, rel):
+            row = self._shift_residues(Q(j, D), count, p, v_floor, rel)
+            total = [(t + weight * r) % mod for t, r in zip(total, row)]
+        return total
+
+    def _shift_residues(self, x: Fraction, count: int, p: int, v_floor: int,
+                        rel: int) -> list[int]:
         """R_n(x + a) / p^v_floor mod p^rel for 0 <= a < count.
 
         Each factor's p-power is stripped and counted exactly, its unit is
@@ -248,7 +247,7 @@ class ShiftedRn:
         vp(R_n(x + a)) < v_floor.
         """
         rn, pr = self.rn, self.rn.params
-        u, w = self.x.numerator, self.x.denominator
+        u, w = x.numerator, x.denominator
         D, N, q, s, mono = pr.D, rn.N, pr.Q, pr.s, rn.mono_exp
         mod = p ** rel
 
@@ -552,31 +551,27 @@ def lambda_form(params: FormParameters, table: PartialFractionTable,
 # -- direct integrals of R_n ----------------------------------------------------------
 
 
-def integral_rn_shifted(rn: RnFunction, x: Fraction, precision: int,
-                        table: PartialFractionTable) -> Padic:
-    """Volkenborn integral of t -> R_n(t + x), certified mod p^precision."""
-    if not rn.params.domain_ok:
-        raise DomainError("l too small for integral evaluation at p = 2")
-    return integral_mahler(rn.shifted(x), rn.params.p, precision,
-                           pole_data=rn.pole_data_shifted(x, table))
+def weighted_integral_sum(rn: RnFunction, weights: tuple[tuple[int, CharValue], ...],
+                          precision: int, table: PartialFractionTable) -> Padic:
+    """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision.
 
-
-def weighted_integral_sum(rn: RnFunction, family: FormFamily, precision: int,
-                          table: PartialFractionTable) -> Padic:
-    """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision."""
+    One Mahler integral of ShiftedRn: its poles -(j/D + k) are those of
+    every shift, with the floors vp(r_(i,k)) read once per table.
+    """
     pr = rn.params
-    acc = Padic.zero(pr.p, precision)
-    for j, w in family.weights:
-        term = integral_rn_shifted(rn, Q(j, pr.D), precision, table)
-        acc = acc + scale_by_value(term, w)
-    return acc
+    if not pr.domain_ok:
+        raise DomainError("l too small for integral evaluation at p = 2")
+    floors = table.floors(pr.p)
+    poles = [PoleData(location=-(Q(j, pr.D) + k), floors=fl)
+             for j, _ in weights for k, fl in enumerate(floors)]
+    return integral_mahler(ShiftedRn(rn, weights), pr.p, precision, pole_data=poles)
 
 
 def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
                               precision: int,
                               table: Optional[PartialFractionTable] = None) -> Padic:
     """sum over units j mod D of chi(j) * integral of R_n(t + j/D)."""
-    return weighted_integral_sum(rn, lvalue_family(rn.params, chi), precision,
+    return weighted_integral_sum(rn, lvalue_family(rn.params, chi).weights, precision,
                                  table or partial_fractions(rn))
 
 
@@ -644,11 +639,11 @@ def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
     predicted = family.predicted(rn.n)
     start = (predicted if predicted is not None
              else per_x_valuation_hint(pr, rn.n) + HINT_SPREAD)
-    S = weighted_integral_sum(rn, family, start + digits, table)
+    S = weighted_integral_sum(rn, family.weights, start + digits, table)
     if S.is_zero_at_precision():
         raise PrecisionError(f"the left side vanishes modulo p^{S.prec}, p = {p}")
     if S.relative_precision() < digits:
-        S = weighted_integral_sum(rn, family, S.val + digits, table)
+        S = weighted_integral_sum(rn, family.weights, S.val + digits, table)
     lhs = S.mul_fraction(form_scale(pr.s, rn.n))
     target = lhs.prec
 

@@ -150,7 +150,7 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     CyclotomicElement for irrational characters). Otherwise the sum is taken
     modulo p^A with A = precision + i m, since vp(D^(-i)) = -i m, and the
     Padic returned is known modulo p^precision. For i <= 0 that is one
-    integer sum: with F = min_j vp(Z_j), the weights of _unit_weights times
+    integer sum: with F = min_j vp(Z_j), the weights of unit_weights times
     Z_j / p^F, modulo p^(A-F). For i >= 2 it is the one-entry case of the
     unit sum behind lp_values.
     """
@@ -179,7 +179,7 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     F = min((int(vp(z, p)) for z in zetas if z), default=A)
     R = max(A - F, 1)
     total = sum(w * fraction_mod_pk(z / Q(p) ** F, p, R)
-                for (_, w), z in zip(_unit_weights(units, p, e, R), zetas))
+                for (_, w), z in zip(unit_weights(units, p, e, R), zetas))
     return Padic.normalized(p, F, total, A).mul_fraction(Q(D) ** -i)
 
 
@@ -215,16 +215,21 @@ def _sum_level(chi: DirichletCharacter, p: int, l: int) -> tuple[int, int]:
     return chi.conductor // p ** l0 * p ** l_min, l_min
 
 
-def _unit_weights(units: Iterable[tuple[int, CharValue]], p: int, e: int,
-                  R: int) -> Iterator[tuple[int, int]]:
+def unit_weights(units: Iterable[tuple[int, CharValue]], p: int, e: int,
+                 R: int) -> Iterator[tuple[int, int]]:
     """(j, chi(j) omega(j)^e mod p^R) for each (j, chi(j)) of units.
 
-    chi(j) is a root of unity, taken into Q_p by the embedding of K;
-    omega(j)^e is read exactly when it is +-1.
+    chi(j), a root of unity, is taken into Q_p by the embedding of K;
+    omega(j)^e is read exactly when it is +-1. Both sides of a linear-form
+    identity weight their units here, and a chi(j) that is not a p-adic
+    unit raises DomainError.
     """
     mod = p ** R
     for j, c in units:
-        weight = value_to_padic(c, p, R).unit
+        image = value_to_padic(c, p, R)
+        if image.val != 0:
+            raise DomainError(f"the weight {c} at j = {j} is not a p-adic unit")
+        weight = image.unit
         w = teichmuller_rational(pow(j, e, qp(p)), p)
         if w is None:
             weight = weight * pow(teichmuller(j, p, R).unit, e, mod)
@@ -240,7 +245,7 @@ def _pole_sum(chi: DirichletCharacter, p: int, D: int, h: int, e: int,
     Z(i, x) = Int (x+t)^-k dt / k with k = i - 1, and every unit j has
     vp(j/D) = -h, so every integral is p^(kh-1) times the residue that
     pole_power_residues gives, known modulo p^rel_k. One kernel call per
-    unit gives every k at once; the weights (_unit_weights) enter Q_p once
+    unit gives every k at once; the weights (unit_weights) enter Q_p once
     per unit, and the sums stay integers modulo p^R, R the largest rel_k.
     The integrals are taken modulo p^(A_i + vp(k)), with A_i =
     precisions[i] + i h, so that dividing by k D^i leaves precisions[i].
@@ -249,7 +254,7 @@ def _pole_sum(chi: DirichletCharacter, p: int, D: int, h: int, e: int,
     R = max((N - (k * h - 1) for k, N in kprec.items()), default=1)
     mod = p ** R
     sums = dict.fromkeys(kprec, 0)
-    for j, weight in _unit_weights(chi_units(chi, D, p), p, e, R):
+    for j, weight in unit_weights(chi_units(chi, D, p), p, e, R):
         _, raws = pole_power_residues(Q(j, D), p, kprec)
         for k, raw in raws.items():
             sums[k] = (sums[k] + weight * raw) % mod

@@ -459,13 +459,16 @@ def _rational_roots(prim: Poly) -> list[Fraction]:
 
 # -- expression parser -----------------------------------------------------
 
-MAX_POWER_DEGREE = 500  # bound on |e| max(1, deg base) for each power base^e
+# bound on |e| max(1, deg base) for each power base^e, and on the numerator
+# and denominator degrees of each sum, difference, product and quotient
+MAX_POWER_DEGREE = 500
+MAX_NESTING = 100  # bound on the depth of nested parentheses
 
 
 def parse_rational_function(text: str) -> RationalFunction:
     """Parse expressions like "(1/5+t)^-2*(2/5+t)^-1 + 3*t^2" over Q(t)."""
     tokens = _tokenize(text)
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -488,6 +491,7 @@ def parse_rational_function(text: str) -> RationalFunction:
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_term()
+            check_degree(node, op, rhs)
             node = node + rhs if op == "+" else node - rhs
         return node
 
@@ -496,8 +500,18 @@ def parse_rational_function(text: str) -> RationalFunction:
         while peek() in ("*", "/"):
             op = take()
             rhs = parse_factor()
+            check_degree(node, op, rhs)
             node = node * rhs if op == "*" else node / rhs
         return node
+
+    def check_degree(a: RationalFunction, op: str, b: RationalFunction) -> None:
+        """Refuse a op b when its numerator or denominator would pass MAX_POWER_DEGREE."""
+        (an, ad), (bn, bd) = ((f.num.degree(), f.den.degree()) for f in (a, b))
+        if op == "/":
+            bn, bd = bd, bn
+        num = an + bn if op in "*/" else max(an + bd, bn + ad)
+        if max(num, ad + bd) > MAX_POWER_DEGREE:
+            raise ValueError(f"an operand of {op!r} would give degree above {MAX_POWER_DEGREE}")
 
     def parse_factor() -> RationalFunction:
         node = parse_base()
@@ -516,11 +530,16 @@ def parse_rational_function(text: str) -> RationalFunction:
         return node
 
     def parse_base() -> RationalFunction:
+        nonlocal depth
         tok = peek()
         if tok == "(":
+            if depth == MAX_NESTING:
+                raise ValueError(f"parentheses may nest at most {MAX_NESTING} deep")
             take()
+            depth += 1
             node = parse_expr()
             take(")")
+            depth -= 1
             return node
         if tok == "t":
             take()
@@ -530,6 +549,8 @@ def parse_rational_function(text: str) -> RationalFunction:
             if peek() == "/" and pos + 1 < len(tokens) and isinstance(tokens[pos + 1], int):
                 take()
                 den = take()
+                if den == 0:
+                    raise ValueError(f"the literal {tok}/0 has a zero denominator")
                 return RationalFunction.const(Q(tok, den))
             return RationalFunction.const(tok)
         raise ValueError(f"parse error near {tok!r} in {text!r}")

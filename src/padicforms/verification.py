@@ -13,8 +13,8 @@ from .characters import DirichletCharacter, p_units
 from .errors import DomainError, PrecisionError
 from .forms import (FormParameters, PartialFractionTable, RnFunction, build_rn,
                     chi_weighted_integral_sum, choose_params, form_scale,
-                    integral_rn_shifted, lambda_form, partial_fractions,
-                    rho_higher, rho_zero, valuation_formula_rhs)
+                    lambda_form, partial_fractions, rho_higher, rho_zero,
+                    valuation_formula_rhs, weighted_integral_sum)
 from .lambertw import Interval, ln_interval
 from .padic import Padic
 
@@ -113,7 +113,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
     m = pr.digits_exp(n)
     modulus = -m + pr.l + pr.r
     target = modulus + 6
-    integral = integral_rn_shifted(rn, Q(j, pr.D), target + v_scale, table)
+    integral = weighted_integral_sum(rn, ((j, Q(1)),), target + v_scale, table)
     fj_integral = integral.mul_fraction(1 / scale)
     expected = Q(j) ** (2 + pr.delta) * Q(1, pr.p ** m)
     diff = fj_integral - Padic.from_fraction(expected, pr.p, fj_integral.prec)

@@ -161,8 +161,8 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     Every other integrand f provides f.residues(count, p, v_floor, rel):
     the values f(a) / p^v_floor mod p^rel for a < count, raising
     PrecisionError when some vp(f(a)) < v_floor and DomainError at a pole.
-    A RationalFunction does; so does RnFunction.shifted(x), which needs
-    pole_data.
+    A RationalFunction does; so does forms.ShiftedRn, the weighted sum of
+    shifts of R_n, which needs pole_data.
     """
     check_prime(p)
     if isinstance(f, RationalFunction):

@@ -347,7 +347,8 @@ def test_nonpositive_prec_exit2(capsys, argv):
 
 
 def test_integrate_parse_error_exit2(capsys):
-    for expr in ("(1/5+t", "t^x", "(1/5+t)%2"):
+    for expr in ("(1/5+t", "t^x", "(1/5+t)%2", "1/0", "(" * 101 + "t" + ")" * 101,
+                 "(" * 400 + "t" + ")" * 400, "(1+t)^50*t^451"):
         code, out, err = run_cli(capsys, ["integrate", "--expr", expr, "--p", "5"])
         assert code == 2 and not out
         assert json.loads(err)["error"] == "usage"

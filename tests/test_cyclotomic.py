@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicforms.cyclotomic import (CyclotomicElement, abs_norm, cyclotomic_polynomial,
-                                   euler_phi, padic_valuation, resultant, scale_by_value,
-                                   value_to_padic, zeta_image)
+                                   euler_phi, padic_valuation, resultant, value_to_padic,
+                                   zeta_image)
 from padicforms.errors import EmbeddingError, IntegralityError
 from padicforms.cyclotomic import assert_integral
 from padicforms.padic import Padic, teichmuller
@@ -133,22 +133,21 @@ def test_assert_integral():
         assert_integral(CyclotomicElement(4, [Q(1, 3), 0]), "bad")
 
 
-def test_scale_by_value_paths():
+def test_value_to_padic_paths():
     p = 5
     i = CyclotomicElement.zeta(4)
+    assert value_to_padic(Q(3, 5), p, 4) == Padic.from_fraction(Q(3, 5), p, 4)
+    # a rational element of Q(i) enters Q_p as its rational value
+    assert value_to_padic(CyclotomicElement.from_rational(-1, 4), p, 9) == \
+        Padic.from_fraction(-1, p, 9)
+    assert value_to_padic(i, p, 8) == i.embed(p, 8)
     for x in (Padic.from_fraction(Q(7, 25), p, 12), Padic.from_fraction(Q(3), p, 9),
               Padic.zero(p, 6)):
-        assert scale_by_value(x, Q(1)) == x
-        assert scale_by_value(x, Q(-1)) == -x
-        assert scale_by_value(x, Q(2, 5)) == x.mul_fraction(Q(2, 5))
-        # a rational element of Q(i) scales like its rational value
-        assert scale_by_value(x, CyclotomicElement.from_rational(-1, 4)) == -x
         for c in (i, -i, i + 2):
-            # c is a unit at p = 5 (i goes to 2 mod 5), so x keeps its precision
-            assert scale_by_value(x, c) == x * c.embed(p, x.relative_precision())
-            assert scale_by_value(x, c).prec == x.prec
-    assert value_to_padic(Q(3, 5), p, 4) == Padic.from_fraction(Q(3, 5), p, 4)
-    assert value_to_padic(i, p, 8) == i.embed(p, 8)
+            # c is a unit at p = 5 (i goes to 2 mod 5), so x times its image
+            # at x's relative precision keeps x's precision
+            y = x * value_to_padic(c, p, x.relative_precision())
+            assert y == x * c.embed(p, x.relative_precision()) and y.prec == x.prec
 
 
 def test_value_to_padic_keeps_every_requested_digit():

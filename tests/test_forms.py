@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from padicforms.arith import lcm_upto, vp
 from padicforms.characters import (char_make, character_from_spec, gen_bernoulli,
                                    quadratic_character, trivial_character)
-from padicforms.cyclotomic import CyclotomicElement
+from padicforms.cyclotomic import CyclotomicElement, value_to_padic
 from padicforms.errors import DegreeError, DomainError, PrecisionError
-from padicforms.forms import (HINT_SPREAD, PartialFractionTable, build_rn, choose_params,
-                              family_form, form_identity, form_scale, hurwitz_family,
-                              hurwitz_params, hurwitz_variant_form, lambda_form, lvalue_family,
-                              partial_fractions, per_x_valuation_hint, rho_higher, rho_zero,
-                              valuation_formula_rhs, weighted_integral_sum)
+from padicforms.forms import (HINT_SPREAD, PartialFractionTable, ShiftedRn, build_rn,
+                              choose_params, family_form, form_identity, form_scale,
+                              hurwitz_family, hurwitz_params, hurwitz_variant_form, lambda_form,
+                              lvalue_family, partial_fractions, per_x_valuation_hint, rho_higher,
+                              rho_zero, valuation_formula_rhs, weighted_integral_sum)
 from padicforms.lambertw import ell_param, ln_interval
+from padicforms.padic import Padic
 from padicforms.polynomials import Poly, RationalFunction
+from padicforms.volkenborn import PoleData, integral_mahler
+from test_cli import QUARTIC_JSON
 from test_polynomials import poly_from_roots
 from test_volkenborn import fraction_residues, residues_outcome
 
@@ -118,14 +121,15 @@ _RN_FAMILIES = (("trivial", 2, 2), ("quadratic:4", 2, 2), ("trivial", 3, 1),
 
 @settings(max_examples=120, deadline=None)
 @given(family=st.sampled_from(_RN_FAMILIES), s=st.integers(16, 40), n=st.integers(1, 2),
-       j=st.integers(-40, 40), den=st.sampled_from((1, 2, 3, "D")),
+       j=st.integers(-40, 40), w=st.sampled_from((Q(1), Q(-1), Q(5, 7))),
        count=st.integers(1, 10), offset=st.integers(-3, 1), rel=st.integers(1, 200))
-@example(family=("trivial", 2, 2), s=20, n=1, j=0, den=1, count=3, offset=0, rel=8)
-@example(family=("trivial", 2, 2), s=20, n=2, j=-3, den="D", count=4, offset=0, rel=8)
-@example(family=(Q(1, 4), 2, 2), s=20, n=1, j=1, den="D", count=4, offset=1, rel=8)
-def test_shifted_rn_residues_match_fraction_values(family, s, n, j, den, count, offset, rel):
-    # x = j/den: the examples hit a pole at an integer (x = 0), zeros of
-    # binom(Dt + N, N) (x = -3/D) and a violated floor (offset 1)
+@example(family=("trivial", 2, 2), s=20, n=1, j=0, w=Q(1), count=3, offset=0, rel=8)
+@example(family=("trivial", 2, 2), s=20, n=2, j=-3, w=Q(1), count=4, offset=0, rel=8)
+@example(family=(Q(1, 4), 2, 2), s=20, n=1, j=1, w=Q(1), count=4, offset=1, rel=8)
+def test_shifted_rn_residues_match_fraction_values(family, s, n, j, w, count, offset, rel):
+    # the one-weight integrand w R_n(t + j/D): the examples hit a pole at an
+    # integer (j = 0), zeros of binom(Dt + N, N) (j = -3) and a violated floor
+    # (offset 1)
     head, p, l = family
     if isinstance(head, str):
         pr = choose_params(character_from_spec(head), p, s, l=l)
@@ -135,16 +139,71 @@ def test_shifted_rn_residues_match_fraction_values(family, s, n, j, den, count, 
         rn = build_rn(pr, n)
     except DegreeError:
         return
-    f = rn.shifted(Q(j, pr.D if den == "D" else den))
+    f = ShiftedRn(rn, ((j, w),))
+
+    def exact(a):
+        return w * rn.evaluate(Q(j, pr.D) + a)
+
     values = []
     for a in range(count):
         try:
-            values.append(f(a))
+            values.append(exact(a))
         except ZeroDivisionError:
             break
     v_floor = min((vp(v, p) for v in values if v), default=0) + offset
     assert residues_outcome(lambda: f.residues(count, p, v_floor, rel)) \
-        == residues_outcome(lambda: fraction_residues(f, count, p, v_floor, rel))
+        == residues_outcome(lambda: fraction_residues(exact, count, p, v_floor, rel))
+
+
+def per_unit_sum(rn, weights, precision, table):
+    """sum_j w_j Int R_n(t + j/D) as one certified integral per unit, each
+    multiplied by w_j in Q_p: the oracle for weighted_integral_sum."""
+    pr = rn.params
+    acc = Padic.zero(pr.p, precision)
+    for j, w in weights:
+        poles = [PoleData(location=-(Q(j, pr.D) + k), floors=floors)
+                 for k, floors in enumerate(table.floors(pr.p))]
+        I = integral_mahler(ShiftedRn(rn, ((j, Q(1)),)), pr.p, precision, pole_data=poles)
+        acc = acc + I * value_to_padic(w, pr.p, I.relative_precision())
+    return acc
+
+
+# (a character spec, or x0 for the Hurwitz family; p; s; l; n)
+_SUM_SHAPES = (("trivial", 2, 18, 2, 1), ("quadratic:4", 2, 70, 3, 1),
+               ("quadratic:3", 3, 30, 1, 2), ("trivial", 3, 82, 1, 2),
+               (Q(1, 4), 2, 25, 2, 3), (Q(3, 4), 2, 66, 3, 1), (Q(2, 3), 3, 19, 1, 2),
+               (QUARTIC_JSON, 5, 128, 1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(_SUM_SHAPES), extra=st.integers(-10, 30))
+@example(shape=(QUARTIC_JSON, 5, 128, 1, 4), extra=HINT_SPREAD + 20)
+def test_weighted_integral_sum_matches_one_integral_per_unit(shape, extra):
+    # one integral of sum_j w_j R_n(t + j/D) is the sum of the per-unit
+    # integrals, whether its weights are 1, +-1 or irrational in Q(i)
+    head, p, s, l, n = shape
+    if isinstance(head, str):
+        chi = character_from_spec(head)
+        pr = choose_params(chi, p, s, l=l)
+        family = lvalue_family(pr, chi)
+    else:
+        pr = hurwitz_params(head, p, s, l=l)[0]
+        family = hurwitz_family(pr, head)
+    rn = build_rn(pr, n)
+    table = partial_fractions(rn)
+    precision = max(1, per_x_valuation_hint(pr, n) + extra)
+    assert weighted_integral_sum(rn, family.weights, precision, table) \
+        == per_unit_sum(rn, family.weights, precision, table)
+
+
+def test_weighted_integral_sum_refuses_a_weight_that_is_not_a_unit():
+    # the floors of R_n bound a sum of shifts only under unit weights
+    pr = choose_params(trivial_character(), 3, 82, l=1)
+    rn = build_rn(pr, 2)
+    table = partial_fractions(rn)
+    for weight in (Q(3), Q(1, 3), Q(0)):
+        with pytest.raises(DomainError, match="not a p-adic unit"):
+            weighted_integral_sum(rn, ((1, Q(1)), (2, weight)), 300, table)
 
 
 def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
@@ -171,7 +230,8 @@ def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
     chi = trivial_character()
     pr = choose_params(chi, 2, 64, l=2)
     rn = build_rn(pr, 3)
-    total = weighted_integral_sum(rn, lvalue_family(pr, chi), 760, partial_fractions(rn))
+    total = weighted_integral_sum(rn, lvalue_family(pr, chi).weights, 760,
+                                  partial_fractions(rn))
     assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3)
     assert calls == {"evaluate": 0, "fraction_mod_pk": 0}
 
@@ -179,9 +239,12 @@ def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
 @pytest.mark.parametrize("spec, p, s, l, n", [
     ("trivial", 2, 18, 2, 1), ("quadratic:4", 2, 70, 3, 1), (Q(3, 4), 2, 17, 2, 1),
     (Q(2, 3), 3, 19, 1, 2)])
-def test_form_identity_asks_for_every_value_at_once(spec, p, s, l, n):
+def test_form_identity_asks_for_every_value_at_once(monkeypatch, spec, p, s, l, n):
     # one values() call covers every nonzero lambda_i; at l = 3 the L-values
-    # still sum at D = 2^2, while the left side integrates at D = 2^3
+    # still sum at D = 2^2, while the left side integrates at D = 2^3, in one
+    # integral whose poles are those of every shift, at the floors vp(r_(i,k))
+    from padicforms import forms
+
     if isinstance(spec, Q):
         pr, _ = hurwitz_params(spec, p, s, l=l)
         family = hurwitz_family(pr, spec)
@@ -191,19 +254,26 @@ def test_form_identity_asks_for_every_value_at_once(spec, p, s, l, n):
     rn = build_rn(pr, n)
     table = partial_fractions(rn)
     form = family_form(family, table)
-    asked = []
+    asked, poles = [], []
 
     def values(precisions):
         asked.append(dict(precisions))
         return family.values(precisions)
 
+    def integral(f, p, precision, pole_data):
+        poles.append([(pd.location, pd.floors) for pd in pole_data])
+        return integral_mahler(f, p, precision, pole_data=pole_data)
+
+    monkeypatch.setattr(forms, "integral_mahler", integral)
     report = form_identity(dataclasses.replace(family, values=values), form, rn, table, 12)
     assert report.agrees and report.relative_digits >= 12
     assert len(asked) == 1
     assert asked[0].keys() == {i for i, c in enumerate(form.coeffs) if i and c != 0}
     assert table.floors(p) is table.floors(p)
-    assert [pd.floors for pd in rn.pole_data_shifted(Q(1, pr.D), table)] == \
-        [tuple(vp(table.rows[i - 1][k], p) for i in range(1, s + 1)) for k in range(n + 1)]
+    floors = [tuple(vp(table.rows[i - 1][k], p) for i in range(1, s + 1)) for k in range(n + 1)]
+    assert 1 <= len(poles) <= 2
+    assert all(data == [(-(Q(j, pr.D) + k), floors[k]) for j, _ in family.weights
+                        for k in range(n + 1)] for data in poles)
 
 
 def _sum_precisions(monkeypatch):
@@ -213,9 +283,9 @@ def _sum_precisions(monkeypatch):
     asked = []
     original = forms.weighted_integral_sum
 
-    def counting(rn, family, precision, table):
+    def counting(rn, weights, precision, table):
         asked.append(precision)
-        return original(rn, family, precision, table)
+        return original(rn, weights, precision, table)
 
     monkeypatch.setattr(forms, "weighted_integral_sum", counting)
     return asked

@@ -10,7 +10,7 @@ from padicforms.arith import bernoulli_poly, vp
 from padicforms.characters import (char_make, character_from_spec, chi_padic_data, chi_units,
                                    gen_bernoulli, quadratic_character, trivial_character)
 from padicforms import cyclotomic
-from padicforms.cyclotomic import CyclotomicElement, scale_by_value, value_to_padic
+from padicforms.cyclotomic import CyclotomicElement, value_to_padic
 from padicforms.errors import DomainError, EmbeddingError
 from padicforms.heights import HeightMatrix, delta_p_valuation
 from padicforms.hurwitz import (check_hurwitz_domain, lp_value, lp_values,
@@ -370,7 +370,7 @@ def _oracle_positive(i, chi, p, D, omega_exp, precision):
             term = term * teichmuller(Q(j), p, term.relative_precision() + 2) ** e_res
         elif w == -1:
             term = -term
-        acc = acc + scale_by_value(term, c)
+        acc = acc + term * value_to_padic(c, p, term.relative_precision())
     out = acc.mul_fraction(Q(1, D) ** i)
     return out.at_precision(min(out.prec, precision))
 

@@ -81,8 +81,8 @@ def test_every_function_the_benchmark_traces_exists():
 
 
 def test_only_cyclotomic_embeds_field_elements():
-    # values of K = Q(chi) enter Q_p through cyclotomic.value_to_padic,
-    # scale_by_value and padic_valuation, never through .embed elsewhere
+    # values of K = Q(chi) enter Q_p through cyclotomic.value_to_padic and
+    # padic_valuation, never through .embed elsewhere
     callers = sorted(name for name, tree in MODULES.items() if name != "cyclotomic"
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms.arith import vp
 from padicforms.errors import DomainError, PrecisionError
@@ -44,6 +46,34 @@ def test_arithmetic_matches_exact_reduction(p):
             got = compute()
             want = Padic.from_fraction(exact, p, got.prec)
             assert got.agrees(want), (op, a, b, got, want)
+
+
+
+@st.composite
+def _padics(draw, p):
+    """A Padic at p: zero at a random precision, or p^val unit with a random
+    valuation and between 1 and 12 digits."""
+    if draw(st.integers(0, 7)) == 0:
+        return Padic.zero(p, draw(st.integers(-4, 12)))
+    val, rel = draw(st.integers(-4, 8)), draw(st.integers(1, 12))
+    unit = draw(st.integers(1, p ** rel - 1).filter(lambda u: u % p))
+    return Padic(p, val, unit, val + rel)
+
+
+def _agree(x, y):
+    return x.agrees(y, min(x.prec, y.prec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(_padics(p), _padics(p),
+                                                               _padics(p))))
+def test_ring_laws_at_capped_precision(xyz):
+    # each law holds modulo the least precision its two sides state
+    x, y, z = xyz
+    assert _agree(x + y, y + x) and _agree(x * y, y * x)
+    assert _agree((x + y) + z, x + (y + z))
+    assert _agree((x * y) * z, x * (y * z))
+    assert _agree(x * (y + z), x * y + x * z)
 
 
 def test_precision_contracts():

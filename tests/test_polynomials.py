@@ -10,7 +10,7 @@ from padicforms.arith import lcm_upto
 from padicforms.characters import character_from_spec
 from padicforms.errors import DomainError, NonSplitDenominator
 from padicforms.forms import build_rn, choose_params, hurwitz_params, partial_fractions
-from padicforms.polynomials import (MAX_POWER_DEGREE, Poly, RationalFunction,
+from padicforms.polynomials import (MAX_NESTING, MAX_POWER_DEGREE, Poly, RationalFunction,
                                     _rational_roots, parse_rational_function,
                                     power_numerators, series_inv, series_mul, series_pow,
                                     series_trunc)
@@ -339,10 +339,21 @@ def test_parser():
 
 
 def test_parser_caps_the_degree_of_a_power():
+    # the caps cover powers, each +, -, * and / (counted before it is formed),
+    # the nesting of parentheses (a RecursionError before) and a literal a/0
+    half = MAX_POWER_DEGREE // 2
     assert parse_rational_function(f"t^{MAX_POWER_DEGREE}")(1) == 1
     assert parse_rational_function("(1/5+t)^-100")(0) == 5 ** 100
+    for text in (f"t^{half}*t^{half}", f"t^{half}/t^-{half}", f"t^{half} + t^-{half}",
+                 f"(1+t)^-2*t^{MAX_POWER_DEGREE - 2}", f"t^{MAX_POWER_DEGREE - 1} - t/(1+t)",
+                 "(" * MAX_NESTING + "t" + ")" * MAX_NESTING):
+        f = parse_rational_function(text)
+        assert max(f.num.degree(), f.den.degree()) <= MAX_POWER_DEGREE, text
     for text in (f"t^{MAX_POWER_DEGREE + 1}", "t^5000000", "(t^2)^300",
-                 "(1/5+t)^-501", "2^100000000000"):
+                 "(1/5+t)^-501", "2^100000000000",
+                 f"t^{half}*t^{half + 1}", f"t^{half}/t^-{half + 1}", f"t^{half} + t^-{half + 1}",
+                 f"t^{MAX_POWER_DEGREE} - t/(1+t)", "(1+t)^50*t^400*t^51", "t^-500/t",
+                 "(" * 101 + "t" + ")" * 101, "(" * 400 + "t" + ")" * 400, "1/0"):
         with pytest.raises(ValueError):
             parse_rational_function(text)
 
