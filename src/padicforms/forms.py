@@ -229,22 +229,27 @@ class ShiftedRn:
 
         Each w_j enters Z/p^rel through hurwitz.unit_weights, the rule of
         the right side, which refuses a weight that is not a p-adic unit.
+        The bottoms of every shift are inverted in one batch.
         """
         mod, D = p ** rel, self.rn.params.D
-        total = [0] * count
+        tops, bottoms = [], []
         for j, weight in unit_weights(self.weights, p, 0, rel):
-            row = self._shift_residues(Q(j, D), count, p, v_floor, rel)
-            total = [(t + weight * r) % mod for t, r in zip(total, row)]
-        return total
+            shift_tops, shift_bottoms = self._shift_fractions(Q(j, D), weight, count, p,
+                                                              v_floor, rel)
+            tops += shift_tops
+            bottoms += shift_bottoms
+        values = [t * b for t, b in zip(tops, batch_invert(bottoms, mod))]
+        return [sum(values[a::count]) % mod for a in range(count)]
 
-    def _shift_residues(self, x: Fraction, count: int, p: int, v_floor: int,
-                        rel: int) -> list[int]:
-        """R_n(x + a) / p^v_floor mod p^rel for 0 <= a < count.
+    def _shift_fractions(self, x: Fraction, weight: int, count: int, p: int, v_floor: int,
+                         rel: int) -> tuple[list[int], list[int]]:
+        """(tops, bottoms): weight R_n(x + a) / p^v_floor = top / bottom mod p^rel
+        for 0 <= a < count, every bottom a unit.
 
-        Each factor's p-power is stripped and counted exactly, its unit is
-        multiplied mod p^rel, and the denominators are inverted together.
-        Raises DomainError at a pole and PrecisionError when some
-        vp(R_n(x + a)) < v_floor.
+        The n + 1 denominators and the N binomial factors are multiplied
+        exactly, and each product, and D m, is split once into a power of p
+        and a unit. Raises DomainError at a pole and PrecisionError when
+        some vp(R_n(x + a)) < v_floor.
         """
         rn, pr = self.rn, self.rn.params
         u, w = x.numerator, x.denominator
@@ -252,39 +257,37 @@ class ShiftedRn:
         mod = p ** rel
 
         def split(z: int) -> tuple[int, int]:
+            if z % p:
+                return 0, z
             v = vp_int(z, p)
             return v, z // p ** v
 
         e = (rn.n + 1) * s - N * q - mono
         v_top, c_top = split(rn.prefactor * w ** max(e, 0))
         v_bot, c_bot = split(math.factorial(N) ** q * w ** max(-e, 0))
-        v_c, c_unit = v_top - v_bot, c_top * pow(c_bot, -1, mod) % mod
+        v_c, c_unit = v_top - v_bot, weight * c_top * pow(c_bot, -1, mod) % mod
         tops, bottoms = [], []
         for a in range(count):
             m = u + w * a
-            v_den, u_den = 0, 1
-            for i in range(rn.n + 1):
-                if m + i * w == 0:
-                    raise DomainError(f"integrand has a pole at the integer {a}")
-                v, unit = split(m + i * w)
-                v_den, u_den = v_den + v, u_den * unit
-            k, r = divmod(-D * m, w)
-            if r == 0 and 1 <= k <= N:  # the factor D m + k w vanishes
+            den = math.prod(range(m, m + (rn.n + 1) * w, w))
+            if den == 0:
+                raise DomainError(f"integrand has a pole at the integer {a}")
+            binom = math.prod(range(D * m + w, D * m + (N + 1) * w, w))
+            if binom == 0:  # the factor D m + k w vanishes
                 tops.append(0)
                 bottoms.append(1)
                 continue
-            v_bin, u_bin = 0, 1
-            for k in range(1, N + 1):
-                v, unit = split(D * m + k * w)
-                v_bin, u_bin = v_bin + v, u_bin * unit
-            v_mono, u_mono = split(D * m)
+            (v_bin, u_bin), (v_mono, u_mono) = split(binom), split(D * m)
+            v_den, u_den = split(den)
             v = v_c + q * v_bin + mono * v_mono - s * v_den
             if v < v_floor:
                 raise PrecisionError("supplied coefficient floors are violated")
-            tops.append(pow(p, v - v_floor, mod) * c_unit % mod * pow(u_bin, q, mod)
-                        % mod * pow(u_mono, mono, mod) % mod)
+            top = c_unit * pow(u_bin, q, mod) * u_mono ** mono
+            if v > v_floor:
+                top *= p ** (v - v_floor)
+            tops.append(top % mod)
             bottoms.append(pow(u_den, s, mod))
-        return [t * b % mod for t, b in zip(tops, batch_invert(bottoms, mod))]
+        return tops, bottoms
 
 
 def build_rn(params: FormParameters, n: int) -> RnFunction:

@@ -319,14 +319,15 @@ class RationalFunction:
                 tops.append(0)
                 bottoms.append(1)
                 continue
-            wn, wd = vp_int(n, p), vp_int(d, p)
+            wn = 0 if n % p else vp_int(n, p)
+            wd = 0 if d % p else vp_int(d, p)
             v = vn - vd + wn - wd
             if v < v_floor:
                 raise PrecisionError("supplied coefficient floors are violated")
-            tops.append(n // p ** wn * pow(p, v - v_floor, mod) % mod)
-            bottoms.append(d // p ** wd % mod)
-        return [t * b % mod * scale_unit % mod
-                for t, b in zip(tops, batch_invert(bottoms, mod))]
+            top = n // p ** wn * scale_unit
+            tops.append(top * p ** (v - v_floor) if v > v_floor else top)
+            bottoms.append(d // p ** wd)
+        return [t * b % mod for t, b in zip(tops, batch_invert(bottoms, mod))]
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
         return RationalFunction(self.num * other.den + other.num * self.den,

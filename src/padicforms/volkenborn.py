@@ -9,11 +9,13 @@ engines compute it here:
   integrand's residues method at the floor vp(content) - vp(den_prim(0)).
 * integral_mahler: the general path for rational functions without poles
   in Z_p. A polynomial sum a_k t^k integrates exactly to sum a_k B_k
-  (Int t^k dt = B_k, with B_1 = -1/2). Otherwise it computes Mahler
-  coefficients c_m = (forward differences at 0) from inputs mod p^rel with
-  exact valuations (the integrand's residues method), sums
-  c_m (-1)^m / (m+1), and certifies the truncation error from the pole
-  structure: for a partial-fraction term a/(t - c)^i with
+  (Int t^k dt = B_k, with B_1 = -1/2). Otherwise it reads f(0), ..., f(M)
+  mod p^rel with exact valuations (the integrand's residues method). The
+  Mahler sum sum_(m<=M) (-1)^m (Delta^m f)(0)/(m+1) is sum_a (-1)^a f(a) V_a,
+  V_a = sum_(m=a..M) C(m, a)/(m+1), and V_a + V_(a+1) = C(M+1, a+1)/(a+1)
+  with V_M = 1/(M+1), so one backward recurrence sums it in O(M) steps,
+  where the difference triangle took O(M^2). It certifies the truncation
+  error from the pole structure: for a partial-fraction term a/(t - c)^i with
   h = -vp(c) >= 1, the m-th Mahler coefficient has valuation at least
   vp(a) + (m + i) h. With T(m) the least of these bounds, T rises by at
   least 1 per step and l(m) by at most 1, so the tail beyond M has
@@ -40,7 +42,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from .arith import INF, batch_invert, bernoulli_number, check_prime, vp, vp_int
+from .arith import INF, batch_invert, bernoulli_number, check_prime, lcm_upto, vp, vp_int
 from .errors import DomainError, PrecisionError
 from .padic import Padic, qp, vp_qp
 from .polynomials import Poly, RationalFunction
@@ -158,6 +160,11 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     truncation point chosen from the certified tail bound. pole_data may be
     supplied to avoid recomputing partial fractions (mandatory floors).
 
+    The sum is sum_a (-1)^a f(a) V_a over a <= M, V_a = sum_(m=a..M)
+    C(m, a)/(m+1), in O(M) steps: with L = lcm(1..M+1), the integers L V_a
+    follow L V_a = L C(M+1, a+1)/(a+1) - L V_(a+1) down from L V_M = L/(M+1),
+    and the sum of (-1)^a f(a) L V_a is divided once by the unit of L.
+
     Every other integrand f provides f.residues(count, p, v_floor, rel):
     the values f(a) / p^v_floor mod p^rel for a < count, raising
     PrecisionError when some vp(f(a)) < v_floor and DomainError at a pole.
@@ -206,25 +213,19 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     while (err := mahler_error_valuation(T, p, M)) < precision:
         M += math.ceil((precision - err) / hmax)
 
-    # maxw = max vp(m + 1) over m <= M; over p^(v_floor - maxw), the term
-    # (-1)^m (Delta^m f)(0) / (m + 1) is the integer (-1)^m c unit^-1 p^(maxw - w),
-    # known mod p^rel, and so is the sum: the value is known mod p^precision
+    # maxw = vp(L) = max vp(a + 1) over a <= M, so each p^maxw V_a is p-integral:
+    # over p^(v_floor - maxw) the sum is known mod p^rel, the value mod p^precision
     maxw = vdp_length(M + 1, p) - 1
     rel = precision - v_floor + maxw
     mod = p ** rel
-
-    total = 0
     row = f.residues(M + 1, p, v_floor, rel)
-    for m in range(M + 1):
-        c = row[0]
-        if c:
-            w = vp_int(m + 1, p)
-            term = c * pow((m + 1) // p ** w, -1, mod) * p ** (maxw - w)
-            total += -term if m % 2 else term
-        # next difference row, in place
-        for i in range(len(row) - 1):
-            row[i] = (row[i + 1] - row[i]) % mod
-        row.pop()
+    L = lcm_upto(M + 1)
+    total, weight, term = 0, 0, L // (M + 1)  # term = L C(M+1, a+1)/(a+1)
+    for a in range(M, -1, -1):
+        weight = term - weight  # L V_a
+        total += -row[a] * weight if a % 2 else row[a] * weight
+        term = term * (a + 1) ** 2 // (a * (M + 1 - a)) if a else 0
+    total = total % mod * pow(L // p ** maxw, -1, mod)
     return Padic.normalized(p, v_floor - maxw, total, precision)
 
 
@@ -349,6 +350,7 @@ def _scaled_bernoulli(p: int, R: int, J: int) -> list[int]:
         depth, count = max(depth, R), max(len(residues), J)
         mod = p ** depth
         nums, dens = [], []
+        bernoulli_number(count - 1)  # the memo grows once, not once per doubling
         for j in range(count):
             b = bernoulli_number(j)
             num, den = b.numerator * p, b.denominator

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.arith import INF, batch_invert, bernoulli_number, bernoulli_poly, vp
+from padicforms.arith import INF, batch_invert, bernoulli_number, bernoulli_poly, vp, vp_int
 from padicforms.errors import DomainError, PrecisionError
 from padicforms.padic import Padic, fraction_mod_pk
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
@@ -356,6 +356,82 @@ def test_rational_residues_report_zeros_floors_and_poles():
         parse_rational_function("(t-2)^-1").residues(4, 5, 0, 6)
 
 
+# -- the Mahler sum against the difference triangle it replaced ---------------------
+
+
+def difference_triangle(row, p, maxw, mod):
+    """sum_m (-1)^m (Delta^m f)(0) p^maxw/(m+1) mod p^rel, the O(M^2) oracle:
+    each forward-difference row is built from the one before, mod p^rel."""
+    row, total = list(row), 0
+    for m in range(len(row)):
+        c = row[0]
+        if c:
+            w = vp_int(m + 1, p)
+            term = c * pow((m + 1) // p ** w, -1, mod) * p ** (maxw - w)
+            total += -term if m % 2 else term
+        for i in range(len(row) - 1):
+            row[i] = (row[i + 1] - row[i]) % mod
+        row.pop()
+    return total
+
+
+@dataclass
+class RandomResidues:
+    """An integrand whose residues mod p^rel are drawn at random; calls keeps
+    each row with its floor and rel."""
+
+    seed: int
+    calls: list
+
+    def residues(self, count, p, v_floor, rel):
+        rng = random.Random(self.seed)
+        row = [rng.randrange(p ** rel) for _ in range(count)]
+        self.calls.append((row, v_floor, rel))
+        return list(row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), dh=st.integers(0, 2), floor=st.integers(-30, 5),
+       precision=st.integers(1, 360), seed=st.integers(0, 2 ** 32))
+@example(p=2, dh=0, floor=0, precision=1, seed=0)
+@example(p=3, dh=0, floor=-30, precision=360, seed=1)
+def test_mahler_sum_matches_the_difference_triangle(p, dh, floor, precision, seed):
+    # the weighted sum over f(a) and the triangle over the Mahler coefficients
+    # agree mod p^rel on random residues, M up to about 400 at h = 1
+    h = (2 if p == 2 else 1) + dh
+    f = RandomResidues(seed, [])
+    got = integral_mahler(f, p, precision,
+                          pole_data=[PoleData(location=Q(-1, p ** h), floors=(floor,))])
+    [(row, v_floor, rel)] = f.calls
+    M = len(row) - 1
+    maxw = vdp_length(M + 1, p) - 1
+    assert M <= 400 and rel == precision - v_floor + maxw
+    want = Padic.normalized(p, v_floor - maxw, difference_triangle(row, p, maxw, p ** rel),
+                            precision)
+    assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+
+
+def test_mahler_weights_satisfy_their_recurrence_exactly():
+    # V_a = sum_(m=a..M) C(m, a)/(m+1) weighs f(a) in the sum:
+    # sum_m (-1)^m (Delta^m f)(0)/(m+1) = sum_a (-1)^a f(a) V_a, V_M = 1/(M+1),
+    # V_a + V_(a+1) = C(M+1, a+1)/(a+1), V_0 = H_(M+1), and p^maxw V_a is p-integral
+    rng = random.Random(7)
+    for M in range(61):
+        V = [sum(Q(math.comb(m, a), m + 1) for m in range(a, M + 1)) for a in range(M + 1)]
+        assert V[M] == Q(1, M + 1)
+        assert V[0] == sum(Q(1, k) for k in range(1, M + 2))
+        assert all(V[a] + V[a + 1] == Q(math.comb(M + 1, a + 1), a + 1) for a in range(M))
+        for p in (2, 3, 5):
+            maxw = vdp_length(M + 1, p) - 1
+            assert all(vp(p ** maxw * v, p) >= 0 for v in V)
+        values = [Q(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(M + 1)]
+        row, mahler = list(values), Q(0)
+        for m in range(M + 1):
+            mahler += (-1) ** m * row[0] / (m + 1)
+            row = [b - a for a, b in zip(row, row[1:])]
+        assert mahler == sum((-1) ** a * f * v for a, (f, v) in enumerate(zip(values, V)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(branches=st.lists(st.tuples(st.one_of(st.integers(-60, 60), st.just(INF)),
                                    st.integers(1, 5)), min_size=1, max_size=6),
@@ -515,6 +591,26 @@ def test_pole_series_memo_serves_every_later_request(monkeypatch):
         got = integral_pole_powers(x, 5, precisions)
         for k, precision in precisions.items():
             assert got[k] == _series_pole_power(x, k, 5, precision), (x, k, precision)
+
+
+def test_scaled_bernoulli_grows_the_bernoulli_memo_once(monkeypatch):
+    # on a cold memo, 3,100 terms take one run of the tangent numbers, not one
+    # per doubling of the memo, and every p B_j is the reduced exact value
+    from padicforms import arith
+
+    runs = []
+
+    def counting(K):
+        runs.append(K)
+        return tangent(K)
+
+    tangent = arith._tangent_numbers
+    monkeypatch.setattr(arith, "_BERNOULLI_CACHE", [Q(1), Q(-1, 2)])
+    monkeypatch.setattr(arith, "_tangent_numbers", counting)
+    monkeypatch.setattr(volkenborn, "_SCALED_BERNOULLI", {})
+    got = volkenborn._scaled_bernoulli(2, 3, 3100)
+    assert len(runs) == 1 and len(got) == 3100
+    assert got == [fraction_mod_pk(2 * bernoulli_number(j), 2, 3) for j in range(3100)]
 
 
 def test_pole_powers_of_one_large_order_cost_one_sum():
