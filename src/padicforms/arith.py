@@ -58,6 +58,25 @@ def vp_int(n: int, p: int) -> int | float:
     return v
 
 
+def split(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v u and p not dividing u, for an integer n != 0."""
+    if n % p:
+        return 0, n
+    v = vp_int(n, p)
+    return v, n // p ** v
+
+
+def unit_residue(num: int, den: int, p: int, k: int) -> tuple[int, int]:
+    """(v, u) with num/den = p^v y, y a p-adic unit and u = y mod p^k, for num, den != 0.
+
+    With split, the one place a number is split into p^v times a unit and
+    reduced mod p^k.
+    """
+    (vn, un), (vd, ud) = split(num, p), split(den, p)
+    mod = p ** k
+    return vn - vd, un * pow(ud, -1, mod) % mod
+
+
 def batch_invert(units: Sequence[int], mod: int) -> list[int]:
     """Montgomery batch inversion of units modulo mod: one pow(., -1, mod) in all."""
     partials = [1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .arith import bernoulli_poly, check_prime, vp_int
+from .arith import bernoulli_poly, check_prime, split
 from .cyclotomic import CyclotomicElement, euler_phi, padic_valuation
 from .errors import DomainError
 from .jsonio import cyclotomic_from_json
@@ -273,9 +273,7 @@ class ChiPadicData:
 def chi_padic_data(chi: DirichletCharacter, p: int) -> ChiPadicData:
     """Split the conductor at p and read vp(B_(2+delta,chi)) under the embedding of K."""
     check_prime(p)
-    cond = chi.conductor
-    l0 = int(vp_int(cond, p))
-    d_prime = cond // p ** l0
+    l0, d_prime = split(chi.conductor, p)
     b = gen_bernoulli(2 + chi.delta, chi)
     if b == 0:
         raise DomainError("B_(2+delta) vanishes; parity contract violated")

@@ -29,8 +29,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .arith import (batch_invert, factorial_valuation, lcm_upto,
-                    multinomial_packed, rising_factorial, vp, vp_int)
+from .arith import (batch_invert, factorial_valuation, lcm_upto, multinomial_packed,
+                    rising_factorial, split, unit_residue, vp, vp_int)
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import abs_norm, assert_integral, value_to_padic
 from .errors import DegreeError, DomainError, PrecisionError
@@ -137,9 +137,8 @@ def hurwitz_params(x: Fraction, p: int, s: int,
     if not 0 < x <= 1:
         raise DomainError("reduce x into (0, 1] first")
     check_hurwitz_domain(x, p)
-    d = x.denominator
-    l0 = int(vp_int(d, p))
-    return form_params(p, s, -2, d // p ** l0, l0, 0, epsilon, l), x.numerator
+    l0, d_prime = split(x.denominator, p)
+    return form_params(p, s, -2, d_prime, l0, 0, epsilon, l), x.numerator
 
 
 def form_params(p: int, s: int, delta: int, d_prime: int, l0: int, r: int,
@@ -255,17 +254,9 @@ class ShiftedRn:
         u, w = x.numerator, x.denominator
         D, N, q, s, mono = pr.D, rn.N, pr.Q, pr.s, rn.mono_exp
         mod = p ** rel
-
-        def split(z: int) -> tuple[int, int]:
-            if z % p:
-                return 0, z
-            v = vp_int(z, p)
-            return v, z // p ** v
-
         e = (rn.n + 1) * s - N * q - mono
-        v_top, c_top = split(rn.prefactor * w ** max(e, 0))
-        v_bot, c_bot = split(math.factorial(N) ** q * w ** max(-e, 0))
-        v_c, c_unit = v_top - v_bot, weight * c_top * pow(c_bot, -1, mod) % mod
+        v_c, c_unit = unit_residue(weight * rn.prefactor * w ** max(e, 0),
+                                   math.factorial(N) ** q * w ** max(-e, 0), p, rel)
         tops, bottoms = [], []
         for a in range(count):
             m = u + w * a
@@ -277,8 +268,8 @@ class ShiftedRn:
                 tops.append(0)
                 bottoms.append(1)
                 continue
-            (v_bin, u_bin), (v_mono, u_mono) = split(binom), split(D * m)
-            v_den, u_den = split(den)
+            (v_bin, u_bin), (v_mono, u_mono) = split(binom, p), split(D * m, p)
+            v_den, u_den = split(den, p)
             v = v_c + q * v_bin + mono * v_mono - s * v_den
             if v < v_floor:
                 raise PrecisionError("supplied coefficient floors are violated")

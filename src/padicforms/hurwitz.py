@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .arith import bernoulli_poly, check_prime, vp, vp_int
+from .arith import bernoulli_poly, check_prime, split, vp, vp_int
 from .characters import CharValue, DirichletCharacter, chi_units
 from .cyclotomic import CyclotomicElement, value_to_padic
 from .errors import DomainError
@@ -208,11 +208,11 @@ def _sum_level(chi: DirichletCharacter, p: int, l: int) -> tuple[int, int]:
     least level l_min = max(l0, 1), or max(l0, 2) at p = 2, whatever level l
     it is asked at. l must be at least max(1, l0).
     """
-    l0 = int(vp_int(chi.conductor, p))
+    l0, d_prime = split(chi.conductor, p)
     if l < max(1, l0):
         raise DomainError(f"need l >= max(1, l0) = {max(1, l0)}")
     l_min = max(l0, vp_qp(p))
-    return chi.conductor // p ** l0 * p ** l_min, l_min
+    return d_prime * p ** l_min, l_min
 
 
 def unit_weights(units: Iterable[tuple[int, CharValue]], p: int, e: int,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .arith import INF, check_prime, vp, vp_int
+from .arith import INF, check_prime, split, unit_residue, vp
 from .errors import DomainError, PrecisionError
 
 Q = Fraction
@@ -75,10 +75,8 @@ class Padic:
         raw %= p ** (prec - val)
         if raw == 0:
             return cls.zero(p, prec)
-        w = vp_int(raw, p)
-        val += w
-        unit = (raw // p ** w) % p ** (prec - val)
-        return cls(p, val, unit, prec)
+        w, unit = split(raw, p)  # unit < p^(prec - val - w): already reduced
+        return cls(p, val + w, unit, prec)
 
     @classmethod
     def from_fraction(cls, x: Fraction | int, p: int, prec: int) -> Padic:
@@ -89,10 +87,7 @@ class Padic:
         v = vp(x, p)
         if v >= prec:
             return cls.zero(p, prec)
-        rel = prec - v
-        u = x / Fraction(p) ** v
-        unit = u.numerator * pow(u.denominator, -1, p ** rel) % p ** rel
-        return cls(p, v, unit, prec)
+        return cls(p, v, unit_residue(x.numerator, x.denominator, p, prec - v)[1], prec)
 
     # -- structure ---------------------------------------------------------
 
@@ -196,14 +191,11 @@ class Padic:
         x = Fraction(x)
         if x == 0:
             raise DomainError("scaling a p-adic by exact zero loses all content")
-        v = vp(x, self.p)
         if self.val is None:
-            return Padic.zero(self.p, self.prec + v)
+            return Padic.zero(self.p, self.prec + vp(x, self.p))
         rel = self.prec - self.val
-        mod = self.p ** rel
-        u = x / Fraction(self.p) ** v
-        unit = self.unit * u.numerator * pow(u.denominator, -1, mod) % mod
-        return Padic.normalized(self.p, self.val + v, unit, self.val + v + rel)
+        v, u = unit_residue(x.numerator, x.denominator, self.p, rel)
+        return Padic.normalized(self.p, self.val + v, self.unit * u, self.val + v + rel)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -234,10 +226,10 @@ def teichmuller(x: Fraction | int, p: int, prec: int) -> Padic:
     """
     check_prime(p)
     x = Fraction(x)
-    if vp(x, p) != 0:
-        raise DomainError(f"{x} is not a unit at p = {p}")
     if prec < 1:
         raise DomainError("need precision >= 1")
+    if vp(x, p) != 0:
+        raise DomainError(f"{x} is not a unit at p = {p}")
     if p == 2:
         sign = 1 if x.numerator * x.denominator % 4 == 1 else -1
         return Padic.from_fraction(sign, 2, prec)
@@ -250,14 +242,13 @@ def teichmuller_rational(x: Fraction | int, p: int) -> Optional[Fraction]:
 
     Returns +-p^v when the unit part of x is +-1 mod q_p, else None.
     """
+    check_prime(p)
     x = Fraction(x)
     if x == 0:
         raise DomainError("Teichmuller of zero is undefined")
-    v = vp(x, p)
-    u = x / Fraction(p) ** v
+    v, r = unit_residue(x.numerator, x.denominator, p, vp_qp(p))
     m = qp(p)
-    r = u.numerator * pow(u.denominator, -1, m) % m
-    if r == 1 % m:
+    if r == 1:
         return Fraction(p) ** v
     if r == m - 1:
         return -(Fraction(p) ** v)
@@ -269,8 +260,7 @@ def teichmuller_ext(x: Fraction | int, p: int, prec: int) -> Padic:
     x = Fraction(x)
     if x == 0:
         raise DomainError("Teichmuller of zero is undefined")
-    v = vp(x, p)
-    u = x / Fraction(p) ** v
-    t = teichmuller(u, p, prec)
+    v, y = unit_residue(x.numerator, x.denominator, p, prec)
+    t = teichmuller(y, p, prec)  # which reads its unit only mod p^prec
     return Padic(p, v, t.unit, v + prec)
 

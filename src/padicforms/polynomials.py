@@ -295,15 +295,13 @@ class RationalFunction:
         numerator gives 0. Raises DomainError at a pole and PrecisionError
         when some vp(f(a)) < v_floor.
         """
-        from .arith import batch_invert, vp_int  # arith imports this module
+        from .arith import batch_invert, split, unit_residue  # arith imports this module
 
         mod = p ** rel
         scale_n, nums = self.num.content_primitive()
         scale_d, dens = self.den.content_primitive()
         scale = scale_n / scale_d if nums else Q(1)
-        vn, vd = vp_int(scale.numerator, p), vp_int(scale.denominator, p)
-        scale_unit = (scale.numerator // p ** vn
-                      * pow(scale.denominator // p ** vd, -1, mod))
+        v_scale, scale_unit = unit_residue(scale.numerator, scale.denominator, p, rel)
         nums, dens = nums[::-1], dens[::-1]
         tops, bottoms = [], []
         for a in range(count):
@@ -319,14 +317,14 @@ class RationalFunction:
                 tops.append(0)
                 bottoms.append(1)
                 continue
-            wn = 0 if n % p else vp_int(n, p)
-            wd = 0 if d % p else vp_int(d, p)
-            v = vn - vd + wn - wd
+            wn, un = split(n, p) if n % p == 0 else (0, n)  # no call for a unit, once a point
+            wd, ud = split(d, p) if d % p == 0 else (0, d)
+            v = v_scale + wn - wd
             if v < v_floor:
                 raise PrecisionError("supplied coefficient floors are violated")
-            top = n // p ** wn * scale_unit
+            top = un * scale_unit
             tops.append(top * p ** (v - v_floor) if v > v_floor else top)
-            bottoms.append(d // p ** wd)
+            bottoms.append(ud)
         return [t * b % mod for t, b in zip(tops, batch_invert(bottoms, mod))]
 
     def __add__(self, other: RationalFunction) -> RationalFunction:

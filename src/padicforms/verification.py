@@ -87,6 +87,14 @@ def check_chi_congruence(params: FormParameters, n: int, j: int,
                    not failures, t0)
 
 
+def _require_parity_and_stride(pr: FormParameters, n: int) -> None:
+    """Refuse s outside (p-1) | s and n outside p^(l+r) | n + 1."""
+    if not pr.parity_ok:
+        raise DomainError("(p-1) must divide s")
+    if (n + 1) % pr.stride != 0:
+        raise DomainError(f"p^(l+r) = {pr.stride} must divide n+1")
+
+
 # -- the f_j integral congruence -------------------------------------------------------
 
 
@@ -100,10 +108,7 @@ def check_fj_integral(params: FormParameters, n: int, j: int,
     """
     t0 = time.monotonic()
     pr = params
-    if not pr.parity_ok:
-        raise DomainError("(p-1) must divide s")
-    if (n + 1) % pr.stride != 0:
-        raise DomainError(f"p^(l+r) = {pr.stride} must divide n+1")
+    _require_parity_and_stride(pr, n)
     if math.gcd(j, pr.p) != 1:
         raise DomainError("j must be prime to p")
     rn = rn or build_rn(pr, n)
@@ -140,10 +145,7 @@ def check_valuation_formula(params: FormParameters, n: int,
     """
     t0 = time.monotonic()
     pr = params
-    if not pr.parity_ok:
-        raise DomainError("(p-1) must divide s")
-    if (n + 1) % pr.stride != 0:
-        raise DomainError(f"p^(l+r) = {pr.stride} must divide n+1")
+    _require_parity_and_stride(pr, n)
     if not pr.size_ok:
         raise DomainError(f"s = {pr.s} below p Q D = {pr.pQD}")
     rn = rn or build_rn(pr, n)

@@ -42,7 +42,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from .arith import INF, batch_invert, bernoulli_number, check_prime, lcm_upto, vp, vp_int
+from .arith import (INF, batch_invert, bernoulli_number, check_prime, lcm_upto, split,
+                    unit_residue, vp, vp_int)
 from .errors import DomainError, PrecisionError
 from .padic import Padic, qp, vp_qp
 from .polynomials import Poly, RationalFunction
@@ -213,19 +214,19 @@ def integral_mahler(f, p: int, precision: Optional[int] = None,
     while (err := mahler_error_valuation(T, p, M)) < precision:
         M += math.ceil((precision - err) / hmax)
 
-    # maxw = vp(L) = max vp(a + 1) over a <= M, so each p^maxw V_a is p-integral:
-    # over p^(v_floor - maxw) the sum is known mod p^rel, the value mod p^precision
-    maxw = vdp_length(M + 1, p) - 1
+    # L = p^maxw L_unit, maxw = max vp(a + 1) over a <= M, so each p^maxw V_a is
+    # p-integral: over p^(v_floor - maxw) the sum is known mod p^rel, the value mod p^precision
+    L = lcm_upto(M + 1)
+    maxw, L_unit = split(L, p)
     rel = precision - v_floor + maxw
     mod = p ** rel
     row = f.residues(M + 1, p, v_floor, rel)
-    L = lcm_upto(M + 1)
     total, weight, term = 0, 0, L // (M + 1)  # term = L C(M+1, a+1)/(a+1)
     for a in range(M, -1, -1):
         weight = term - weight  # L V_a
         total += -row[a] * weight if a % 2 else row[a] * weight
         term = term * (a + 1) ** 2 // (a * (M + 1 - a)) if a else 0
-    total = total % mod * pow(L // p ** maxw, -1, mod)
+    total = total % mod * pow(L_unit, -1, mod)
     return Padic.normalized(p, v_floor - maxw, total, precision)
 
 
@@ -299,7 +300,7 @@ def pole_power_residues(x: Fraction, p: int,
     R = need[0]
     mod = p ** R
     x = Fraction(x)
-    y = x.denominator // p ** h * pow(x.numerator, -1, mod) % mod
+    y = unit_residue(x.denominator, x.numerator, p, R)[1]
     step = p ** h * y % mod
     J = -(-R // h)  # every j with j h < R
     last = wanted[-1] - wanted[-2] if len(wanted) > 1 else wanted[-1]

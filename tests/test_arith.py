@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from padicforms.arith import (batch_invert, bernoulli_number, bernoulli_poly,
                               binom_padic_data, factorial_valuation, lcm_upto,
-                              multinomial_packed, rising_factorial, vp, vp_int)
+                              multinomial_packed, rising_factorial, split, unit_residue, vp,
+                              vp_int)
 from padicforms.errors import DomainError
 
 
@@ -43,6 +44,26 @@ def _vp_int_digit_loop(n, p):
 def test_vp_int_matches_the_digit_loop(p, unit, e):
     n = unit * p ** e
     assert vp_int(n, p) == _vp_int_digit_loop(n, p)
+    if n:
+        v, u = split(n, p)
+        assert u * p ** v == n and u % p != 0 and v == vp_int(n, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 101)), k=st.integers(1, 200),
+       num=st.integers(-10 ** 40, 10 ** 40).filter(bool), den=st.integers(1, 10 ** 40),
+       e=st.integers(-400, 400))
+@example(p=2, k=1, num=-1, den=1, e=0)
+@example(p=5, k=3, num=-2, den=3 * 5 ** 4, e=-400)
+def test_unit_residue_is_the_unit_part_mod_pk(p, k, num, den, e):
+    # num / den times p^e, with the power of p on top or below, handed over
+    # unreduced: x = p^v y with y a p-adic unit, and u = y mod p^k
+    top, bottom = num * p ** max(e, 0), den * p ** max(-e, 0)
+    x = Q(top, bottom)
+    v, u = unit_residue(top, bottom, p, k)
+    y = x / Q(p) ** v
+    assert v == vp(x, p) and vp(y, p) == 0
+    assert 0 <= u < p ** k and (u * y.denominator - y.numerator) % p ** k == 0
 
 
 @settings(max_examples=100, deadline=None)

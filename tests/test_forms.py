@@ -120,26 +120,37 @@ _RN_FAMILIES = (("trivial", 2, 2), ("quadratic:4", 2, 2), ("trivial", 3, 1),
                 (Q(1, 4), 2, 2), (Q(3, 4), 2, 2), (Q(2, 3), 3, 1), (Q(1, 9), 3, 2))
 
 
+def _decaying_params(family, n, extra):
+    """The parameters of family at s = extra above the least s with a decaying R_n."""
+    head, p, l = family
+
+    def params(s):
+        if isinstance(head, str):
+            return choose_params(character_from_spec(head), p, s, l=l)
+        return hurwitz_params(head, p, s, l=l)[0]
+
+    s = 2
+    while params(s).rn_degree(n) >= -1:
+        s += 1
+    return params(s + extra)
+
+
 @settings(max_examples=120, deadline=None)
-@given(family=st.sampled_from(_RN_FAMILIES), s=st.integers(16, 40), n=st.integers(1, 2),
+@given(family=st.sampled_from(_RN_FAMILIES), extra=st.integers(0, 24), n=st.integers(1, 2),
        j=st.integers(-40, 40), w=st.sampled_from((Q(1), Q(-1), Q(5, 7))),
        count=st.integers(1, 10), offset=st.integers(-3, 1), rel=st.integers(1, 200))
-@example(family=("trivial", 2, 2), s=20, n=1, j=0, w=Q(1), count=3, offset=0, rel=8)
-@example(family=("trivial", 2, 2), s=20, n=1, j=-3, w=Q(1), count=4, offset=0, rel=8)
-@example(family=(Q(1, 4), 2, 2), s=20, n=1, j=1, w=Q(1), count=4, offset=1, rel=8)
-def test_shifted_rn_residues_match_fraction_values(family, s, n, j, w, count, offset, rel):
-    # the one-weight integrand w R_n(t + j/D): the examples hit a pole at an
-    # integer (j = 0), zeros of binom(Dt + N, N) (j = -3) and a violated floor
-    # (offset 1)
-    head, p, l = family
-    if isinstance(head, str):
-        pr = choose_params(character_from_spec(head), p, s, l=l)
-    else:
-        pr = hurwitz_params(head, p, s, l=l)[0]
-    try:
-        rn = build_rn(pr, n)
-    except DegreeError:
-        return
+@example(family=("trivial", 2, 2), extra=2, n=1, j=0, w=Q(1), count=3, offset=0, rel=8)
+@example(family=("trivial", 2, 2), extra=2, n=1, j=-3, w=Q(1), count=4, offset=0, rel=8)
+@example(family=(Q(1, 4), 2, 2), extra=3, n=1, j=1, w=Q(1), count=4, offset=1, rel=8)
+def test_shifted_rn_residues_match_fraction_values(family, extra, n, j, w, count, offset,
+                                                   rel):
+    # the one-weight integrand w R_n(t + j/D) at s = extra above the least s
+    # with a decaying R_n, so every example builds; the examples (s = 20) hit
+    # a pole at an integer (j = 0), zeros of binom(Dt + N, N) (j = -3) and a
+    # violated floor (offset 1)
+    p = family[1]
+    pr = _decaying_params(family, n, extra)
+    rn = build_rn(pr, n)
     f = ShiftedRn(rn, ((j, w),))
 
     def exact(a):
@@ -232,17 +243,8 @@ def test_shifted_rn_residues_match_the_per_factor_kernel(family, extra, n, weigh
     # examples hit a vanishing factor D m + k w (j = -3), a pole at an
     # integer (j = 0), a violated floor (offset 1) and values one power of p
     # above the floor (offset -1)
-    head, p, l = family
-
-    def params(s):
-        if isinstance(head, str):
-            return choose_params(character_from_spec(head), p, s, l=l)
-        return hurwitz_params(head, p, s, l=l)[0]
-
-    s = 2
-    while params(s).rn_degree(n) >= -1:
-        s += 1
-    pr = params(s + extra)
+    p = family[1]
+    pr = _decaying_params(family, n, extra)
     rn = build_rn(pr, n)
     f = ShiftedRn(rn, tuple(weights))
     values = []

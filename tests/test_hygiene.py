@@ -162,3 +162,45 @@ def test_every_public_method_is_used_outside_the_tests():
               and item.name not in used}
     assert unused - TEST_ONLY_METHODS_THAT_STAY == set()
     assert TEST_ONLY_METHODS_THAT_STAY <= unused  # no stale entry
+
+
+def _is_p(node):
+    """p, <obj>.p, Fraction(p) or Q(p)."""
+    if isinstance(node, ast.Call):
+        return (ast.unparse(node.func) in ("Fraction", "Q") and len(node.args) == 1
+                and _is_p(node.args[0]))
+    return (isinstance(node, ast.Name) and node.id == "p"
+            or isinstance(node, ast.Attribute) and node.attr == "p")
+
+
+def _divisions_by_powers_of_p(tree, scope=()):
+    """The qualified name of the function around each x / p^k or x // p^k."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        divisor = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
+            divisor = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
+            divisor = node.value
+        if (isinstance(divisor, ast.BinOp) and isinstance(divisor.op, ast.Pow)
+                and _is_p(divisor.left)):
+            yield ".".join(inner)
+        yield from _divisions_by_powers_of_p(node, inner)
+
+
+# divisions by a power of p outside arith that do not split off a unit
+DIVISIONS_BY_POWERS_OF_P_THAT_STAY = {
+    "verification.characteristic_Xjn",  # the base-p digit shift floor(j / p^l)
+    "hurwitz.lp_value",  # every Z_j over the least power p^F, so not each a unit
+}
+
+
+def test_only_arith_splits_off_powers_of_p():
+    # a number is split into p^v times a unit only by arith.split and
+    # arith.unit_residue, so no other module divides by a power of p
+    found = {f"{name}.{scope}" for name, tree in MODULES.items() if name != "arith"
+             for scope in _divisions_by_powers_of_p(tree)}
+    assert found == DIVISIONS_BY_POWERS_OF_P_THAT_STAY
+    assert any(_divisions_by_powers_of_p(MODULES["arith"]))
