@@ -14,18 +14,37 @@ INF = math.inf
 Q = Fraction
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality below
+# PRIMALITY_BOUND (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+@lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Primality of n < PRIMALITY_BOUND, by Miller-Rabin over SMALL_PRIMES.
+
+    n <= 41 is answered at once, and n >= PRIMALITY_BOUND is refused with
+    DomainError, since these bases no longer decide it. The cache keeps
+    check_prime, which vp calls every time, at a lookup for any p.
+    """
+    if n <= SMALL_PRIMES[-1]:
+        return n in SMALL_PRIMES
+    if n >= PRIMALITY_BOUND:
+        raise DomainError(f"primality of {n} is decided only below {PRIMALITY_BOUND}")
+    if any(n % q == 0 for q in SMALL_PRIMES):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    s = vp_int(n - 1, 2)  # n - 1 = 2^s d with d odd
+    for a in SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
     return True
 
 
@@ -101,6 +120,8 @@ def vp(x: Fraction | int, p: int) -> int | float:
 
 def digits_base_p(n: int, p: int) -> list[int]:
     """Base-p digits of n >= 0, least significant first; [] for 0."""
+    if n < 0:
+        raise DomainError("need n >= 0")
     out = []
     while n:
         n, d = divmod(n, p)

@@ -10,7 +10,7 @@ from typing import Iterable
 from .arith import check_prime, is_prime, vp, vp_int
 from .errors import DomainError, EmbeddingError, IntegralityError
 from .padic import Padic, phi_qp, qp, teichmuller
-from .polynomials import Poly, as_fraction
+from .polynomials import Poly, as_fraction, power
 
 Q = Fraction
 
@@ -91,12 +91,13 @@ class CyclotomicElement:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> CyclotomicElement:
         """zeta_m^k in the power basis."""
-        phi = euler_phi(m)
-        k %= m
-        mono = Poly([0] * k + [1])
-        _, red = mono.divmod(cyclotomic_polynomial(m))
-        coords = [red[i] for i in range(phi)]
-        return cls(m, coords)
+        return cls.reduced(m, Poly([0] * (k % m) + [1]))
+
+    @classmethod
+    def reduced(cls, m: int, poly: Poly) -> CyclotomicElement:
+        """poly(zeta_m) in the power basis: the one reduction modulo Phi_m."""
+        _, red = poly.divmod(cyclotomic_polynomial(m))
+        return cls(m, [red[i] for i in range(euler_phi(m))])
 
     @classmethod
     def one(cls, m: int) -> CyclotomicElement:
@@ -169,11 +170,7 @@ class CyclotomicElement:
     def __mul__(self, other) -> CyclotomicElement:
         if isinstance(other, (int, Fraction)):
             return CyclotomicElement(self.m, [a * other for a in self.coords])
-        o = self._coerce(other)
-        prod = self.as_poly() * o.as_poly()
-        _, red = prod.divmod(cyclotomic_polynomial(self.m))
-        phi = euler_phi(self.m)
-        return CyclotomicElement(self.m, [red[i] for i in range(phi)])
+        return CyclotomicElement.reduced(self.m, self.as_poly() * self._coerce(other).as_poly())
 
     __rmul__ = __mul__
 
@@ -181,8 +178,7 @@ class CyclotomicElement:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
         # extended Euclid against the cyclotomic polynomial
-        phi_poly = cyclotomic_polynomial(self.m)
-        r0, r1 = phi_poly, self.as_poly()
+        r0, r1 = cyclotomic_polynomial(self.m), self.as_poly()
         s0, s1 = Poly(), Poly.const(1)
         while not r1.is_zero():
             q, r = r0.divmod(r1)
@@ -190,24 +186,14 @@ class CyclotomicElement:
             s0, s1 = s1, s0 - q * s1
         if r0.degree() != 0:
             raise DomainError("element is a zero divisor (should be impossible)")
-        inv = s0.scale(1 / r0.leading())
-        _, red = inv.divmod(phi_poly)
-        phi = euler_phi(self.m)
-        return CyclotomicElement(self.m, [red[i] for i in range(phi)])
+        return CyclotomicElement.reduced(self.m, s0.scale(1 / r0.leading()))
 
     def __truediv__(self, other) -> CyclotomicElement:
         return self * self._coerce(other).inverse()
 
     def __pow__(self, e: int) -> CyclotomicElement:
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = CyclotomicElement.one(self.m)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(base, abs(e), CyclotomicElement.one(self.m))
 
     # -- norm and embedding ---------------------------------------------------
 

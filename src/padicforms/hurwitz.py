@@ -6,12 +6,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .arith import bernoulli_poly, check_prime, split, vp, vp_int
+from .arith import bernoulli_poly, check_prime, split, unit_residue, vp, vp_int
 from .characters import CharValue, DirichletCharacter, chi_units
 from .cyclotomic import CyclotomicElement, value_to_padic
 from .errors import DomainError
-from .padic import (Padic, fraction_mod_pk, phi_qp, qp, teichmuller, teichmuller_ext,
-                    teichmuller_rational, vp_qp)
+from .padic import (Padic, phi_qp, qp, teichmuller, teichmuller_ext, teichmuller_rational,
+                    vp_qp)
 from .polynomials import MAX_POWER_DEGREE
 from .volkenborn import check_hurwitz_domain, integral_pole_powers, pole_power_residues
 
@@ -151,8 +151,9 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     modulo p^A with A = precision + i m, since vp(D^(-i)) = -i m, and the
     Padic returned is known modulo p^precision. For i <= 0 that is one
     integer sum: with F = min_j vp(Z_j), the weights of unit_weights times
-    Z_j / p^F, modulo p^(A-F). For i >= 2 it is the one-entry case of the
-    unit sum behind lp_values.
+    Z_j / p^F = p^(v_j - F) u_j, with (v_j, u_j) from arith.unit_residue,
+    modulo p^(A-F). For i >= 2 it is the one-entry case of the unit sum
+    behind lp_values.
     """
     check_prime(p)
     if i == 1:
@@ -178,8 +179,11 @@ def lp_value(i: int, chi: DirichletCharacter, p: int, l: int,
     A = precision + i * m
     F = min((int(vp(z, p)) for z in zetas if z), default=A)
     R = max(A - F, 1)
-    total = sum(w * fraction_mod_pk(z / Q(p) ** F, p, R)
-                for (_, w), z in zip(unit_weights(units, p, e, R), zetas))
+    total = 0
+    for (_, w), z in zip(unit_weights(units, p, e, R), zetas):
+        if z:
+            v, u = unit_residue(z.numerator, z.denominator, p, R)
+            total += w * u * p ** (v - F)
     return Padic.normalized(p, F, total, A).mul_fraction(Q(D) ** -i)
 
 

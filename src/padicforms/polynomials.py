@@ -89,14 +89,7 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Q(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out)
+        return Poly(series_mul(a, b, len(a) + len(b) - 1))
 
     def scale(self, c: Fraction | int) -> Poly:
         c = as_fraction(c)
@@ -105,13 +98,7 @@ class Poly:
     def __pow__(self, e: int) -> Poly:
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out, base = Poly.const(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Poly.const(1))
 
     def derivative(self) -> Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -132,24 +119,18 @@ class Poly:
         return acc
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
+        """(quotient, remainder) by one pass of long division, top degree down."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [Q(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        d, dn = other.coeffs, other.degree()
         rem = list(self.coeffs)
-        dlead = other.leading()
-        dn = other.degree()
-        while len(rem) - 1 >= dn and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            k = len(rem) - 1 - dn
-            f = rem[-1] / dlead
-            quot[k] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= f * c
-            rem.pop()
-        return Poly(quot), Poly(rem)
+        quot = [Q(0)] * max(0, len(rem) - dn)
+        for k in reversed(range(len(quot))):
+            if f := rem[k + dn] / d[-1]:
+                quot[k] = f
+                for j, c in enumerate(d[:-1]):
+                    rem[k + j] -= f * c
+        return Poly(quot), Poly(rem[:dn])
 
     def content_primitive(self) -> tuple[Fraction, list[int]]:
         """Write self = content * P with P a primitive integer polynomial."""
@@ -162,6 +143,18 @@ class Poly:
             g = gcd(g, abs(v))
         ints = [v // g for v in ints]
         return Q(g, den), ints
+
+
+def power(x, e: int, one):
+    """x^e for an integer e >= 0 by square and multiply; one is the 1 of x's ring."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
 
 
 # -- truncated power series (lists of length L, ascending) ----------------

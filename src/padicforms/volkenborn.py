@@ -42,8 +42,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from .arith import (INF, batch_invert, bernoulli_number, check_prime, lcm_upto, split,
-                    unit_residue, vp, vp_int)
+from .arith import (INF, batch_invert, bernoulli_number, check_prime, digits_base_p, lcm_upto,
+                    split, unit_residue, vp, vp_int)
 from .errors import DomainError, PrecisionError
 from .padic import Padic, qp, vp_qp
 from .polynomials import Poly, RationalFunction
@@ -56,13 +56,7 @@ Q = Fraction
 
 def vdp_length(k: int, p: int) -> int:
     """l(k): number of base-p digits of k, with l(0) = 0."""
-    if k < 0:
-        raise DomainError("need k >= 0")
-    n = 0
-    while k:
-        k //= p
-        n += 1
-    return n
+    return len(digits_base_p(k, p))
 
 
 # -- Riemann-sum engine ----------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.arith import (batch_invert, bernoulli_number, bernoulli_poly,
-                              binom_padic_data, factorial_valuation, lcm_upto,
-                              multinomial_packed, rising_factorial, split, unit_residue, vp,
-                              vp_int)
+from padicforms.arith import (PRIMALITY_BOUND, batch_invert, bernoulli_number, bernoulli_poly,
+                              binom_padic_data, check_prime, digits_base_p, factorial_valuation,
+                              is_prime, lcm_upto, multinomial_packed, rising_factorial, split,
+                              unit_residue, vp, vp_int)
 from padicforms.errors import DomainError
+from padicforms.volkenborn import vdp_length
 
 
 def test_vp_examples():
@@ -73,6 +74,39 @@ def test_batch_invert_inverts_each_unit(p, rel, seeds):
     mod = p ** rel
     units = [u * p + 1 for u in seeds]
     assert batch_invert(units, mod) == [pow(u, -1, mod) for u in units]
+
+
+def _is_prime_by_trial_division(n):
+    """The oracle of is_prime."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    disagree = [n for n in range(-3, 2 * 10 ** 5) if is_prime(n) != _is_prime_by_trial_division(n)]
+    assert disagree == []
+    rng = random.Random(12)
+    for n in [rng.randrange(10 ** 12) for _ in range(300)] + [999999999989, 10 ** 12 - 1]:
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_primality_is_decided_below_its_bound_and_refused_above():
+    # the least strong pseudoprime to the first 12 prime bases (Sorenson and
+    # Webster), and the one to the first 13 that sets PRIMALITY_BOUND
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10 ** 18 + 3)
+    for p in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2):
+        with pytest.raises(DomainError):
+            check_prime(p)
+    with pytest.raises(DomainError):
+        vp(Q(1), PRIMALITY_BOUND)
+
+
+def test_digit_helpers_refuse_a_negative_argument():
+    for call in (lambda: digits_base_p(-1, 2), lambda: factorial_valuation(-1, 2),
+                 lambda: vdp_length(-1, 3)):
+        with pytest.raises(DomainError):
+            call()
+    assert digits_base_p(0, 5) == [] and vdp_length(0, 5) == 0 and vdp_length(25, 5) == 3
 
 
 def test_vp_multiplicative_and_ultrametric():

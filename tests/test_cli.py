@@ -11,6 +11,7 @@ import pytest
 
 import padicforms
 from padicforms import cli
+from padicforms.arith import PRIMALITY_BOUND
 from padicforms.cli import dispatch
 from padicforms.cyclotomic import CyclotomicElement, euler_phi
 from padicforms.hurwitz import zeta_p_pos
@@ -282,6 +283,20 @@ def test_a_character_value_over_a_large_cyclotomic_field_exits_2(capsys):
 def test_nonpositive_branch_at_the_bernoulli_cap_answers_in_time(argv):
     proc = run_cli_subprocess(argv, timeout=30)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_large_prime_is_decided_in_time():
+    # the least 19-digit prime: check_prime decides it by Miller-Rabin, not by
+    # trial division; a p past arith.PRIMALITY_BOUND is refused with exit 3
+    p = 10 ** 18 + 3
+    proc = run_cli_subprocess(["zeta", "--p", str(p), "--s", "2", "--x", f"1/{p}",
+                               "--prec", "2"], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["zeta"]["prec"] == 2
+    proc = run_cli_subprocess(["zeta", "--p", str(PRIMALITY_BOUND), "--s", "2", "--x", "1/3"],
+                              timeout=30)
+    assert proc.returncode == 3
+    assert "decided only below" in json.loads(proc.stderr)["detail"]
 
 
 @pytest.mark.parametrize("s, x, prec", [(3000, "1/5", 8), (8, "1/25", 6), (10 ** 6, "1/5", 8)])

@@ -124,6 +124,37 @@ def test_rational_elements_are_equal_across_fields():
     assert CyclotomicElement.from_rational(Q(1, 3), 4) != b
 
 
+_ORDERS = (1, 3, 4, 5, 8, 12)
+
+
+@st.composite
+def _field_elements(draw):
+    """An element of Q(zeta_m) for m in _ORDERS, often with zero coordinates,
+    so that rational elements and zero occur."""
+    m = draw(st.sampled_from(_ORDERS))
+    coord = st.one_of(st.just(Q(0)), st.fractions(-6, 6, max_denominator=5))
+    return CyclotomicElement(m, draw(st.lists(coord, min_size=euler_phi(m),
+                                              max_size=euler_phi(m))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_elements(), st.integers(0, 6), st.integers(-30, 30), st.sampled_from(_ORDERS))
+def test_powers_inverses_and_hashes_over_random_fields(x, e, k, other_m):
+    m = x.m
+    assert CyclotomicElement.zeta(m, k) == CyclotomicElement.zeta(m) ** k
+    if not x.is_zero():
+        one = x * x.inverse()
+        assert one == 1 and one == CyclotomicElement.one(other_m)
+        assert hash(one) == hash(CyclotomicElement.one(other_m)) == hash(1)
+        assert x ** -e == x.inverse() ** e
+    # equal elements hash equally; a rational one equals its value over any m
+    equal = [CyclotomicElement(m, x.coords), x * 1, x + 0, x * CyclotomicElement.one(m)]
+    if x.is_rational():
+        equal += [CyclotomicElement.from_rational(x.coords[0], other_m), x.coords[0]]
+    for y in equal:
+        assert y == x and hash(y) == hash(x)
+
+
 def test_assert_integral():
     assert_integral(Q(4), "ok")
     assert_integral(CyclotomicElement(4, [1, -2]), "ok")

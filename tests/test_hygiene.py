@@ -111,7 +111,7 @@ def _names(tree):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
             out.update(node.value.split("."))
     return out
 
@@ -193,7 +193,6 @@ def _divisions_by_powers_of_p(tree, scope=()):
 # divisions by a power of p outside arith that do not split off a unit
 DIVISIONS_BY_POWERS_OF_P_THAT_STAY = {
     "verification.characteristic_Xjn",  # the base-p digit shift floor(j / p^l)
-    "hurwitz.lp_value",  # every Z_j over the least power p^F, so not each a unit
 }
 
 

@@ -55,6 +55,72 @@ def test_poly_divmod_roundtrip():
         assert r.degree() < b.degree()
 
 
+def _schoolbook_mul(a, b):
+    """Poly.__mul__ before it went through series_mul: the oracle of the product."""
+    a, b = a.coeffs, b.coeffs
+    if not a or not b:
+        return Poly()
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return Poly(out)
+
+
+def _rescanning_divmod(a, b):
+    """Poly.divmod before it took one pass: it strips trailing zeros and rescans
+    the remainder on every step. The oracle of the division."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Q(0)] * max(0, len(a.coeffs) - len(b.coeffs) + 1)
+    rem = list(a.coeffs)
+    dlead, dn = b.leading(), b.degree()
+    while len(rem) - 1 >= dn and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dn:
+            break
+        k = len(rem) - 1 - dn
+        f = rem[-1] / dlead
+        quot[k] = f
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] -= f * c
+        rem.pop()
+    return Poly(quot), Poly(rem)
+
+
+# sparse coefficients, so that zeros inside and on top of the remainder occur
+_fractions = st.one_of(st.just(Q(0)), st.fractions(min_value=-9, max_value=9,
+                                                    max_denominator=6))
+_polys = st.lists(_fractions, max_size=13).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _polys)
+@example(Poly([1, 2, 3]), Poly([Q(-2, 3)]))  # a constant divisor
+@example(Poly([1, 0, 0, 0, 1]), Poly([1, 0, 1]))  # a zero on top of the remainder
+def test_product_and_division_match_the_oracles(a, b):
+    assert a * b == _schoolbook_mul(a, b)
+    if b.is_zero():
+        for divide in (a.divmod, lambda b: _rescanning_divmod(a, b)):
+            with pytest.raises(ZeroDivisionError):
+                divide(b)
+        return
+    q, r = a.divmod(b)
+    assert (q, r) == _rescanning_divmod(a, b)
+    assert q * b + r == a and r.degree() < b.degree()
+
+
+def test_powers_square_and_multiply():
+    p = Poly([Q(1, 2), -1, 3])
+    assert [p ** e for e in range(6)] == [Poly.const(1), p, p * p, p * p * p,
+                                          p * p * p * p, p * p * p * p * p]
+    assert Poly() ** 0 == Poly.const(1) and Poly() ** 3 == Poly()
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_from_roots_and_content():
     p = poly_from_roots([1, Q(1, 2)])
     assert p(1) == 0 and p(Q(1, 2)) == 0
