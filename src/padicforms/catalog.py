@@ -10,9 +10,8 @@ from typing import Iterator, Optional
 
 from .characters import DirichletCharacter, character_from_spec, p_units
 from .errors import IntegralityError
-from .forms import (FormParameters, build_rn, choose_params, family_form,
-                    form_identity, form_scale, hurwitz_family, hurwitz_params,
-                    lvalue_family, partial_fractions, rho_zero)
+from .forms import (FormFamily, FormParameters, choose_params, form_identity,
+                    form_scale, hurwitz_family, hurwitz_params, lvalue_family, rho_zero)
 from .padic import vp_qp
 from .verification import (CheckReport, _report, check_chi_congruence,
                            check_fj_integral, check_valuation_formula,
@@ -37,6 +36,12 @@ class CatalogInstance:
     def params(self) -> FormParameters:
         return _config_params(self.chi(), self.hurwitz_x, self.p, self.s, self.l)
 
+    def family(self) -> FormFamily:
+        """The instance's family at its n: R_n, its table and its form, built on first read."""
+        pr = self.params()
+        return (lvalue_family(pr, self.chi(), self.n) if self.hurwitz_x is None
+                else hurwitz_family(pr, self.hurwitz_x, self.n))
+
 
 CATALOG: tuple[CatalogInstance, ...] = (
     CatalogInstance(key="p2-trivial", character="trivial", p=2, l=2, s=64, n=3),
@@ -49,50 +54,38 @@ CATALOG: tuple[CatalogInstance, ...] = (
 MINI_DESK = CatalogInstance(key="p2-mini", character="trivial", p=2, l=1, s=16, n=1)
 
 
-class InstanceWorkspace:
-    """Shared R_n, partial fraction table and form family for one catalog instance."""
-
-    def __init__(self, inst: CatalogInstance):
-        self.instance = inst
-        self.chi = inst.chi()
-        self.params = inst.params()
-        self.rn = build_rn(self.params, inst.n)
-        self.table = partial_fractions(self.rn)
-        self.family = (lvalue_family(self.params, self.chi) if inst.hurwitz_x is None
-                       else hurwitz_family(self.params, inst.hurwitz_x))
-
-    def form(self):
-        return family_form(self.family, self.table)
-
-
 def run_catalog(digits: int = 20) -> Iterator[CheckReport]:
-    """Execute every catalog check, sharing tables per instance."""
+    """Execute every catalog check, one family per instance.
+
+    The identity is certified before the checks that precede it in the
+    output, so that the valuation check reads its sum from the table.
+    """
     for inst in CATALOG:
-        ws = InstanceWorkspace(inst)
-        pr, n = ws.params, inst.n
+        family = inst.family()
+        pr, n = family.params, inst.n
+        identity = identity_check(inst, family, digits)
         if inst.hurwitz_x is not None:
-            yield identity_check(ws, digits)
+            yield identity
         else:
-            yield check_valuation_formula(pr, n, ws.chi, rn=ws.rn, table=ws.table)
+            yield check_valuation_formula(pr, n, inst.chi(), family.rn, family.table)
             for j in p_units(pr.D, pr.p):
-                yield check_fj_integral(pr, n, j, rn=ws.rn, table=ws.table)
+                yield check_fj_integral(family, j)
             if inst.key == "p2-trivial":
                 for j in (1, 3, 5):
                     yield check_chi_congruence(pr, n, j, range(64))
-        yield growth_bound_check(pr, n, table=ws.table)
-        yield integrality_check(ws)
+        yield growth_bound_check(family)
+        yield integrality_check(inst, family)
         if inst.hurwitz_x is None:
-            yield identity_check(ws, digits)
-    mini = InstanceWorkspace(MINI_DESK)
-    yield growth_bound_check(mini.params, MINI_DESK.n, table=mini.table)
-    yield integrality_check(mini)
+            yield identity
+    mini = MINI_DESK.family()
+    yield growth_bound_check(mini)
+    yield integrality_check(MINI_DESK, mini)
 
 
-def identity_check(ws: InstanceWorkspace, digits: int) -> CheckReport:
+def identity_check(inst: CatalogInstance, family: FormFamily, digits: int) -> CheckReport:
     """The instance's linear-form identity, certified to `digits` significant digits."""
     t0 = time.monotonic()
-    inst = ws.instance
-    rep = form_identity(ws.family, ws.form(), ws.rn, ws.table, digits)
+    rep = form_identity(family, digits)
     name, head = (("form-identity", {"key": inst.key, "p": inst.p}) if inst.hurwitz_x is None
                   else ("hurwitz-identity", {"p": inst.p, "x": str(inst.hurwitz_x)}))
     return _report(name, {**head, "s": inst.s, "n": inst.n},
@@ -101,17 +94,16 @@ def identity_check(ws: InstanceWorkspace, digits: int) -> CheckReport:
                    rep.agrees and rep.relative_digits >= digits, t0)
 
 
-def integrality_check(ws: InstanceWorkspace) -> CheckReport:
-    """family_form must build the instance's form, which asserts its integrality."""
+def integrality_check(inst: CatalogInstance, family: FormFamily) -> CheckReport:
+    """The family must build the instance's form, which asserts its integrality."""
     t0 = time.monotonic()
     try:
-        ws.form()
+        family.form
         ok, observed = True, "all coefficients integral"
     except IntegralityError as exc:
         ok, observed = False, str(exc)
     return _report("integrality",
-                   {"key": ws.instance.key, "p": ws.params.p,
-                    "s": ws.params.s, "n": ws.instance.n},
+                   {"key": inst.key, "p": inst.p, "s": inst.s, "n": inst.n},
                    "integral coefficients", observed, ok, t0)
 
 
@@ -183,16 +175,14 @@ def check_config_integrality(cfg: RandomConfig) -> CheckReport:
     """
     t0 = time.monotonic()
     pr, n = cfg.params, cfg.n
-    table = partial_fractions(build_rn(pr, n))
     if cfg.mode == "L":
-        family = lvalue_family(pr, cfg.chi)
-        C = form_scale(pr.s, n)
-        bad = [("rho0", f"{j}/{pr.D}") for j in p_units(pr.D, pr.p)
-               if cfg.chi(j) == 0 and (C * rho_zero(table, Q(j, pr.D))).denominator != 1]
+        family, C = lvalue_family(pr, cfg.chi, n), form_scale(pr.s, n)
+        bad = [("rho0", f"{j}/{pr.D}") for j in p_units(pr.D, pr.p) if cfg.chi(j) == 0
+               and (C * rho_zero(family.table, Q(j, pr.D))).denominator != 1]
     else:
-        family, bad = hurwitz_family(pr, cfg.x0), []
+        family, bad = hurwitz_family(pr, cfg.x0, n), []
     try:
-        family_form(family, table)
+        family.form
     except IntegralityError as exc:
         bad.append(("form", str(exc)))
     return _report("integrality-random",

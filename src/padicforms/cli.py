@@ -25,8 +25,7 @@ from .catalog import (check_config_integrality, random_small_configurations,
                       run_catalog)
 from .characters import character_from_spec
 from .errors import DomainError, PrecisionError
-from .forms import (build_rn, choose_params, family_form, form_identity,
-                    hurwitz_variant_form, lvalue_family, partial_fractions)
+from .forms import choose_params, form_identity, hurwitz_variant_form, lvalue_family
 from .hurwitz import lp_value, zeta_p_nonpos, zeta_p_pos
 from .jsonio import dumps, rational_to_str, value_to_json
 from .padic import Padic
@@ -195,18 +194,15 @@ def _cmd_forms_build(args) -> int:
         return EXIT_OK
     chi = character_from_spec(args.character)
     params = choose_params(chi, args.p, args.s, epsilon=epsilon, l=args.l)
-    rn = build_rn(params, args.n)
-    table = partial_fractions(rn)
-    family = lvalue_family(params, chi)
-    form = family_form(family, table)
+    family = lvalue_family(params, chi, args.n)
     out = {
         "mode": "lvalue",
         "parameters": params.to_json(),
         "lambda": [value_to_json(c) if not isinstance(c, Fraction)
-                   else rational_to_str(c) for c in form.coeffs],
+                   else rational_to_str(c) for c in family.form.coeffs],
     }
     if not args.skip_identity:
-        out["identity"] = form_identity(family, form, rn, table, args.digits).to_json()
+        out["identity"] = form_identity(family, args.digits).to_json()
     _emit(out)
     return EXIT_OK
 
@@ -231,11 +227,11 @@ def _cmd_verify(args) -> int:
         if args.check == "chi-congruence":
             reports = [check_chi_congruence(params, args.n, args.j, range(64))]
         elif args.check == "fj-integral":
-            reports = [check_fj_integral(params, args.n, args.j)]
+            reports = [check_fj_integral(lvalue_family(params, chi, args.n), args.j)]
         elif args.check == "valuation":
             reports = [check_valuation_formula(params, args.n, chi)]
         elif args.check == "growth":
-            reports = [growth_bound_check(params, args.n)]
+            reports = [growth_bound_check(lvalue_family(params, chi, args.n))]
         elif args.check == "rate-fit":
             ns = [int(v) for v in args.ns.split(",")]
             points = form_sequence(params, chi, ns)

@@ -73,6 +73,8 @@ class CyclotomicElement:
 
     def __init__(self, m: int, coords: Iterable[Fraction | int]):
         cs = tuple(as_fraction(c) for c in coords)
+        if m > 2 * len(cs) ** 2:  # phi(m) >= sqrt(m/2): refused before phi(m) is factored
+            raise DomainError(f"need phi({m}) > {len(cs)} coordinates, got {len(cs)}")
         if len(cs) != euler_phi(m):
             raise DomainError(f"need phi({m}) = {euler_phi(m)} coordinates, got {len(cs)}")
         object.__setattr__(self, "m", m)

@@ -294,7 +294,8 @@ class PartialFractionTable:
 
     The table keeps integers: r_(i,k) = nums[i-1][k] / den, with one common
     denominator den > 0. rows, the same coefficients as Fractions, is built
-    on first read and kept.
+    on first read and kept; so are the floors at each p and the weighted
+    integral sums of weighted_integral_sum.
     """
 
     n: int
@@ -302,6 +303,7 @@ class PartialFractionTable:
     nums: tuple[tuple[int, ...], ...]  # nums[i-1][k]
     den: int
     _floors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:  # rows[i-1][k]
@@ -421,40 +423,58 @@ def rho_zero(table: PartialFractionTable, x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class FormFamily:
-    """What sets one family of linear forms in R_n apart from the other.
+    """One family of linear forms in R_n at one n, and what sets it apart.
 
     With weights w_j on the arguments j/D and C = form_scale(s, n), the form
     is lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i,
     and its identity reads C sum_j w_j Int R_n(t + j/D) = lambda_0
     + sum_i lambda_i f_i V_i with f_i = factor(i); values({i: N_i}) gives
     every requested V_i modulo p^N_i at once.
-    predicted(n) is the expected vp of the weighted integral sum, or None
+    predicted is the expected vp of the weighted integral sum, or None
     outside the hypotheses that make it exact.
+    rn, table and form are each built on first read and kept; given hands
+    in an R_n and a table already built, either of which may be None.
     """
 
     params: FormParameters
+    n: int
     weights: tuple[tuple[int, CharValue], ...]
     field_m: int
     shift: int
-    predicted: Callable[[int], Optional[int]]
+    predicted: Optional[int]
     factor: Callable[[int], Fraction]
     values: Callable[[Mapping[int, int]], dict[int, Padic]]
+    given: tuple = field(default=(None, None), repr=False, compare=False)
+
+    @cached_property
+    def rn(self) -> RnFunction:
+        return self.given[0] or build_rn(self.params, self.n)
+
+    @cached_property
+    def table(self) -> PartialFractionTable:
+        return self.given[1] or partial_fractions(self.rn)
+
+    @cached_property
+    def form(self) -> LinearFormOverK:
+        return family_form(self)
 
 
-def lvalue_family(params: FormParameters, chi: DirichletCharacter) -> FormFamily:
+def lvalue_family(params: FormParameters, chi: DirichletCharacter, n: int,
+                  given: tuple = (None, None)) -> FormFamily:
     """chi(j) on the units j mod D; V_i = L_p(i+1, chi omega^-i) and f_i = 1."""
     pr = params
     return FormFamily(
-        params=pr, weights=tuple(chi_units(chi, pr.D, pr.p)), field_m=chi.field_m,
+        params=pr, n=n, weights=tuple(chi_units(chi, pr.D, pr.p)), field_m=chi.field_m,
         shift=1,
-        predicted=lambda n: valuation_formula_rhs(pr, n) if pr.hypotheses_hold(n) else None,
+        predicted=valuation_formula_rhs(pr, n) if n >= 1 and pr.hypotheses_hold(n) else None,
         factor=lambda i: Q(1),
         values=lambda precisions: {
             i - 1: v for i, v in lp_values(
-                chi, pr.p, pr.l, {i + 1: N for i, N in precisions.items()}).items()})
+                chi, pr.p, pr.l, {i + 1: N for i, N in precisions.items()}).items()},
+        given=given)
 
 
-def hurwitz_family(params: FormParameters, x0: Fraction) -> FormFamily:
+def hurwitz_family(params: FormParameters, x0: Fraction, n: int) -> FormFamily:
     """Weight 1 on the P = p^(l-l0) numerators j = j0 mod d, for x0 = j0/d.
 
     V_i = Int (x0+t)^(-i) and f_i = P/(i d^i), so that lambda_i f_i =
@@ -465,10 +485,10 @@ def hurwitz_family(params: FormParameters, x0: Fraction) -> FormFamily:
     d = x0.denominator
     P = pr.D // d
     return FormFamily(
-        params=pr, weights=tuple((j, Q(1)) for j in range(x0.numerator, pr.D + 1, d)),
+        params=pr, n=n, weights=tuple((j, Q(1)) for j in range(x0.numerator, pr.D + 1, d)),
         field_m=1, shift=0,
-        predicted=lambda n: (per_x_valuation_hint(pr, n) + pr.l - pr.l0
-                             if pr.parity_ok and (n + 1) % pr.stride == 0 else None),
+        predicted=(per_x_valuation_hint(pr, n) + pr.l - pr.l0
+                   if n >= 1 and pr.parity_ok and (n + 1) % pr.stride == 0 else None),
         factor=lambda i: Q(P, i * d ** i),
         values=lambda precisions: integral_pole_powers(x0, pr.p, precisions))
 
@@ -503,8 +523,8 @@ def form_scale(s: int, n: int) -> int:
     return math.factorial(s - 1) * lcm_upto(n) ** (s - 1)
 
 
-def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOverK:
-    """lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i.
+def family_form(family: FormFamily) -> LinearFormOverK:
+    """The family's form: lambda_0 = C sum_j w_j rho_(0,j/D), lambda_i = C D^(i+shift) rho_i.
 
     C = form_scale(s, n). The forms are integral by one lemma, asserted here
     for every table: C rho_(0,j/D) and (s-i)! d_n^(s-i) rho_i are integers.
@@ -512,7 +532,7 @@ def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOv
     checked on the table's integers, as den | (s-i)! d_n^(s-i) i sum_k nums.
     Violations raise IntegralityError (an implementation bug, not input).
     """
-    pr = family.params
+    pr, table = family.params, family.table
     C = form_scale(pr.s, table.n)
     dn = lcm_upto(table.n)
     lam0: CharValue = Q(0)
@@ -539,7 +559,7 @@ def family_form(family: FormFamily, table: PartialFractionTable) -> LinearFormOv
 def lambda_form(params: FormParameters, table: PartialFractionTable,
                 chi: DirichletCharacter) -> LinearFormOverK:
     """The L-value form: lambda_0 = C sum_j chi(j) rho_(0,j/D), lambda_i = C D^(i+1) rho_i."""
-    return family_form(lvalue_family(params, chi), table)
+    return lvalue_family(params, chi, table.n, (None, table)).form
 
 
 # -- direct integrals of R_n ----------------------------------------------------------
@@ -550,23 +570,26 @@ def weighted_integral_sum(rn: RnFunction, weights: tuple[tuple[int, CharValue], 
     """sum_j w_j * integral of R_n(t + j/D), certified mod p^precision.
 
     One Mahler integral of ShiftedRn: its poles -(j/D + k) are those of
-    every shift, with the floors vp(r_(i,k)) read once per table.
+    every shift, with the floors vp(r_(i,k)) read once per table. The
+    table keeps each sum at the deepest precision asked so far and
+    answers a shallower request by truncation.
     """
     pr = rn.params
     if not pr.domain_ok:
         raise DomainError("l too small for integral evaluation at p = 2")
-    floors = table.floors(pr.p)
-    poles = [PoleData(location=-(Q(j, pr.D) + k), floors=fl)
-             for j, _ in weights for k, fl in enumerate(floors)]
-    return integral_mahler(ShiftedRn(rn, weights), pr.p, precision, pole_data=poles)
+    kept = table._sums.get((pr.p, weights))
+    if kept is None or kept.prec < precision:
+        poles = [PoleData(location=-(Q(j, pr.D) + k), floors=fl)
+                 for j, _ in weights for k, fl in enumerate(table.floors(pr.p))]
+        kept = integral_mahler(ShiftedRn(rn, weights), pr.p, precision, pole_data=poles)
+        table._sums[(pr.p, weights)] = kept
+    return kept.at_precision(precision)
 
 
-def chi_weighted_integral_sum(rn: RnFunction, chi: DirichletCharacter,
-                              precision: int,
-                              table: Optional[PartialFractionTable] = None) -> Padic:
-    """sum over units j mod D of chi(j) * integral of R_n(t + j/D)."""
-    return weighted_integral_sum(rn, lvalue_family(rn.params, chi).weights, precision,
-                                 table or partial_fractions(rn))
+def chi_weighted_integral_sum(family: FormFamily, precision: int) -> Padic:
+    """sum_j w_j * integral of R_n(t + j/D) over the family's weights: for
+    an L-value family, chi(j) on the units j mod D."""
+    return weighted_integral_sum(family.rn, family.weights, precision, family.table)
 
 
 # -- valuation prediction ---------------------------------------------------------------
@@ -616,8 +639,7 @@ class IdentityReport:
                 "relative_digits": self.relative_digits, "agrees": self.agrees}
 
 
-def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
-                  table: PartialFractionTable, digits: int = 20) -> IdentityReport:
+def form_identity(family: FormFamily, digits: int = 20) -> IdentityReport:
     """Check C sum_j w_j Int R_n(t+j/D) = lambda_0 + sum_i lambda_i f_i V_i.
 
     The left side integrates R_n directly; the right side goes through the
@@ -628,17 +650,16 @@ def form_identity(family: FormFamily, form: LinearFormOverK, rn: RnFunction,
     else the single-integral hint + HINT_SPREAD, and once more, modulo
     p^(vp(S) + digits), only if that left fewer than `digits` digits.
     """
-    pr = family.params
+    pr, n, form = family.params, family.n, family.form
     p = pr.p
-    predicted = family.predicted(rn.n)
-    start = (predicted if predicted is not None
-             else per_x_valuation_hint(pr, rn.n) + HINT_SPREAD)
-    S = weighted_integral_sum(rn, family.weights, start + digits, table)
+    start = (family.predicted if family.predicted is not None
+             else per_x_valuation_hint(pr, n) + HINT_SPREAD)
+    S = weighted_integral_sum(family.rn, family.weights, start + digits, family.table)
     if S.is_zero_at_precision():
         raise PrecisionError(f"the left side vanishes modulo p^{S.prec}, p = {p}")
     if S.relative_precision() < digits:
-        S = weighted_integral_sum(rn, family.weights, S.val + digits, table)
-    lhs = S.mul_fraction(form_scale(pr.s, rn.n))
+        S = weighted_integral_sum(family.rn, family.weights, S.val + digits, family.table)
+    lhs = S.mul_fraction(form_scale(pr.s, n))
     target = lhs.prec
 
     weights = {i: lam * family.factor(i)
@@ -658,10 +679,7 @@ def evaluate_form_identity(params: FormParameters, n: int,
                            table: Optional[PartialFractionTable] = None,
                            rn: Optional[RnFunction] = None) -> IdentityReport:
     """Check C sum_j chi(j) Int R_n(t+j/D) = Lambda(1, L_p(2), ..., L_p(s+1))."""
-    rn = rn or build_rn(params, n)
-    table = table or partial_fractions(rn)
-    family = lvalue_family(params, chi)
-    return form_identity(family, family_form(family, table), rn, table, digits)
+    return form_identity(lvalue_family(params, chi, n, (rn, table)), digits)
 
 
 # -- Hurwitz-variant forms -----------------------------------------------------------------
@@ -693,12 +711,9 @@ def hurwitz_variant_form(p: int, x: Fraction, s: int,
     """
     x0, corrections = reduce_to_unit_interval(x, p)
     params, j0 = hurwitz_params(x0, p, s, epsilon, l)
-    rn = build_rn(params, n)
-    table = partial_fractions(rn)
-    family = hurwitz_family(params, x0)
-    form = family_form(family, table)
+    family = hurwitz_family(params, x0, n)
     return HurwitzFormReport(
         params=params, n=n, j0=j0, x_reduced=x0, corrections=tuple(corrections),
-        coeffs_rational=form.coeffs,
+        coeffs_rational=family.form.coeffs,
         omega_rational=teichmuller_rational(Q(j0), p),
-        identity=form_identity(family, form, rn, table, digits))
+        identity=form_identity(family, digits))

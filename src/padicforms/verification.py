@@ -11,10 +11,9 @@ from typing import Optional, Sequence
 from .arith import binom_padic_data, vp
 from .characters import DirichletCharacter, p_units
 from .errors import DomainError, PrecisionError
-from .forms import (FormParameters, PartialFractionTable, RnFunction, build_rn,
-                    chi_weighted_integral_sum, choose_params, form_scale,
-                    lambda_form, partial_fractions, rho_higher, rho_zero,
-                    valuation_formula_rhs, weighted_integral_sum)
+from .forms import (FormFamily, FormParameters, PartialFractionTable, RnFunction,
+                    chi_weighted_integral_sum, choose_params, form_scale, lvalue_family,
+                    rho_higher, rho_zero, valuation_formula_rhs, weighted_integral_sum)
 from .lambertw import Interval, ln_interval
 from .padic import Padic
 
@@ -98,27 +97,24 @@ def _require_parity_and_stride(pr: FormParameters, n: int) -> None:
 # -- the f_j integral congruence -------------------------------------------------------
 
 
-def check_fj_integral(params: FormParameters, n: int, j: int,
-                      rn: Optional[RnFunction] = None,
-                      table: Optional[PartialFractionTable] = None) -> CheckReport:
-    """integral of f_j = j^(2+delta) p^(-m) mod p^(-m+l+r).
+def check_fj_integral(family: FormFamily, j: int) -> CheckReport:
+    """integral of f_j = j^(2+delta) p^(-m) mod p^(-m+l+r), at the family's n.
 
     f_j(t) = binom(N+Dt+j, N)^Q (Dt+j)^(2+delta) / prod_i (D(t+i)+j)^s,
     which is R_n(t + j/D) divided by n!^s mp^Q D^(s(n+1)).
     """
     t0 = time.monotonic()
-    pr = params
+    pr, n = family.params, family.n
     _require_parity_and_stride(pr, n)
     if math.gcd(j, pr.p) != 1:
         raise DomainError("j must be prime to p")
-    rn = rn or build_rn(pr, n)
-    table = table or partial_fractions(rn)
+    rn = family.rn
     scale = Q(rn.prefactor * pr.D ** (pr.s * (n + 1)))
     v_scale = int(vp(scale, pr.p))
     m = pr.digits_exp(n)
     modulus = -m + pr.l + pr.r
     target = modulus + 6
-    integral = weighted_integral_sum(rn, ((j, Q(1)),), target + v_scale, table)
+    integral = weighted_integral_sum(rn, ((j, Q(1)),), target + v_scale, family.table)
     fj_integral = integral.mul_fraction(1 / scale)
     expected = Q(j) ** (2 + pr.delta) * Q(1, pr.p ** m)
     diff = fj_integral - Padic.from_fraction(expected, pr.p, fj_integral.prec)
@@ -148,10 +144,10 @@ def check_valuation_formula(params: FormParameters, n: int,
     _require_parity_and_stride(pr, n)
     if not pr.size_ok:
         raise DomainError(f"s = {pr.s} below p Q D = {pr.pQD}")
-    rn = rn or build_rn(pr, n)
-    table = table or partial_fractions(rn)
+    family = lvalue_family(pr, chi, n, (rn, table))
+    family.rn  # R_n refuses n < 1 before the formula reads n
     predicted = valuation_formula_rhs(pr, n)
-    S = chi_weighted_integral_sum(rn, chi, predicted + 1, table=table)
+    S = chi_weighted_integral_sum(family, predicted + 1)
     observed = f">= {S.prec}" if S.is_zero_at_precision() else S.val
     return _report("valuation-formula",
                    {"p": pr.p, "s": pr.s, "l": pr.l, "n": n,
@@ -185,12 +181,11 @@ def tau_infinity(params: FormParameters) -> float:
             + pr.s)
 
 
-def growth_bound_check(params: FormParameters, n: int,
-                       table: Optional[PartialFractionTable] = None) -> CheckReport:
-    """Every |r_(i,k)| sits below the explicit finite-n bound (exact comparison)."""
+def growth_bound_check(family: FormFamily) -> CheckReport:
+    """Every |r_(i,k)| of the family's table sits below the explicit
+    finite-n bound (exact comparison)."""
     t0 = time.monotonic()
-    pr = params
-    table = table or partial_fractions(build_rn(pr, n))
+    pr, n, table = family.params, family.n, family.table
     bound = growth_bound(pr, n)
     worst = table.max_abs()
     ok = worst <= bound
@@ -293,14 +288,13 @@ def form_sequence(params: FormParameters, chi: DirichletCharacter,
     for n in ns:
         if not pr.hypotheses_hold(n):
             raise DomainError(f"n = {n} breaks the valuation hypotheses")
-        rn = build_rn(pr, n)
-        table = partial_fractions(rn)
-        report = check_valuation_formula(pr, n, chi, rn=rn, table=table)
+        family = lvalue_family(pr, chi, n)
+        report = check_valuation_formula(pr, n, chi, family.rn, family.table)
         if not report.verdict:
             raise PrecisionError(f"the valuation at n = {n} is not verified: "
                                  f"predicted {report.expected}, observed {report.observed}")
         out.append(SequencePoint(n=n, sigma=n,
-                                 log_height=lambda_form(pr, table, chi).log_height(),
+                                 log_height=family.form.log_height(),
                                  nu_lambda=int(report.observed)
                                  + int(vp(form_scale(pr.s, n), pr.p))))
     return out

@@ -348,10 +348,8 @@ def _scaled_bernoulli(p: int, R: int, J: int) -> list[int]:
         bernoulli_number(count - 1)  # the memo grows once, not once per doubling
         for j in range(count):
             b = bernoulli_number(j)
-            num, den = b.numerator * p, b.denominator
-            if den % p == 0:  # p divides den at most once
-                num, den = b.numerator, den // p
-            nums.append(num)
+            v, den = split(b.denominator, p)  # p divides den at most once
+            nums.append(b.numerator * p ** (1 - v))
             dens.append(den)
         residues = [n * d % mod for n, d in zip(nums, batch_invert(dens, mod))]
         _SCALED_BERNOULLI[p] = depth, residues

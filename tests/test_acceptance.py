@@ -108,7 +108,7 @@ def test_criterion_04_interpolation_identity():
 
 def test_criterion_05_chi_congruence(desk):
     t0 = time.monotonic()
-    pr = desk.workspace("p2-trivial").params
+    pr = desk.family("p2-trivial").params
     for j in (1, 3, 5):
         rep = check_chi_congruence(pr, 3, j, range(64))
         assert rep.verdict, (j, rep.observed)
@@ -120,12 +120,13 @@ def test_criterion_05_chi_congruence(desk):
 def test_criterion_06_congruence_and_valuation(desk):
     t0 = time.monotonic()
     for key, n in (("p2-trivial", 3), ("p3-trivial", 2), ("p2-quad4", 3)):
-        ws = desk.workspace(key)
-        rep = check_valuation_formula(ws.params, n, ws.chi, rn=ws.rn, table=ws.table)
+        family = desk.family(key)
+        rep = check_valuation_formula(family.params, n, desk.instance(key).chi(),
+                                      rn=family.rn, table=family.table)
         assert rep.verdict, (key, rep.expected, rep.observed)
-        for j in range(1, ws.params.D + 1):
-            if math.gcd(j, ws.params.p) == 1:
-                frep = check_fj_integral(ws.params, n, j, rn=ws.rn)
+        for j in range(1, family.params.D + 1):
+            if math.gcd(j, family.params.p) == 1:
+                frep = check_fj_integral(family, j)
                 assert frep.verdict, (key, j)
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
@@ -135,9 +136,9 @@ def test_criterion_06_congruence_and_valuation(desk):
 def test_criterion_07_linear_form_identities(desk):
     t0 = time.monotonic()
     for key, n in (("p2-trivial", 3), ("p3-trivial", 2), ("p2-quad4", 3)):
-        ws = desk.workspace(key)
-        rep = evaluate_form_identity(ws.params, n, ws.chi, digits=20,
-                                     table=ws.table, rn=ws.rn)
+        family = desk.family(key)
+        rep = evaluate_form_identity(family.params, n, desk.instance(key).chi(), digits=20,
+                                     table=family.table, rn=family.rn)
         assert rep.agrees and rep.relative_digits >= 20, (key, rep.to_json())
     hw = desk.instance("p2-hurwitz")
     hrep = hurwitz_variant_form(hw.p, hw.hurwitz_x, hw.s, n=hw.n, l=hw.l, digits=20)
@@ -151,8 +152,7 @@ def test_criterion_07_linear_form_identities(desk):
 def test_criterion_08_integrality(desk):
     t0 = time.monotonic()
     for key in ("p2-trivial", "p3-trivial", "p2-quad4", "p2-mini"):
-        ws = desk.workspace(key)
-        rep = integrality_check(ws)
+        rep = integrality_check(desk.instance(key), desk.family(key))
         assert rep.verdict, key
     configs = random_small_configurations(count=50)
     assert len(configs) == 50
@@ -167,8 +167,7 @@ def test_criterion_09_growth_bound(desk):
     t0 = time.monotonic()
     for key, n in (("p2-trivial", 3), ("p3-trivial", 2), ("p2-quad4", 3),
                    ("p2-mini", 1)):
-        ws = desk.workspace(key)
-        rep = growth_bound_check(ws.params, n, table=ws.table)
+        rep = growth_bound_check(desk.family(key))
         assert rep.verdict, key
     _announce(9, "explicit growth bound on every r_(i,k)", True,
               time.monotonic() - t0)
@@ -227,10 +226,10 @@ def test_criterion_10_heights_and_rates(desk):
     assert dimension_bound(Q(5, 2), Q(3), Q(3)) == Q(6, 5)
 
     # fitted tau_p within 15% of s log p (l + 1/(p-1)) on n in {3, 7, 11}
-    ws = desk.workspace("p2-trivial")
-    points = form_sequence(ws.params, ws.chi, (3, 7, 11))
+    pr = desk.family("p2-trivial").params
+    points = form_sequence(pr, desk.instance("p2-trivial").chi(), (3, 7, 11))
     fit = fit_rates([(pt.sigma, pt.log_height, pt.nu_lambda) for pt in points], 2)
-    target = tau_p(ws.params)
+    target = tau_p(pr)
     assert abs(fit.tau_p_hat - target) / target < 0.15, (fit.tau_p_hat, target)
     _announce(10, "height lemmas, exact ratio, fitted tau_p within 15%", True,
               time.monotonic() - t0)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from padicforms.cyclotomic import (CyclotomicElement, abs_norm, cyclotomic_polynomial,
                                    euler_phi, padic_valuation, resultant, value_to_padic,
                                    zeta_image)
-from padicforms.errors import EmbeddingError, IntegralityError
+from padicforms import cyclotomic
+from padicforms.errors import DomainError, EmbeddingError, IntegralityError
 from padicforms.cyclotomic import assert_integral
 from padicforms.padic import Padic, teichmuller
 from padicforms.polynomials import Poly
@@ -18,6 +19,25 @@ from padicforms.polynomials import Poly
 
 def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 3, 4, 6, 8, 12)] == [1, 1, 2, 2, 2, 4, 4]
+
+
+def test_a_modulus_too_large_for_its_coordinates_is_refused_before_phi(monkeypatch):
+    # phi(m) >= sqrt(m/2), so L coordinates fit no m > 2 L^2; such an m is
+    # refused without factoring it (trial division to 10^9 would take minutes)
+    def unreachable(m):
+        raise AssertionError(f"euler_phi({m}) was called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cyclotomic, "euler_phi", unreachable)
+        with pytest.raises(DomainError, match="got 1"):
+            CyclotomicElement(10**18 + 3, [1])
+        with pytest.raises(DomainError, match="got 3"):
+            CyclotomicElement(19, [1, 0, 0])
+    # the bound refuses no valid input: it is tight at m = 2
+    assert all(euler_phi(m) ** 2 >= m / 2 for m in range(1, 20_001))
+    assert CyclotomicElement(2, [5]) == 5
+    for m in range(1, 300):
+        assert CyclotomicElement(m, [0] * euler_phi(m)).is_zero()
 
 
 def test_cyclotomic_polynomials():

@@ -85,7 +85,7 @@ def test_hurwitz_family_weights_the_translates_of_x0(x, p, l):
     # the numerators are the units j = j0 mod d up to D, each with weight 1
     pr, j0 = hurwitz_params(x, p, 30, l=l)
     d = x.denominator
-    family = hurwitz_family(pr, x)
+    family = hurwitz_family(pr, x, 1)
     assert [j for j, _ in family.weights] == [j0 + d * k for k in range(p ** (l - pr.l0))]
     assert [j for j, _ in family.weights] == [j for j in range(1, pr.D + 1)
                                               if math.gcd(j, p) == 1 and j % d == j0]
@@ -96,9 +96,8 @@ def test_hurwitz_family_form_and_right_side_weights():
     # tilde lambda_i = C rho_i D^i, and lambda_i f_i = C rho_i P^(i+1)/i
     x = Q(3, 4)
     pr, j0 = hurwitz_params(x, 2, 66, l=3)
-    table = partial_fractions(build_rn(pr, 1))
-    family = hurwitz_family(pr, x)
-    form = family_form(family, table)
+    family = hurwitz_family(pr, x, 1)
+    table, form = family.table, family.form
     C, P = form_scale(pr.s, 1), 2 ** (pr.l - pr.l0)
     assert form.coeffs[0] == sum(C * rho_zero(table, Q(j0 + 4 * k, pr.D)) for k in range(P))
     for i in range(1, pr.s + 1):
@@ -289,15 +288,41 @@ def test_weighted_integral_sum_matches_one_integral_per_unit(shape, extra):
     if isinstance(head, str):
         chi = character_from_spec(head)
         pr = choose_params(chi, p, s, l=l)
-        family = lvalue_family(pr, chi)
+        family = lvalue_family(pr, chi, n)
     else:
         pr = hurwitz_params(head, p, s, l=l)[0]
-        family = hurwitz_family(pr, head)
-    rn = build_rn(pr, n)
-    table = partial_fractions(rn)
+        family = hurwitz_family(pr, head, n)
+    rn, table = family.rn, family.table
     precision = max(1, per_x_valuation_hint(pr, n) + extra)
     assert weighted_integral_sum(rn, family.weights, precision, table) \
         == per_unit_sum(rn, family.weights, precision, table)
+
+
+# admissible shapes: a decaying R_n and the integral domain l >= vp(q_p);
+# quadratic:3 at (3, 82, 1, 2) is one that no catalog entry covers
+_KEPT_SHAPES = tuple(shape for shape in _SUM_SHAPES if shape[0] != QUARTIC_JSON) \
+    + (("quadratic:3", 3, 82, 1, 2), ("quadratic:4", 2, 64, 2, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(_KEPT_SHAPES), extra=st.integers(-10, 30),
+       deeper=st.integers(0, 25))
+@example(shape=("quadratic:3", 3, 82, 1, 2), extra=HINT_SPREAD + 1, deeper=20)
+def test_a_kept_sum_read_by_truncation_equals_a_fresh_sum(shape, extra, deeper):
+    # the oracle is a fresh table per request, so nothing is kept between them
+    head, p, s, l, n = shape
+    if isinstance(head, str):
+        chi = character_from_spec(head)
+        family = lvalue_family(choose_params(chi, p, s, l=l), chi, n)
+    else:
+        family = hurwitz_family(hurwitz_params(head, p, s, l=l)[0], head, n)
+    rn, table, weights = family.rn, family.table, family.weights
+    shallow = max(1, per_x_valuation_hint(family.params, n) + extra)
+    deep = weighted_integral_sum(rn, weights, shallow + deeper, table)
+    kept = weighted_integral_sum(rn, weights, shallow, table)
+    assert table._sums[(p, weights)] == deep  # the shallow request took no integral
+    assert kept == weighted_integral_sum(rn, weights, shallow, partial_fractions(rn))
+    assert kept == deep.at_precision(shallow) and kept.prec == shallow
 
 
 def test_weighted_integral_sum_refuses_a_weight_that_is_not_a_unit():
@@ -334,7 +359,7 @@ def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
     chi = trivial_character()
     pr = choose_params(chi, 2, 64, l=2)
     rn = build_rn(pr, 3)
-    total = weighted_integral_sum(rn, lvalue_family(pr, chi).weights, 760,
+    total = weighted_integral_sum(rn, lvalue_family(pr, chi, 3).weights, 760,
                                   partial_fractions(rn))
     assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3)
     assert calls == {"evaluate": 0, "fraction_mod_pk": 0}
@@ -351,13 +376,11 @@ def test_form_identity_asks_for_every_value_at_once(monkeypatch, spec, p, s, l, 
 
     if isinstance(spec, Q):
         pr, _ = hurwitz_params(spec, p, s, l=l)
-        family = hurwitz_family(pr, spec)
+        family = hurwitz_family(pr, spec, n)
     else:
         pr = choose_params(character_from_spec(spec), p, s, l=l)
-        family = lvalue_family(pr, character_from_spec(spec))
-    rn = build_rn(pr, n)
-    table = partial_fractions(rn)
-    form = family_form(family, table)
+        family = lvalue_family(pr, character_from_spec(spec), n)
+    table, form = family.table, family.form
     asked, poles = [], []
 
     def values(precisions):
@@ -369,7 +392,8 @@ def test_form_identity_asks_for_every_value_at_once(monkeypatch, spec, p, s, l, 
         return integral_mahler(f, p, precision, pole_data=pole_data)
 
     monkeypatch.setattr(forms, "integral_mahler", integral)
-    report = form_identity(dataclasses.replace(family, values=values), form, rn, table, 12)
+    report = form_identity(dataclasses.replace(family, values=values,
+                                               given=(family.rn, table)), 12)
     assert report.agrees and report.relative_digits >= 12
     assert len(asked) == 1
     assert asked[0].keys() == {i for i, c in enumerate(form.coeffs) if i and c != 0}
@@ -400,20 +424,17 @@ def _hurwitz_shape():
     # the stride p^l = 4 divides n + 1, so vp(S) is predicted
     x0 = Q(1, 4)
     pr, _ = hurwitz_params(x0, 2, 25, l=2)
-    family = hurwitz_family(pr, x0)
-    rn = build_rn(pr, 3)
-    table = partial_fractions(rn)
-    return family, family_form(family, table), rn, table
+    return hurwitz_family(pr, x0, 3)
 
 
 def test_form_identity_states_exactly_the_requested_digits(monkeypatch):
     # under its hypotheses the family predicts vp(S) exactly, so one sum
     # modulo p^(predicted + digits) leaves exactly `digits` digits
-    family, form, rn, table = _hurwitz_shape()
-    predicted = family.predicted(3)
+    family = _hurwitz_shape()
+    predicted = family.predicted
     asked = _sum_precisions(monkeypatch)
     for digits in (1, 7, 20):
-        report = form_identity(family, form, rn, table, digits)
+        report = form_identity(family, digits)
         assert report.agrees and report.relative_digits == digits
         assert report.observed_valuation == predicted + vp(form_scale(25, 3), 2)
         assert report.modulus_exp == report.observed_valuation + digits
@@ -421,26 +442,27 @@ def test_form_identity_states_exactly_the_requested_digits(monkeypatch):
 
 
 def test_form_identity_takes_the_sum_at_most_twice(monkeypatch):
-    family, form, rn, table = _hurwitz_shape()
-    true = family.predicted(3)
+    family = _hurwitz_shape()
+    true = family.predicted
     asked = _sum_precisions(monkeypatch)
 
     def starting_at(start):
-        return dataclasses.replace(family, predicted=lambda n: start)
+        return dataclasses.replace(family, predicted=start,
+                                   given=(family.rn, family.table))
 
     # a start 5 below vp(S) leaves 15 digits, so S is taken again at vp(S) + 20
-    report = form_identity(starting_at(true - 5), form, rn, table, 20)
+    report = form_identity(starting_at(true - 5), 20)
     assert asked == [true + 15, true + 20]
     assert report.agrees and report.relative_digits == 20
     # a start above vp(S) only adds digits
     asked.clear()
-    report = form_identity(starting_at(true + 3), form, rn, table, 20)
+    report = form_identity(starting_at(true + 3), 20)
     assert asked == [true + 23]
     assert report.agrees and report.relative_digits == 23
     # a left side that vanishes modulo p^(start + digits) names that modulus
     asked.clear()
     with pytest.raises(PrecisionError, match=rf"modulo p\^{true - 5}, p = 2"):
-        form_identity(starting_at(true - 25), form, rn, table, 20)
+        form_identity(starting_at(true - 25), 20)
     assert asked == [true - 5]
 
 
@@ -449,12 +471,10 @@ def test_form_identity_without_a_prediction_starts_at_the_hint_spread(monkeypatc
     # its vp(S) sits the full HINT_SPREAD above the single-integral hint
     chi = quadratic_character(4)
     pr = choose_params(chi, 2, 59, l=2)
-    family = lvalue_family(pr, chi)
-    assert family.predicted(2) is None
-    rn = build_rn(pr, 2)
-    table = partial_fractions(rn)
+    family = lvalue_family(pr, chi, 2)
+    assert family.predicted is None
     asked = _sum_precisions(monkeypatch)
-    report = form_identity(family, family_form(family, table), rn, table, 20)
+    report = form_identity(family, 20)
     hint = per_x_valuation_hint(pr, 2)
     assert asked == [hint + HINT_SPREAD + 20]
     assert report.observed_valuation - vp(form_scale(59, 2), 2) == hint + HINT_SPREAD
@@ -494,8 +514,8 @@ def test_partial_fractions_toy_cases():
 
 
 def test_partial_fractions_reconstruction_and_residues(desk):
-    ws = desk.workspace("p2-mini")
-    rn, table = ws.rn, ws.table
+    family = desk.family("p2-mini")
+    rn, table = family.rn, family.table
     assert rho_higher(table, 1) == 0  # the residues sum to 0
     rng = random.Random(42)
     for _ in range(20):
@@ -576,14 +596,14 @@ def test_rho_zero_matches_double_loop(n, s, data, x):
 
 def test_rho_zero_matches_double_loop_on_desk_tables(desk):
     for key in ("p2-mini", "p2-trivial", "p3-trivial"):
-        ws = desk.workspace(key)
-        for j in (1, ws.params.D - 1):
-            x = Q(j, ws.params.D)
-            assert rho_zero(ws.table, x) == _rho_zero_double_loop(ws.table, x), (key, j)
+        family = desk.family(key)
+        for j in (1, family.params.D - 1):
+            x = Q(j, family.params.D)
+            assert rho_zero(family.table, x) == _rho_zero_double_loop(family.table, x), (key, j)
 
 
 def test_rho_x_independence(desk):
-    table = desk.workspace("p2-mini").table
+    table = desk.family("p2-mini").table
     before = [rho_higher(table, i) for i in range(1, 17)]
     rho_zero(table, Q(1, 2))
     rho_zero(table, Q(7, 3))
@@ -594,18 +614,18 @@ def test_per_coefficient_integrality_bound(desk):
     # (s-i)! d_n^(s-i) r_(i,k) is an integer for every single coefficient;
     # the table-free Mahler tail floors rest on this
     for key, n in (("p2-mini", 1), ("p2-trivial", 3), ("p3-trivial", 2)):
-        ws = desk.workspace(key)
+        family = desk.family(key)
         dn = lcm_upto(n)
-        s = ws.params.s
+        s = family.params.s
         for i in range(1, s + 1):
             scale = math.factorial(s - i) * dn ** (s - i)
             for k in range(n + 1):
-                assert (scale * ws.table.rows[i - 1][k]).denominator == 1, (key, i, k)
+                assert (scale * family.table.rows[i - 1][k]).denominator == 1, (key, i, k)
 
 
 def test_mini_desk_integrality(desk):
-    ws = desk.workspace("p2-mini")
-    pr, table = ws.params, ws.table
+    family = desk.family("p2-mini")
+    pr, table = family.params, family.table
     # (s-i)! d_n^(s-i) rho_i integral for every i; scale at i = 16 is 1
     assert rho_higher(table, 16).denominator == 1
     dn = lcm_upto(table.n)
@@ -615,7 +635,7 @@ def test_mini_desk_integrality(desk):
     c = math.factorial(pr.s - 1) * dn ** (pr.s - 1)
     for j in (1,):
         assert (c * rho_zero(table, Q(j, pr.D))).denominator == 1
-    form = lambda_form(pr, table, ws.chi)
+    form = lambda_form(pr, table, desk.instance("p2-mini").chi())
     assert all(isinstance(x, Q) and x.denominator == 1 for x in form.coeffs)
 
 
@@ -630,29 +650,27 @@ def test_integrality_lemma_on_catalog_and_build_shapes(desk, key, shape):
     # (s-i)! d_n^(s-i) rho_i for every i and C rho_(0,j/D) at every p-unit j <= D
     # are integers, and family_form accepts the table
     if shape is None:
-        ws = desk.workspace(key)
-        pr, table, family = ws.params, ws.table, ws.family
+        family = desk.family(key)
     else:
         p, s, l, n, x = shape
         pr = (choose_params(trivial_character(), p, s, l=l) if x is None
               else hurwitz_params(x, p, s, l=l)[0])
-        table = partial_fractions(build_rn(pr, n))
-        family = (lvalue_family(pr, trivial_character()) if x is None
-                  else hurwitz_family(pr, x))
-    n = table.n
+        family = (lvalue_family(pr, trivial_character(), n) if x is None
+                  else hurwitz_family(pr, x, n))
+    pr, table, n = family.params, family.table, family.n
     for i in range(1, pr.s + 1):
         assert (form_scale(pr.s - i + 1, n) * rho_higher(table, i)).denominator == 1, i
     C = form_scale(pr.s, n)
     for j in range(1, pr.D + 1):
         if math.gcd(j, pr.p) == 1:
             assert (C * rho_zero(table, Q(j, pr.D))).denominator == 1, j
-    family_form(family, table)
+    family_form(family)
 
 
 def test_lambda_defining_ratios(desk):
-    ws = desk.workspace("p2-mini")
-    pr, table = ws.params, ws.table
-    form = lambda_form(pr, table, ws.chi)
+    family = desk.family("p2-mini")
+    pr, table = family.params, family.table
+    form = lambda_form(pr, table, desk.instance("p2-mini").chi())
     C = Q(math.factorial(pr.s - 1) * lcm_upto(table.n) ** (pr.s - 1))
     for i in range(1, pr.s + 1):
         rho = rho_higher(table, i)
@@ -662,9 +680,9 @@ def test_lambda_defining_ratios(desk):
 
 def test_valuation_formula_rhs_frozen(desk):
     # each term assembled exactly; the desk values are pinned
-    pr2 = desk.workspace("p2-trivial").params
+    pr2 = desk.family("p2-trivial").params
     assert valuation_formula_rhs(pr2, 3) == 623
-    pr3 = desk.workspace("p3-trivial").params
+    pr3 = desk.family("p3-trivial").params
     assert valuation_formula_rhs(pr3, 2) == 263
     assert per_x_valuation_hint(pr2, 3) == 622
 

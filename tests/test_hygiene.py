@@ -174,7 +174,8 @@ def _is_p(node):
 
 
 def _divisions_by_powers_of_p(tree, scope=()):
-    """The qualified name of the function around each x / p^k or x // p^k."""
+    """The qualified name of the function around each x / p^k or x // p^k,
+    and each x / p or x // p."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -184,8 +185,8 @@ def _divisions_by_powers_of_p(tree, scope=()):
             divisor = node.right
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
             divisor = node.value
-        if (isinstance(divisor, ast.BinOp) and isinstance(divisor.op, ast.Pow)
-                and _is_p(divisor.left)):
+        if _is_p(divisor) or (isinstance(divisor, ast.BinOp) and isinstance(divisor.op, ast.Pow)
+                              and _is_p(divisor.left)):
             yield ".".join(inner)
         yield from _divisions_by_powers_of_p(node, inner)
 
