@@ -6,7 +6,8 @@ domain violation.
 
 The argument parser is built once per process, on the first dispatch, and
 serves every later request. Sharing it is safe: every default is an int, a
-str, None or False, and the choices lists are only read; argparse parses a
+str, None or False (a typed flag's str default is converted afresh on each
+parse), and the choices lists are only read; argparse parses a
 subcommand into a fresh namespace and copies it out, so no value carries
 over from one request to the next; and usage errors and --help look up
 sys.stdout and sys.stderr when they print, so redirected streams still work.
@@ -59,6 +60,25 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+def rational(text: str) -> Fraction:
+    """argparse type of a rational flag; argparse reports a ValueError but
+    not a ZeroDivisionError."""
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+def rational_text(text: str) -> str:
+    """argparse type of a rational flag whose text is echoed as given."""
+    rational(text)
+    return text
+
+
+def int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use (see the module doc)."""
@@ -75,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta = sub.add_parser("zeta", help="p-adic Hurwitz zeta value")
     p_zeta.add_argument("--p", type=int, required=True)
     p_zeta.add_argument("--s", type=int, required=True)
-    p_zeta.add_argument("--x", required=True)
+    p_zeta.add_argument("--x", type=rational, required=True)
     p_zeta.add_argument("--prec", type=int, default=12)
 
     p_lv = sub.add_parser("lvalue", help="Kubota-Leopoldt style L-value")
@@ -94,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--l", type=int, default=None)
     p_build.add_argument("--character", default="trivial")
     p_build.add_argument("--n", type=int, required=True)
-    p_build.add_argument("--epsilon", default=None)
-    p_build.add_argument("--hurwitz", default=None, metavar="X",
+    p_build.add_argument("--epsilon", type=rational, default=None)
+    p_build.add_argument("--hurwitz", type=rational, default=None, metavar="X",
                          help="Hurwitz-variant mode at the rational X")
     p_build.add_argument("--digits", type=int, default=20)
     p_build.add_argument("--skip-identity", action="store_true")
@@ -111,16 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=3)
     p_ver.add_argument("--j", type=int, default=1)
     p_ver.add_argument("--character", default="trivial")
-    p_ver.add_argument("--epsilon", default="1/2")
+    p_ver.add_argument("--epsilon", type=rational, default="1/2")
     p_ver.add_argument("--count", type=int, default=50)
-    p_ver.add_argument("--ns", default="3,7,11")
+    p_ver.add_argument("--ns", type=int_list, default="3,7,11")
     p_ver.add_argument("--digits", type=int, default=20)
     p_ver.add_argument("--timings", action="store_true")
 
     p_nest = sub.add_parser("nesterenko", help="dimension lower bound from rates")
-    p_nest.add_argument("--tau", required=True)
-    p_nest.add_argument("--tau1", required=True)
-    p_nest.add_argument("--tau2", required=True)
+    p_nest.add_argument("--tau", type=rational_text, required=True)
+    p_nest.add_argument("--tau1", type=rational_text, required=True)
+    p_nest.add_argument("--tau2", type=rational_text, required=True)
     return top
 
 
@@ -141,7 +161,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    x = Q(args.x)
+    x = args.x
     if args.s >= 2:
         out = zeta_p_pos(args.s, x, args.p, args.prec)
         _emit({"s": args.s, "x": rational_to_str(x), "p": args.p,
@@ -172,13 +192,12 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_forms_build(args) -> int:
-    epsilon = None if args.epsilon is None else Q(args.epsilon)
     if args.hurwitz is not None:
         if args.skip_identity or args.character != "trivial":
             return _fail("usage", "--hurwitz takes neither --skip-identity nor "
                          "a --character", EXIT_USAGE)
-        rep = hurwitz_variant_form(args.p, Q(args.hurwitz), args.s,
-                                   epsilon=epsilon, n=args.n, l=args.l,
+        rep = hurwitz_variant_form(args.p, args.hurwitz, args.s,
+                                   epsilon=args.epsilon, n=args.n, l=args.l,
                                    digits=args.digits)
         _emit({
             "mode": "hurwitz",
@@ -193,7 +212,7 @@ def _cmd_forms_build(args) -> int:
         })
         return EXIT_OK
     chi = character_from_spec(args.character)
-    params = choose_params(chi, args.p, args.s, epsilon=epsilon, l=args.l)
+    params = choose_params(chi, args.p, args.s, epsilon=args.epsilon, l=args.l)
     family = lvalue_family(params, chi, args.n)
     out = {
         "mode": "lvalue",
@@ -220,7 +239,7 @@ def _cmd_verify(args) -> int:
         reports = [check_config_integrality(cfg) for cfg in configs]
     elif args.check == "lambert":
         chi = character_from_spec(args.character)
-        reports = [lambert_inequality_check(chi, args.p, args.s, Q(args.epsilon))]
+        reports = [lambert_inequality_check(chi, args.p, args.s, args.epsilon)]
     else:
         chi = character_from_spec(args.character)
         params = choose_params(chi, args.p, args.s, l=args.l)
@@ -233,8 +252,7 @@ def _cmd_verify(args) -> int:
         elif args.check == "growth":
             reports = [growth_bound_check(lvalue_family(params, chi, args.n))]
         elif args.check == "rate-fit":
-            ns = [int(v) for v in args.ns.split(",")]
-            points = form_sequence(params, chi, ns)
+            points = form_sequence(params, chi, args.ns)
             fit = fit_rates([(pt.sigma, pt.log_height, pt.nu_lambda) for pt in points],
                             args.p)
             _emit({"points": [{"n": pt.n, "sigma": pt.sigma,
@@ -275,10 +293,10 @@ def _size_error(args) -> str | None:
         if error:
             return error
     sized = args.command == "forms" or check in SIZED_CHECKS
-    if getattr(args, "hurwitz", None) and abs(math.ceil(Q(args.hurwitz)) - 1) > MAX_PREC:
+    if getattr(args, "hurwitz", None) and abs(math.ceil(args.hurwitz) - 1) > MAX_PREC:
         return f"--hurwitz {args.hurwitz} needs over {MAX_PREC} unit shifts into (0, 1]"
-    ns = args.ns.split(",") if check == "rate-fit" else [getattr(args, "n", 0)]
-    if sized and any(args.s ** 2 * (int(n) + 1) > MAX_TABLE for n in ns):
+    ns = args.ns if check == "rate-fit" else [getattr(args, "n", 0)]
+    if sized and any(args.s ** 2 * (n + 1) > MAX_TABLE for n in ns):
         return f"need s^2 (n+1) <= {MAX_TABLE} at --s {args.s} for every --n (--ns)"
     if args.command == "integrate" and args.engine == "riemann":
         flag, k = "--level", args.level

@@ -34,6 +34,7 @@ from .arith import (batch_invert, factorial_valuation, lcm_upto, multinomial_pac
 from .characters import CharValue, DirichletCharacter, chi_padic_data, chi_units
 from .cyclotomic import abs_norm, assert_integral, value_to_padic
 from .errors import DegreeError, DomainError, PrecisionError
+from .heights import log_fraction
 from .hurwitz import check_hurwitz_domain, lp_values, reduce_to_unit_interval, unit_weights
 from .lambertw import ell_param
 from .padic import Padic, teichmuller_rational, vp_qp
@@ -514,8 +515,7 @@ class LinearFormOverK:
         return max(abs_norm(c, self.field_m) for c in self.coeffs)
 
     def log_height(self) -> float:
-        h = self.height()
-        return math.log(h.numerator) - math.log(h.denominator)
+        return log_fraction(self.height())
 
 
 def form_scale(s: int, n: int) -> int:

@@ -183,6 +183,11 @@ def dimension_bound(tau: Fraction, tau1: Fraction, tau2: Fraction) -> Fraction:
     return tau1 / den
 
 
+def log_fraction(x: Fraction) -> float:
+    """ln x for a positive rational x, whose terms may lie far beyond float range."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares growth/decay rates fitted from a sequence of forms."""

@@ -4,7 +4,8 @@ W is increasing and W(y) >= a exactly when y >= a e^a, so
 floor(W(y) / (2 ln p)) is the largest k >= 0 with y >= (2k ln p) p^(2k).
 Each comparison is decided exactly with rational upper and lower bounds
 for ln p (atanh series with an explicit tail bound); a comparison the
-bounds leave open widens the series until it resolves. No float enters.
+bounds leave open widens the series until it resolves (`decide_ge`, which
+the rate inequality of `verification` shares). No float enters.
 """
 
 from __future__ import annotations
@@ -33,18 +34,19 @@ class Interval:
         x = Q(x)
         return cls(x, x)
 
-    def __add__(self, other: Interval) -> Interval:
+    def __add__(self, other: Interval | Fraction | int) -> Interval:
+        if not isinstance(other, Interval):
+            other = Interval.point(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __mul__(self, other: Interval) -> Interval:
+    def __mul__(self, other: Interval | Fraction | int) -> Interval:
+        if not isinstance(other, Interval):
+            other = Interval.point(other)
         prods = [self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi]
         return Interval(min(prods), max(prods))
 
-    def scale(self, c: Fraction | int) -> Interval:
-        c = Q(c)
-        a, b = self.lo * c, self.hi * c
-        return Interval(min(a, b), max(a, b))
+    __radd__, __rmul__ = __add__, __mul__
 
     def certainly_ge(self, other: Interval) -> bool:
         return self.lo >= other.hi
@@ -69,7 +71,7 @@ def ln_interval(x: Fraction | int, terms: int = 24) -> Interval:
         halvings += 1
     out = _ln_series(x, terms)
     if halvings:
-        out = out + _ln_series(Q(2), terms).scale(halvings)
+        out = out + _ln_series(Q(2), terms) * halvings
     return out
 
 
@@ -87,15 +89,20 @@ def _ln_series(x: Fraction, terms: int) -> Interval:
     return Interval(lo, lo + tail)
 
 
-def _ge_a_exp_a(y: Fraction, k: int, p: int, terms: int) -> bool | None:
-    """Decide y >= (2k ln p) p^(2k) for k >= 1; None while the bounds are too loose."""
-    lnp = ln_interval(p, terms)
-    scale = 2 * k * Q(p) ** (2 * k)
-    lo, hi = lnp.lo * scale, lnp.hi * scale
-    if y >= hi:
-        return True
-    if y < lo:
-        return False
+def decide_ge(sides, cap: int) -> bool | None:
+    """Whether lhs >= rhs, for (lhs, rhs) = sides(ln) with ln(x) an Interval around ln x.
+
+    The series behind ln starts at 24 terms and doubles until the bounds
+    decide; None once the terms would pass cap.
+    """
+    terms = 24
+    while terms <= cap:
+        lhs, rhs = sides(lambda x: ln_interval(x, terms))
+        if lhs.certainly_ge(rhs):
+            return True
+        if lhs.certainly_lt(rhs):
+            return False
+        terms *= 2
     return None
 
 
@@ -108,15 +115,10 @@ def ell_param(s: int, epsilon: Fraction, d_prime: int, r: int, p: int) -> int:
     epsilon = Q(epsilon)
     if s < 1 or epsilon <= 0:
         raise DomainError("need s >= 1 and epsilon > 0")
-    y = 2 * s * epsilon / (3 * d_prime * Q(p) ** (r + 2))
-    k, terms = 0, 24
-    while True:
-        above = _ge_a_exp_a(y, k + 1, p, terms)
-        if above is None:
-            terms *= 2
-            if terms > 3100:
-                raise PrecisionError("log bounds did not converge")
-        elif above:
-            k += 1
-        else:
-            return k
+    y = Interval.point(2 * s * epsilon / (3 * d_prime * Q(p) ** (r + 2)))
+    k = 0
+    while above := decide_ge(lambda ln: (y, 2 * (k + 1) * ln(p) * p ** (2 * k + 2)), 3100):
+        k += 1
+    if above is None:
+        raise PrecisionError("log bounds did not converge")
+    return k

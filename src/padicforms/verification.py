@@ -14,7 +14,8 @@ from .errors import DomainError, PrecisionError
 from .forms import (FormFamily, FormParameters, PartialFractionTable, RnFunction,
                     chi_weighted_integral_sum, choose_params, form_scale, lvalue_family,
                     rho_higher, rho_zero, valuation_formula_rhs, weighted_integral_sum)
-from .lambertw import Interval, ln_interval
+from .heights import log_fraction
+from .lambertw import decide_ge
 from .padic import Padic
 
 Q = Fraction
@@ -168,17 +169,20 @@ def growth_bound(params: FormParameters, n: int) -> int:
             * n ** 3)
 
 
-def tau_p(params: FormParameters) -> float:
+# Each rate is one expression over ln: math.log gives the floats of the growth
+# report, and the certified ln of decide_ge the Intervals of the Lambert check.
+def tau_p(params: FormParameters, ln=math.log):
     pr = params
-    return pr.s * math.log(pr.p) * (pr.l + Fraction(1, pr.p - 1))
+    return pr.s * ln(pr.p) * (pr.l + Q(1, pr.p - 1))
 
 
-def tau_infinity(params: FormParameters) -> float:
+def asymptotic_rate(params: FormParameters, ln=math.log):
     pr = params
-    return (pr.s * math.log(2)
-            + pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l)
-            * math.log(pr.d_prime * pr.p ** (1 + pr.l))
-            + pr.s)
+    return pr.s * ln(2) + pr.pQD * ln(pr.p * pr.D)
+
+
+def tau_infinity(params: FormParameters, ln=math.log):
+    return asymptotic_rate(params, ln) + params.s
 
 
 def growth_bound_check(family: FormFamily) -> CheckReport:
@@ -194,9 +198,8 @@ def growth_bound_check(family: FormFamily) -> CheckReport:
     for j in p_units(pr.D, pr.p):
         rho_max = max(rho_max, abs(rho_zero(table, Q(j, pr.D))))
     detail = {
-        "log_max_rho_over_n": (_log_fraction(rho_max) / n) if rho_max else None,
-        "asymptotic_rate": pr.p * pr.Q * pr.D * math.log(pr.p * pr.D)
-        + pr.s * math.log(2),
+        "log_max_rho_over_n": (log_fraction(rho_max) / n) if rho_max else None,
+        "asymptotic_rate": asymptotic_rate(pr),
         "tau_p": tau_p(pr),
         "tau_infinity": tau_infinity(pr),
     }
@@ -207,25 +210,7 @@ def growth_bound_check(family: FormFamily) -> CheckReport:
                    ok, t0, detail)
 
 
-def _log_fraction(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 # -- the Lambert-W rate inequality ---------------------------------------------------------
-
-
-def _tau_p_interval(params: FormParameters, terms: int) -> Interval:
-    pr = params
-    lnp = ln_interval(pr.p, terms)
-    return lnp.scale(pr.s * (Q(pr.l) + Q(1, pr.p - 1)))
-
-
-def _tau_inf_interval(params: FormParameters, terms: int) -> Interval:
-    pr = params
-    ln2 = ln_interval(2, terms)
-    lnbig = ln_interval(pr.d_prime * pr.p ** (1 + pr.l), terms)
-    big = lnbig.scale(pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l))
-    return ln2.scale(pr.s) + big + Interval.point(pr.s)
 
 
 def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
@@ -242,22 +227,9 @@ def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
     epsilon = Q(epsilon)
     params = choose_params(chi, p, s, epsilon=epsilon, l=None)
     raw = replace(params, l=params.ell)
-    status = "undecided"
-    terms = 32
-    while terms <= 400:
-        taup = _tau_p_interval(raw, terms)
-        tauinf = _tau_inf_interval(raw, terms)
-        ln2 = ln_interval(2, terms)
-        lns = ln_interval(s, terms)
-        lhs = taup * (Interval.point(2) * (Interval.point(1) + ln2))
-        rhs = lns.scale(1 - epsilon) * tauinf
-        if lhs.certainly_ge(rhs):
-            status = "holds"
-            break
-        if lhs.certainly_lt(rhs):
-            status = "fails"
-            break
-        terms *= 2
+    holds = decide_ge(lambda ln: (tau_p(raw, ln) * (2 * (1 + ln(2))),
+                                  (1 - epsilon) * ln(s) * tau_infinity(raw, ln)), 400)
+    status = {True: "holds", False: "fails", None: "undecided"}[holds]
     return _report("lambert-inequality",
                    {"p": p, "s": s, "epsilon": str(epsilon), "ell": raw.l},
                    "tau_p/tau_inf above the (1-eps) log s threshold",

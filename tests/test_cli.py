@@ -425,10 +425,32 @@ def test_unknown_flag_exit2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "rate-fit", "--ns", "3,,7"],
+    ["verify", "rate-fit", "--ns", "abc"],
+    ["nesterenko", "--tau", "x", "--tau1", "1", "--tau2", "0"],
+    ["nesterenko", "--tau", "1/0", "--tau1", "1", "--tau2", "0"],
+    ["verify", "lambert", "--epsilon", "x"],
+    ["zeta", "--p", "5", "--s", "2", "--x", "abc"],
+    ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--hurwitz", "abc"],
+    ["forms", "build", "--p", "2", "--s", "18", "--n", "1", "--epsilon", "1/0"],
+])
+def test_malformed_number_exit2(capsys, argv):
+    # argparse's type= functions refuse a malformed number before any command runs
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 def test_nesterenko_command(capsys):
     code, out, _ = run_cli(capsys, ["nesterenko", "--tau", "1",
                                     "--tau1", "1", "--tau2", "0"])
     assert code == 0 and json.loads(out)["bound"] == "1/2"
+    # each rate is echoed as typed
+    code, out, _ = run_cli(capsys, ["nesterenko", "--tau", "0.5",
+                                    "--tau1", "2/4", "--tau2", "0"])
+    assert code == 0 and json.loads(out) == {"tau": "0.5", "tau1": "2/4", "tau2": "0",
+                                             "bound": "1/2"}
     code, _, err = run_cli(capsys, ["nesterenko", "--tau", "1",
                                     "--tau1", "1", "--tau2", "3"])
     assert code == 3

@@ -57,6 +57,45 @@ def test_ell_param_is_the_certified_floor(s, epsilon, d_prime, r, p):
     assert y < 2 * (k + 1) * lnp.lo * Q(p) ** (2 * k + 2)
 
 
+def _ge_a_exp_a(y, k, p, terms):
+    """Decide y >= (2k ln p) p^(2k) for k >= 1; None while the bounds are too loose."""
+    lnp = ln_interval(p, terms)
+    scale = 2 * k * Q(p) ** (2 * k)
+    lo, hi = lnp.lo * scale, lnp.hi * scale
+    if y >= hi:
+        return True
+    if y < lo:
+        return False
+    return None
+
+
+def ell_param_oracle(s, epsilon, d_prime, r, p):
+    """ell_param as written before lambertw.decide_ge: one series width for
+    every k, doubled from 24 terms while a comparison stays open."""
+    y = 2 * s * Q(epsilon) / (3 * d_prime * Q(p) ** (r + 2))
+    k, terms = 0, 24
+    while True:
+        above = _ge_a_exp_a(y, k + 1, p, terms)
+        if above is None:
+            terms *= 2
+            if terms > 3100:
+                raise PrecisionError("log bounds did not converge")
+        elif above:
+            k += 1
+        else:
+            return k
+
+
+@settings(max_examples=60, deadline=None)
+@example(s=10 ** 400, epsilon=Q(1, 2), d_prime=1, r=0, p=2)
+@given(s=st.integers(1, 10 ** 60),
+       epsilon=st.fractions(min_value=Q(1, 100), max_value=1, max_denominator=100),
+       d_prime=st.integers(1, 12), r=st.integers(0, 3),
+       p=st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_ell_param_equals_the_oracle(s, epsilon, d_prime, r, p):
+    assert ell_param(s, epsilon, d_prime, r, p) == ell_param_oracle(s, epsilon, d_prime, r, p)
+
+
 def test_choose_params_examples():
     triv = trivial_character()
     pr = choose_params(triv, 2, 16, l=1)

@@ -90,6 +90,16 @@ def test_only_cyclotomic_embeds_field_elements():
     assert callers == []
 
 
+def test_only_lambertw_widens_log_bounds():
+    # a certified comparison widens its ln series in lambertw.decide_ge, the
+    # one loop behind the Lambert floor and the rate inequality, so no other
+    # module calls ln_interval
+    callers = sorted(name for name, tree in MODULES.items() if name != "lambertw"
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).split(".")[-1] == "ln_interval")
+    assert callers == []
+
+
 def test_only_cyclotomic_constructs_embeddings():
     # K has one embedding into Q_p, so no other module lifts zeta_m itself;
     # its values enter Q_p through value_to_padic and its kin

@@ -2,22 +2,27 @@ import dataclasses
 import json
 import math
 from fractions import Fraction as Q
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms import catalog
 from padicforms import forms
 from padicforms.catalog import (MINI_DESK, CatalogInstance, RandomConfig,
                                 check_config_integrality, integrality_check,
                                 random_small_configurations)
-from padicforms.characters import trivial_character
+from padicforms.characters import character_from_spec, trivial_character
 from padicforms.errors import DomainError, IntegralityError, PrecisionError
-from padicforms.forms import choose_params, family_form, lvalue_family
+from padicforms.forms import FormParameters, choose_params, family_form, lvalue_family
 from padicforms.lambertw import Interval, ln_interval
-from padicforms.verification import (characteristic_Xjn, check_chi_congruence,
-                                     check_fj_integral, check_valuation_formula,
-                                     form_sequence, growth_bound, growth_bound_check,
-                                     lambert_inequality_check, tau_p)
+from padicforms.verification import (asymptotic_rate, characteristic_Xjn,
+                                     check_chi_congruence, check_fj_integral,
+                                     check_valuation_formula, form_sequence, growth_bound,
+                                     growth_bound_check, lambert_inequality_check, tau_infinity,
+                                     tau_p)
+from test_cli import QUARTIC_JSON
 from test_forms import table_from_rows
 
 
@@ -112,11 +117,108 @@ def test_valuation_formula_hypothesis_errors(desk):
         check_valuation_formula(small, 3, trivial_character())  # s < pQD
 
 
+# Oracles: the rates and the Lambert loop as each was written before the rates
+# became one expression over ln and the ln series one widening loop
+# (lambertw.decide_ge).
+
+def tau_p_oracle(pr):
+    return pr.s * math.log(pr.p) * (pr.l + Q(1, pr.p - 1))
+
+
+def tau_infinity_oracle(pr):
+    return (pr.s * math.log(2)
+            + pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l)
+            * math.log(pr.d_prime * pr.p ** (1 + pr.l))
+            + pr.s)
+
+
+def asymptotic_rate_oracle(pr):
+    return pr.p * pr.Q * pr.D * math.log(pr.p * pr.D) + pr.s * math.log(2)
+
+
+def _scale(interval, c):
+    a, b = interval.lo * c, interval.hi * c
+    return Interval(min(a, b), max(a, b))
+
+
+def tau_p_interval_oracle(pr, terms):
+    return _scale(ln_interval(pr.p, terms), pr.s * (Q(pr.l) + Q(1, pr.p - 1)))
+
+
+def tau_inf_interval_oracle(pr, terms):
+    ln2 = ln_interval(2, terms)
+    lnbig = ln_interval(pr.d_prime * pr.p ** (1 + pr.l), terms)
+    big = _scale(lnbig, pr.d_prime * pr.p ** (pr.r + 2 + 2 * pr.l))
+    return _scale(ln2, pr.s) + big + Interval.point(pr.s)
+
+
+def lambert_status_oracle(chi, p, s, epsilon, degree=1):
+    """The certified verdict, from 32 terms doubling up to 256, with both
+    sides scaled by the field degree [K:Q]."""
+    params = choose_params(chi, p, s, epsilon=epsilon)
+    raw = dataclasses.replace(params, l=params.ell)
+    terms = 32
+    while terms <= 400:
+        taup = tau_p_interval_oracle(raw, terms)
+        tauinf = tau_inf_interval_oracle(raw, terms)
+        ln2 = ln_interval(2, terms)
+        lns = ln_interval(s, terms)
+        lhs = _scale(taup * (Interval.point(2) * (Interval.point(1) + ln2)), degree)
+        rhs = _scale(_scale(lns, 1 - epsilon) * tauinf, degree)
+        if lhs.certainly_ge(rhs):
+            return "holds"
+        if lhs.certainly_lt(rhs):
+            return "fails"
+        terms *= 2
+    return "undecided"
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 13, 97]), s=st.integers(1, 10 ** 8),
+       l=st.integers(0, 5), r=st.integers(0, 3), d_prime=st.integers(1, 40),
+       terms=st.sampled_from([3, 24, 48]))
+def test_rates_equal_the_oracles(p, s, l, r, d_prime, terms):
+    # math.log gives the very floats of the old expressions, and the
+    # certified ln the very bounds of the old intervals
+    pr = FormParameters(p=p, s=s, delta=0, d_prime=d_prime, l0=0, r=r, l=l)
+    assert tau_p(pr) == tau_p_oracle(pr)
+    assert tau_infinity(pr) == tau_infinity_oracle(pr)
+    assert asymptotic_rate(pr) == asymptotic_rate_oracle(pr)
+    ln = partial(ln_interval, terms=terms)
+    assert tau_p(pr, ln) == tau_p_interval_oracle(pr, terms)
+    assert tau_infinity(pr, ln) == tau_inf_interval_oracle(pr, terms)
+
+
+def test_lambert_status_equals_the_oracle_on_a_grid():
+    triv = trivial_character()
+    seen = set()
+    for p in (2, 3, 5):
+        for s in (10, 50, 100, 1000, 5000, 10 ** 5, 10 ** 8):
+            for epsilon in (Q(1, 4), Q(1, 2), Q(3, 4)):
+                status = lambert_inequality_check(triv, p, s, epsilon).detail["certified"]
+                assert status == lambert_status_oracle(triv, p, s, epsilon), (p, s, epsilon)
+                seen.add(status)
+    assert seen == {"holds", "fails"}
+
+
+def test_lambert_over_q_i_equals_the_oracle_scaled_by_the_degree():
+    # K = Q(i) has [K:Q] = 2, which scales both sides alike: the verdict over
+    # Q is the oracle's with both sides doubled
+    chi = character_from_spec(QUARTIC_JSON)
+    for s, status, ell in ((1000, "fails", 0), (10 ** 8, "holds", 3)):
+        rep = lambert_inequality_check(chi, 5, s, Q(1, 2))
+        assert (rep.detail["certified"], rep.params["ell"]) == (status, ell)
+        assert status == lambert_status_oracle(chi, 5, s, Q(1, 2), degree=2)
+
+
 def test_growth_bound_mini(desk):
     family = desk.family("p2-mini")
     rep = growth_bound_check(family)
     assert rep.verdict
     assert rep.detail["tau_p"] == pytest.approx(16 * math.log(2) * 2)
+    pr = family.params
+    assert (rep.detail["tau_p"], rep.detail["tau_infinity"], rep.detail["asymptotic_rate"]) \
+        == (tau_p_oracle(pr), tau_infinity_oracle(pr), asymptotic_rate_oracle(pr))
     b = growth_bound(family.params, 1)
     assert b == 4 ** 16 * 2 ** 16 * 5 ** 4 * 2 ** (3 * 16 + 3)
 
