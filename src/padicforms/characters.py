@@ -13,9 +13,10 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .arith import bernoulli_poly, check_prime, split
-from .cyclotomic import CyclotomicElement, euler_phi, padic_valuation
+from .cyclotomic import CyclotomicElement, padic_valuation
 from .errors import DomainError
 from .jsonio import cyclotomic_from_json
+from .polynomials import Poly
 
 Q = Fraction
 CharValue = Union[Fraction, CyclotomicElement]
@@ -34,8 +35,6 @@ class DirichletCharacter:
         if modulus < 1:
             raise DomainError("modulus must be positive")
         units = [j for j in range(1, modulus + 1) if math.gcd(j, modulus) == 1]
-        if modulus == 1:
-            units = [1]
         table: dict[int, CharValue] = {}
         field_m = 1
         for j in units:
@@ -86,10 +85,13 @@ class DirichletCharacter:
 
     def _compute_order(self) -> int:
         # the values at generators generate the image, so their orders' lcm
-        # is the exponent of the image
+        # is the exponent of the image; chi(g)^k = chi(g^k) once _validate passed
         order = 1
         for g in _unit_generators(sorted(self._values), self.modulus):
-            order = math.lcm(order, _root_of_unity_order(self._values[g]))
+            k, h = 1, g
+            while self._values[h] != 1:
+                k, h = k + 1, h * g % self.modulus
+            order = math.lcm(order, k)
         return order
 
     def _compute_conductor(self) -> int:
@@ -149,31 +151,11 @@ def _unit_generators(units: list[int], modulus: int) -> list[int]:
 def _into_field(v: CharValue, m: int) -> CyclotomicElement:
     if isinstance(v, Fraction):
         return CyclotomicElement.from_rational(v, m)
-    if v.m == m:
-        return v
-    if m % v.m == 0:
-        # zeta_{v.m} = zeta_m^(m / v.m)
-        lift = Q(0)
-        step = CyclotomicElement.zeta(m, m // v.m)
-        for k in reversed(range(len(v.coords))):
-            lift = lift * step + v.coords[k]
-        return lift
-    raise DomainError(f"cannot lift Q(zeta_{v.m}) into Q(zeta_{m})")
-
-
-def _root_of_unity_order(v: CharValue) -> int:
-    if isinstance(v, Fraction):
-        if v == 1:
-            return 1
-        if v == -1:
-            return 2
-        raise DomainError(f"{v} is not a root of unity")
-    acc = v
-    for e in range(1, 2 * euler_phi(v.m) * v.m + 1):
-        if acc == 1:
-            return e
-        acc = acc * v
-    raise DomainError("value is not a root of unity")
+    # zeta_{v.m} = zeta_m^(m / v.m), so v(x) becomes v(x^(m / v.m)) mod Phi_m
+    step = m // v.m
+    coeffs = [Q(0)] * (step * len(v.coords))
+    coeffs[::step] = v.coords
+    return CyclotomicElement.reduced(m, Poly(coeffs))
 
 
 # -- builtins -----------------------------------------------------------------

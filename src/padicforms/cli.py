@@ -6,11 +6,11 @@ domain violation.
 
 The argument parser is built once per process, on the first dispatch, and
 serves every later request. Sharing it is safe: every default is an int, a
-str, None or False (a typed flag's str default is converted afresh on each
-parse), and the choices lists are only read; argparse parses a
-subcommand into a fresh namespace and copies it out, so no value carries
-over from one request to the next; and usage errors and --help look up
-sys.stdout and sys.stderr when they print, so redirected streams still work.
+str, None, False or the subcommand's handler `run`, none of which a request
+mutates (typed str defaults are converted afresh on each parse), and choices
+are only read; argparse parses a subcommand into a fresh namespace and copies
+it out, so no value carries over between requests; usage errors and --help
+look up sys.stdout and sys.stderr when they print, so redirected streams work.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .catalog import (check_config_integrality, random_small_configurations,
 from .characters import character_from_spec
 from .errors import DomainError, PrecisionError
 from .forms import choose_params, form_identity, hurwitz_variant_form, lvalue_family
-from .hurwitz import lp_value, zeta_p_nonpos, zeta_p_pos
+from .hurwitz import MAX_UNIT_SHIFTS, lp_value, zeta_p_nonpos, zeta_p_pos
 from .jsonio import dumps, rational_to_str, value_to_json
 from .padic import Padic
 from .polynomials import MAX_POWER_DEGREE, parse_rational_function
@@ -44,7 +44,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-MAX_PREC = 1000       # --prec, --digits, --count and the unit shifts of --hurwitz
+MAX_PREC = 1000       # --prec, --digits and --count
 MAX_TERMS = 2 ** 16   # p^--level (Riemann sum terms) and p^--l
 MAX_TABLE = 2 ** 18   # s^2 (n+1) of forms build and of the SIZED_CHECKS
 MAX_MODULUS = 1000    # the modulus of --character and the m of its values
@@ -91,12 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--engine", choices=["mahler", "riemann"], default="mahler")
     p_int.add_argument("--prec", type=int, default=12)
     p_int.add_argument("--level", type=int, default=6, help="Riemann level")
+    p_int.set_defaults(run=_cmd_integrate)
 
     p_zeta = sub.add_parser("zeta", help="p-adic Hurwitz zeta value")
     p_zeta.add_argument("--p", type=int, required=True)
     p_zeta.add_argument("--s", type=int, required=True)
     p_zeta.add_argument("--x", type=rational, required=True)
     p_zeta.add_argument("--prec", type=int, default=12)
+    p_zeta.set_defaults(run=_cmd_zeta)
 
     p_lv = sub.add_parser("lvalue", help="Kubota-Leopoldt style L-value")
     p_lv.add_argument("--i", type=int, required=True)
@@ -105,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lv.add_argument("--l", type=int, required=True)
     p_lv.add_argument("--omega-exp", type=int, default=None)
     p_lv.add_argument("--prec", type=int, default=12)
+    p_lv.set_defaults(run=_cmd_lvalue)
 
     p_forms = sub.add_parser("forms", help="build linear forms")
     forms_sub = p_forms.add_subparsers(dest="forms_command", required=True)
@@ -119,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Hurwitz-variant mode at the rational X")
     p_build.add_argument("--digits", type=int, default=20)
     p_build.add_argument("--skip-identity", action="store_true")
+    p_build.set_defaults(run=_cmd_forms_build)
 
     p_ver = sub.add_parser("verify", help="run checks")
     p_ver.add_argument("check", choices=["all", "chi-congruence", "fj-integral",
@@ -136,11 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--ns", type=int_list, default="3,7,11")
     p_ver.add_argument("--digits", type=int, default=20)
     p_ver.add_argument("--timings", action="store_true")
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_nest = sub.add_parser("nesterenko", help="dimension lower bound from rates")
     p_nest.add_argument("--tau", type=rational_text, required=True)
     p_nest.add_argument("--tau1", type=rational_text, required=True)
     p_nest.add_argument("--tau2", type=rational_text, required=True)
+    p_nest.set_defaults(run=_cmd_nesterenko)
     return top
 
 
@@ -293,8 +299,8 @@ def _size_error(args) -> str | None:
         if error:
             return error
     sized = args.command == "forms" or check in SIZED_CHECKS
-    if getattr(args, "hurwitz", None) and abs(math.ceil(args.hurwitz) - 1) > MAX_PREC:
-        return f"--hurwitz {args.hurwitz} needs over {MAX_PREC} unit shifts into (0, 1]"
+    if getattr(args, "hurwitz", None) and abs(math.ceil(args.hurwitz) - 1) > MAX_UNIT_SHIFTS:
+        return f"--hurwitz {args.hurwitz} needs over {MAX_UNIT_SHIFTS} unit shifts into (0, 1]"
     ns = args.ns if check == "rate-fit" else [getattr(args, "n", 0)]
     if sized and any(args.s ** 2 * (n + 1) > MAX_TABLE for n in ns):
         return f"need s^2 (n+1) <= {MAX_TABLE} at --s {args.s} for every --n (--ns)"
@@ -347,19 +353,7 @@ def dispatch(argv: list[str]) -> int:
         size_error = _size_error(args)
         if size_error:
             return _fail("usage", size_error, EXIT_USAGE)
-        if args.command == "integrate":
-            return _cmd_integrate(args)
-        if args.command == "zeta":
-            return _cmd_zeta(args)
-        if args.command == "lvalue":
-            return _cmd_lvalue(args)
-        if args.command == "forms":
-            return _cmd_forms_build(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "nesterenko":
-            return _cmd_nesterenko(args)
-        return _fail("usage", f"unknown command {args.command}", EXIT_USAGE)
+        return args.run(args)
     except (DomainError, PrecisionError, ZeroDivisionError, ValueError) as exc:
         return _fail("precondition", str(exc), EXIT_PRECONDITION)
 

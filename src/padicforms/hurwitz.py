@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -18,6 +19,8 @@ from .volkenborn import check_hurwitz_domain, integral_pole_powers, pole_power_r
 Q = Fraction
 
 LValue = Union[Fraction, CyclotomicElement, Padic]
+
+MAX_UNIT_SHIFTS = 1000  # the unit shifts reduce_to_unit_interval takes, one at a time
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,12 @@ def reduce_to_unit_interval(x: Fraction, p: int) -> tuple[Fraction, list[tuple[F
 
     Returns (x0, corrections) with zeta_p(i, x) = zeta_p(i, x0)
     + sum over (y, sign) of sign * <y>^(1-i)/y, valid for all i != 1.
+    The |ceil(x) - 1| shifts must be at most MAX_UNIT_SHIFTS.
     """
     x = Fraction(x)
     check_hurwitz_domain(x, p)
+    if abs(math.ceil(x) - 1) > MAX_UNIT_SHIFTS:
+        raise DomainError(f"{x} needs over {MAX_UNIT_SHIFTS} unit shifts into (0, 1]")
     corrections: list[tuple[Fraction, int]] = []
     while x > 1:
         x -= 1

@@ -26,16 +26,6 @@ def phi_qp(p: int) -> int:
     return 2 if p == 2 else p - 1
 
 
-def fraction_mod_pk(x: Fraction | int, p: int, k: int) -> int:
-    """x mod p^k for a rational x with vp(x) >= 0."""
-    x = Fraction(x)
-    mod = p ** k
-    den = x.denominator
-    if den % p == 0:
-        raise DomainError(f"{x} is not a p-integer for p = {p}")
-    return x.numerator * pow(den, -1, mod) % mod
-
-
 class Padic:
     """A p-adic number known modulo p^prec.
 
@@ -233,7 +223,7 @@ def teichmuller(x: Fraction | int, p: int, prec: int) -> Padic:
     if p == 2:
         sign = 1 if x.numerator * x.denominator % 4 == 1 else -1
         return Padic.from_fraction(sign, 2, prec)
-    y = fraction_mod_pk(x, p, prec)
+    y = unit_residue(x.numerator, x.denominator, p, prec)[1]
     return Padic(p, 0, pow(y, p ** (prec - 1), p ** prec), prec)
 
 

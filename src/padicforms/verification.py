@@ -221,10 +221,13 @@ def lambert_inequality_check(chi: DirichletCharacter, p: int, s: int,
     alike and leave the verdict unchanged.
     The depth l is the certified Lambert floor for (s, eps). The verdict is
     True only when the inequality is certified; an uncertifiable comparison
-    reports 'undecided' in the detail and verdict False.
+    reports 'undecided' in the detail and verdict False. Needs eps < 1, else
+    the threshold is at most 0 and any rates hold.
     """
     t0 = time.monotonic()
     epsilon = Q(epsilon)
+    if epsilon >= 1:
+        raise DomainError(f"need epsilon < 1, got {epsilon}")
     params = choose_params(chi, p, s, epsilon=epsilon, l=None)
     raw = replace(params, l=params.ell)
     holds = decide_ge(lambda ln: (tau_p(raw, ln) * (2 * (1 + ln(2))),

@@ -6,12 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicforms.arith import vp
-from padicforms.characters import (DirichletCharacter, _root_of_unity_order, char_make,
+from padicforms.characters import (DirichletCharacter, _into_field, char_make,
                                    character_from_spec, chi_padic_data, chi_units,
                                    gen_bernoulli, quadratic_character,
                                    trivial_character)
-from padicforms.cyclotomic import CyclotomicElement
+from padicforms.cyclotomic import CyclotomicElement, euler_phi
 from padicforms.errors import DomainError
+
+
+def _root_of_unity_order(v):
+    """The least e >= 1 with v^e = 1, by powering in the field: the reference
+    for the order the character reads off its own table."""
+    if isinstance(v, Q):
+        if v == 1:
+            return 1
+        if v == -1:
+            return 2
+        raise DomainError(f"{v} is not a root of unity")
+    acc = v
+    for e in range(1, 2 * euler_phi(v.m) * v.m + 1):
+        if acc == 1:
+            return e
+        acc = acc * v
+    raise DomainError("value is not a root of unity")
+
+
+def _lift_by_horner(v, m):
+    """v in Q(zeta_a) lifted into Q(zeta_m) as a Horner sum in
+    zeta_a = zeta_m^(m/a), by field products: the reference for the one
+    reduction that _into_field takes."""
+    lift = Q(0)
+    step = CyclotomicElement.zeta(m, m // v.m)
+    for c in reversed(v.coords):
+        lift = lift * step + c
+    return lift
 
 
 def test_trivial_character():
@@ -97,6 +125,34 @@ def test_generator_check_agrees_with_all_pairs(table):
     assert (chi is not None) == _all_pairs_multiplicative(modulus, values)
     if chi is not None:
         assert chi.order == math.lcm(*(_root_of_unity_order(chi(a)) for a in values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.sampled_from((3, 4, 5, 7, 8, 9, 12)), k=st.integers(1, 4), data=st.data())
+def test_lift_into_a_multiple_field_equals_the_horner_oracle(a, k, data):
+    coords = data.draw(st.lists(st.fractions(-9, 9, max_denominator=9),
+                                min_size=euler_phi(a), max_size=euler_phi(a)))
+    v = CyclotomicElement(a, coords)
+    lift = _into_field(v, a * k)
+    assert lift.m == a * k and lift.coords == _lift_by_horner(v, a * k).coords
+
+
+@pytest.mark.parametrize("e", range(12))
+def test_values_from_several_fields_are_lifted_into_their_compositum(e):
+    # g^k -> zeta_12^(e k) mod 13 has order o = 12 / gcd(e, 12); each value
+    # written over the least Q(zeta_d) that holds it, or all over Q(zeta_o),
+    # gives one character
+    g, o = 2, 12 // math.gcd(e, 12)  # 2 is a primitive root mod 13
+    wide, least = {}, {}
+    for k in range(12):
+        d = 12 // math.gcd(e * k, 12)
+        wide[pow(g, k, 13)] = CyclotomicElement.zeta(o, e * k * o // 12)
+        least[pow(g, k, 13)] = CyclotomicElement.zeta(d, e * k * d // 12)
+    chi, psi = DirichletCharacter(13, wide), DirichletCharacter(13, least)
+    assert chi.order == psi.order == o
+    assert chi.field_m == psi.field_m == (o if o > 2 else 1)
+    assert all(chi(a) == psi(a) for a in range(13))
+    assert (chi.conductor, chi.delta) == (psi.conductor, psi.delta)
 
 
 def test_conductor_detection_non_primitive():

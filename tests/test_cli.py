@@ -511,6 +511,17 @@ def test_verify_failing_check_exit1(capsys):
     assert code == 1 and json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("epsilon", ["1", "2", "5"])
+def test_verify_lambert_refuses_epsilon_at_least_one(capsys, epsilon):
+    # the paper's epsilon lies in (0, 1): at epsilon >= 1 the threshold
+    # (1 - epsilon) log s is at most 0, and any rates would pass
+    code, out, err = run_cli(capsys, ["verify", "lambert", "--p", "2", "--s", "1000",
+                                      "--epsilon", epsilon])
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "precondition",
+                               "detail": f"need epsilon < 1, got {epsilon}"}
+
+
 def test_verify_lambert_huge_s(capsys):
     # the Lambert floor never goes through a float, so s = 10^400 works
     code, out, err = run_cli(capsys, ["verify", "lambert", "--p", "2",

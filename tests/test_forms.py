@@ -375,13 +375,14 @@ def test_weighted_integral_sum_refuses_a_weight_that_is_not_a_unit():
 
 
 def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
-    # the catalog shape p = 2, s = 64, n = 3: no exact value of R_n and no
-    # rational reduced mod p^k on the way to the certified sum
+    # the catalog shape p = 2, s = 64, n = 3: no exact value of R_n, and a
+    # count of rationals reduced mod p^k that does not grow with the Mahler
+    # length (twice the precision is about twice the terms)
     import sys
 
-    from padicforms import forms, padic
+    from padicforms import arith, forms
 
-    calls = {"evaluate": 0, "fraction_mod_pk": 0}
+    calls = {"evaluate": 0, "unit_residue": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -391,17 +392,19 @@ def test_weighted_integral_sum_reads_rn_from_its_integer_factors(monkeypatch):
 
     monkeypatch.setattr(forms.RnFunction, "evaluate",
                         counting("evaluate", forms.RnFunction.evaluate))
-    original = padic.fraction_mod_pk
+    original = arith.unit_residue
     for name, module in list(sys.modules.items()):
-        if name.startswith("padicforms") and getattr(module, "fraction_mod_pk", None) is original:
-            monkeypatch.setattr(module, "fraction_mod_pk", counting("fraction_mod_pk", original))
+        if name.startswith("padicforms") and getattr(module, "unit_residue", None) is original:
+            monkeypatch.setattr(module, "unit_residue", counting("unit_residue", original))
     chi = trivial_character()
     pr = choose_params(chi, 2, 64, l=2)
     rn = build_rn(pr, 3)
-    total = weighted_integral_sum(rn, lvalue_family(pr, chi, 3).weights, 760,
-                                  partial_fractions(rn))
-    assert total.prec == 760 and total.valuation() == valuation_formula_rhs(pr, 3)
-    assert calls == {"evaluate": 0, "fraction_mod_pk": 0}
+    for precision in (760, 1520):
+        calls.update(evaluate=0, unit_residue=0)
+        total = weighted_integral_sum(rn, lvalue_family(pr, chi, 3).weights, precision,
+                                      partial_fractions(rn))
+        assert total.prec == precision and total.valuation() == valuation_formula_rhs(pr, 3)
+        assert calls == {"evaluate": 0, "unit_residue": 6}
 
 
 @pytest.mark.parametrize("spec, p, s, l, n", [

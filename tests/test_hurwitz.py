@@ -13,7 +13,8 @@ from padicforms import cyclotomic
 from padicforms.cyclotomic import CyclotomicElement, value_to_padic
 from padicforms.errors import DomainError, EmbeddingError
 from padicforms.heights import HeightMatrix, delta_p_valuation
-from padicforms.hurwitz import (check_hurwitz_domain, lp_value, lp_values,
+from padicforms.forms import hurwitz_variant_form
+from padicforms.hurwitz import (MAX_UNIT_SHIFTS, check_hurwitz_domain, lp_value, lp_values,
                                 reduce_to_unit_interval, twisted_zeta, zeta_p_nonpos,
                                 zeta_p_pos)
 from padicforms.padic import Padic, phi_qp, qp, teichmuller
@@ -128,6 +129,19 @@ def test_zeta_shift_positive_branch():
     assert k >= 4 and lhs.agrees(rhs, k)
     with pytest.raises(DomainError):  # zeta_p_pos refuses the pole s = 1
         _zeta_shift_sides(1, Q(1, 5), 5, precision=6)
+
+
+def test_reduce_to_unit_interval_caps_its_unit_shifts():
+    # |ceil(x) - 1| shifts, one at a time: at most MAX_UNIT_SHIFTS on either side
+    assert MAX_UNIT_SHIFTS == 1000
+    for x, shifts in ((1000 + Q(1, 5), 1000), (-999 - Q(4, 5), 1000)):
+        x0, corrections = reduce_to_unit_interval(x, 5)
+        assert 0 < x0 <= 1 and len(corrections) == shifts
+    for x in (1001 + Q(1, 5), -1000 - Q(4, 5), 10 ** 12 + Q(1, 5)):
+        with pytest.raises(DomainError, match="unit shifts"):
+            reduce_to_unit_interval(x, 5)
+    with pytest.raises(DomainError, match="unit shifts"):
+        hurwitz_variant_form(5, 10 ** 12 + Q(1, 5), 18, n=1, l=1)
 
 
 def test_reduce_to_unit_interval():
@@ -417,20 +431,37 @@ def _omega(p):
     return char_make(q, {pow(g, k, q): CyclotomicElement.zeta(phi, k) for k in range(phi)}), g
 
 
+def _lift_embedded(v, m, p):
+    """v over Q(zeta_a), a | m, written over Q(zeta_m) with the same image in Q_p.
+
+    zeta_a goes to zeta_m^t with t a multiple of m/a. The least one need not
+    keep the image: at p = 13 zeta_4 goes to zeta_12^9, not to zeta_12^3.
+    """
+    if isinstance(v, Q) or v.m == m:
+        return v
+    image = value_to_padic(CyclotomicElement.zeta(v.m), p, 20)
+    t = next(t for t in range(m // v.m, m, m // v.m)
+             if value_to_padic(CyclotomicElement.zeta(m, t), p, 20) == image)
+    return sum((c * CyclotomicElement.zeta(m, t * k) for k, c in enumerate(v.coords)), Q(0))
+
+
 def _interpolation_value(chi, p, i, omega_exp):
     """L_p(1-n, chi omega^k) = -(1 - psi(p) p^(n-1)) B_(n,psi)/n, n = 1 - i, k = omega_exp.
 
     psi is chi omega^(k-n) made primitive (Washington, Introduction to
     Cyclotomic Fields, Thm 5.11), with omega from _omega. So psi is a
     Dirichlet character of its own, and this value does not go through the
-    Hurwitz decomposition. chi and omega must share a field or one be
-    rational-valued.
+    Hurwitz decomposition. When omega is not rational-valued, chi's values
+    are lifted into its field by _lift_embedded, which keeps their images
+    in Q_p.
     """
     n = 1 - i
     omega, _ = _omega(p)
     e = (omega_exp - n) % phi_qp(p)
     M = math.lcm(chi.modulus, omega.modulus)
-    psi = char_make(M, {a: chi.value(a) * omega.value(a) ** e
+    m = max(omega.field_m, chi.field_m)
+    lifted = [_lift_embedded(chi.value(a), m, p) for a in range(chi.modulus)]
+    psi = char_make(M, {a: lifted[a % chi.modulus] * omega.value(a) ** e
                         for a in range(1, M + 1) if math.gcd(a, M) == 1})
     f = psi.conductor
     primitive = char_make(f, {a: psi.value(next(b for b in range(a, a + M * f, f)
@@ -461,25 +492,32 @@ def test_lp_value_matches_the_interpolation_formula(spec, p, i, omega_exp, extra
 
 
 def test_lp_value_matches_the_interpolation_formula_at_p_from_5():
-    # the whole grid, 924 cases: a fault in a few of them (one embedding at
-    # p = 13, say) would slip past a random sample of it
-    for p in (5, 7, 13):
+    # the whole grid, 1,148 cases: a fault in a few of them (one embedding at
+    # p = 13, say) would slip past a random sample of it. The quartic
+    # character needs 4 | p - 1, and at p = 13 its values meet omega's in
+    # Q(zeta_12) under zeta_4 -> zeta_12^9
+    assert _lift_embedded(CyclotomicElement.zeta(4), 12, 13) == CyclotomicElement.zeta(12, 9)
+    rational = ("trivial", "quadratic:3", "quadratic:4")
+    for p, specs in ((5, rational + ("quartic",)), (7, rational),
+                     (13, rational + ("quartic",))):
         # here omega has values in Q(zeta_(p-1)) and meets lp_value's Teichmuller
         # weights only through the embedding, so pin that link first
         omega, g = _omega(p)
         assert omega.order == p - 1
         assert value_to_padic(CyclotomicElement.zeta(p - 1), p, 30) == teichmuller(g, p, 30)
-        for spec in ("trivial", "quadratic:3", "quadratic:4"):
-            chi = character_from_spec(spec)
-            for n, k, extra in itertools.product(range(1, 8), range(p - 1), (0, 1)):
-                l = max(1, int(vp(Q(chi.conductor), p))) + extra
-                got = lp_value(1 - n, chi, p, l, omega_exp=k)
+        for spec in specs:
+            chi = _quartic_character() if spec == "quartic" else character_from_spec(spec)
+            for n, k in itertools.product(range(1, 8), range(p - 1)):
                 want = _interpolation_value(chi, p, 1 - n, k)
-                if isinstance(got, Padic):
-                    assert got.prec == 20 and got.agrees(value_to_padic(want, p, 20)), \
-                        (spec, p, n, k, extra)
-                else:
-                    assert got == want, (spec, p, n, k, extra)
+                for extra in (0, 1):
+                    l = max(1, int(vp(Q(chi.conductor), p))) + extra
+                    got = lp_value(1 - n, chi, p, l, omega_exp=k)
+                    if isinstance(got, Padic):
+                        assert got.prec == 20 and got.agrees(value_to_padic(want, p, 20)), \
+                            (spec, p, n, k, extra)
+                    else:
+                        assert _lift_embedded(got, omega.field_m, p) == want, \
+                            (spec, p, n, k, extra)
 
 
 @pytest.mark.parametrize("spec, p", [("trivial", 2), ("trivial", 5), ("quadratic:3", 3),

@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicforms.arith import vp
+from padicforms.arith import unit_residue, vp
 from padicforms.errors import DomainError, PrecisionError
-from padicforms.padic import (Padic, fraction_mod_pk, phi_qp, qp,
-                              teichmuller, teichmuller_ext, teichmuller_rational)
+from padicforms.padic import (Padic, phi_qp, qp, teichmuller, teichmuller_ext,
+                              teichmuller_rational)
+
+
+def fraction_mod_pk(x, p, k):
+    """x mod p^k for a rational x with vp(x) >= 0: the reference for the
+    residues the program takes through arith.unit_residue."""
+    x = Q(x)
+    mod = p ** k
+    den = x.denominator
+    if den % p == 0:
+        raise DomainError(f"{x} is not a p-integer for p = {p}")
+    return x.numerator * pow(den, -1, mod) % mod
 
 
 def test_qp_conventions():
@@ -206,3 +217,9 @@ def test_fraction_mod_pk():
     assert fraction_mod_pk(Q(1, 3), 5, 3) == pow(3, -1, 125)
     with pytest.raises(DomainError):
         fraction_mod_pk(Q(1, 5), 5, 3)
+    # on units the reference agrees with the one owner of the reduction
+    for x in (Q(1, 3), Q(-7, 12), Q(22, 9), Q(-1), Q(123456789, 1024)):
+        for p, k in ((5, 3), (7, 1), (11, 40)):
+            if vp(x, p) == 0:
+                want = (0, fraction_mod_pk(x, p, k))
+                assert unit_residue(x.numerator, x.denominator, p, k) == want

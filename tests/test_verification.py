@@ -252,6 +252,17 @@ def test_lambert_inequality_large_s():
         assert rep.verdict and rep.detail["certified"] == "holds", (s, rep)
 
 
+def test_lambert_inequality_needs_epsilon_in_the_open_unit_interval():
+    triv = trivial_character()
+    for epsilon in (Q(1), Q(2), Q(5)):
+        with pytest.raises(DomainError, match="need epsilon < 1"):
+            lambert_inequality_check(triv, 2, 1000, epsilon)
+    with pytest.raises(DomainError, match="epsilon > 0"):
+        lambert_inequality_check(triv, 2, 1000, Q(0))
+    rep = lambert_inequality_check(triv, 2, 1000, Q(99, 100))
+    assert rep.detail["certified"] == lambert_status_oracle(triv, 2, 1000, Q(99, 100))
+
+
 def test_lambert_inequality_below_threshold_reported():
     rep = lambert_inequality_check(trivial_character(), 2, 50, Q(1, 2))
     # below the threshold the check reports without certifying success

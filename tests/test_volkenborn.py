@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from padicforms.arith import INF, batch_invert, bernoulli_number, bernoulli_poly, vp, vp_int
 from padicforms.errors import DomainError, PrecisionError
-from padicforms.padic import Padic, fraction_mod_pk
+from padicforms.padic import Padic
 from padicforms.polynomials import Poly, RationalFunction, parse_rational_function
 from padicforms import volkenborn
 from padicforms.volkenborn import (PoleData, check_hurwitz_domain, integral_mahler,
@@ -17,6 +17,7 @@ from padicforms.volkenborn import (PoleData, check_hurwitz_domain, integral_mahl
                                    mahler_error_valuation, rational_wavelet_tail_bound,
                                    translate_integral, vdp_length)
 
+from test_padic import fraction_mod_pk
 from test_polynomials import poly_from_roots
 
 
